@@ -15,7 +15,7 @@ from .errors import (ConfigError, CriticalPointError, DegeneratePlaneError,
                      DomainError, EvaluationError, ExtGeoError, GeometryError,
                      HypothesisViolatedError, ParseError, SingularityError,
                      TruncationError)
-from .exprchart import ChartBase, ChartSpec, chart_positions, eval_chart, parse_chart
+from .exprchart import ChartBase, ChartSpec, eval_chart, parse_chart
 from .immersion import (PointGeometry, ambient_of, extrinsic_sphere_curvature,
                         grid_geometry, hypersurface_principal_curvatures,
                         level_set_tangent_plane, point_geometry,
@@ -25,9 +25,9 @@ from .invariants import (DecayProfile, DeltaModel, InvariantReport,
                          default_tail_radii, invariant_tails, kasue_bound,
                          kasue_closed_form, pinching_functions,
                          threshold_c_star)
-from .mesh import (BallRegion, EndsReport, MeshGraph, ambient_for, build_mesh,
-                   count_ends, critical_free_radius, ends_stability,
-                   extrinsic_ball, intrinsic_distances, mesh_dump)
+from .mesh import (EndsReport, MeshGraph, build_mesh, count_ends,
+                   critical_free_radius, ends_stability, intrinsic_distances,
+                   mesh_dump)
 from .spaceform import (Ambient, ambient_distance, c_kappa, euclidean,
                         geodesic, hyperbolic, lorentz_inner, model_volumes,
                         omega_m, s_kappa)

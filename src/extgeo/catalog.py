@@ -382,24 +382,6 @@ class RotationChart(ChartBase):
         return [x1 * sin1 * jets.cos(t2), x1 * sin1 * jets.sin(t2),
                 x1 * jets.cos(t1), y, z]
 
-    def eval_positions(self, points):
-        points = np.asarray(points, dtype=float)
-        s = points[..., -1]
-        x1 = np.sqrt(self.a * np.cosh(2.0 * s) - 0.5)
-        w = np.sqrt(self.a * np.cosh(2.0 * s) + 0.5)
-        th = self.theta_value(s)
-        y = w * np.sinh(th)
-        z = w * np.cosh(th)
-        if self.dim == 2:
-            t1 = points[..., 0]
-            cols = [x1 * np.cos(t1), x1 * np.sin(t1), y, z]
-        else:
-            t1 = points[..., 0]
-            t2 = points[..., 1]
-            cols = [x1 * np.sin(t1) * np.cos(t2), x1 * np.sin(t1) * np.sin(t2),
-                    x1 * np.cos(t1), y, z]
-        return np.stack([np.broadcast_to(c, s.shape) for c in cols], axis=-1)
-
     def profile_residuals(self, samples=2001):
         """Worst constraint violations of the generating curve, measured
         numerically on a dense sample."""

@@ -12,7 +12,6 @@ Config schema (all keys optional unless marked):
       "volume_radii": null | [increasing positive reals],
       "epsilon_crit": 0.001,
       "delta": {"kind": "zero"} | {"kind": "power", "d0": x, "t0": y},
-      "threads": null | integer,
       "seed": 0,
       "samples": 48
     }
@@ -36,11 +35,11 @@ from .catalog import CATALOG, catalog_build
 from .errors import (ConfigError, DomainError, ExtGeoError,
                      HypothesisViolatedError, ParseError)
 from .exprchart import parse_chart
-from .immersion import extrinsic_sphere_curvature, point_geometry
+from .immersion import ambient_of, extrinsic_sphere_curvature, point_geometry
 from .invariants import (DeltaModel, default_tail_radii, invariant_tails,
                          pinching_functions, threshold_c_star)
-from .mesh import (EPSILON_CRIT, ambient_for, build_mesh, count_ends,
-                   critical_free_radius, ends_stability, mesh_dump)
+from .mesh import (EPSILON_CRIT, build_mesh, count_ends, critical_free_radius,
+                   ends_stability, mesh_dump)
 from .reporting import dumps_json, write_csv, write_json
 from .spaceform import c_kappa, s_kappa
 from .volumetrics import (GrowthVerdict, gap_ratio, verify_growth_bounds,
@@ -59,7 +58,6 @@ class RunConfig:
     volume_radii: list = None
     epsilon_crit: float = EPSILON_CRIT
     delta: DeltaModel = field(default_factory=DeltaModel)
-    threads: int = None
     seed: int = 0
     samples: int = 48
 
@@ -81,7 +79,7 @@ def parse_config(data: dict) -> RunConfig:
     _require(isinstance(data, dict), "config must be a JSON object")
     known = {"immersion", "resolution", "pole", "truncation",
              "exhaustion_radii", "volume_radii", "epsilon_crit", "delta",
-             "threads", "seed", "samples"}
+             "seed", "samples"}
     extra = set(data) - known
     _require(not extra, f"unknown config keys: {sorted(extra)}")
 
@@ -141,11 +139,6 @@ def parse_config(data: dict) -> RunConfig:
     except DomainError as exc:
         raise ConfigError(f"delta model: {exc}")
 
-    threads = data.get("threads")
-    if threads is not None:
-        _require(isinstance(threads, int) and not isinstance(threads, bool)
-                 and threads >= 0, "threads must be a nonnegative integer")
-
     seed = data.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool),
              "seed must be an integer")
@@ -156,7 +149,7 @@ def parse_config(data: dict) -> RunConfig:
     return RunConfig(immersion=imm, resolution=res, pole=pole,
                      truncation=trunc, exhaustion_radii=radii,
                      volume_radii=vradii, epsilon_crit=float(eps),
-                     delta=delta, threads=threads, seed=seed, samples=samples)
+                     delta=delta, seed=seed, samples=samples)
 
 
 def load_config(path: str) -> RunConfig:
@@ -201,10 +194,7 @@ def _build_immersion(cfg: RunConfig):
 
 
 def _mesh_for(cfg: RunConfig, chart):
-    threads = cfg.threads
-    if threads is None:
-        threads = os.cpu_count() or 1
-    return build_mesh(chart, cfg.resolution, pole=cfg.pole, threads=threads)
+    return build_mesh(chart, cfg.resolution, pole=cfg.pole)
 
 
 def _mesh_header(mesh, desc) -> dict:
@@ -349,7 +339,7 @@ def run_curvature(cfg: RunConfig, out_dir) -> dict:
             "distance-sphere curvature sampling needs m >= 3 "
             f"(chart has m = {chart.m})")
     rng = np.random.default_rng(cfg.seed)
-    amb = ambient_for(chart, cfg.pole)
+    amb = ambient_of(chart, cfg.pole)
     lows = np.array([chart.domain[i][0] for i in range(chart.m)])
     spans = np.array([chart.domain[i][1] - chart.domain[i][0]
                       for i in range(chart.m)])
@@ -408,9 +398,12 @@ def run_verify(cfg: RunConfig, out_dir) -> dict:
     kappa = mesh.vertices.kappa
     rng = np.random.default_rng(cfg.seed)
     ts = rng.uniform(0.0, 5.0, size=64)
-    ident = np.max(np.abs(c_kappa(kappa, ts) ** 2
-                          + kappa * s_kappa(kappa, ts) ** 2 - 1.0))
-    check("comparison-identity", ident < 1e-12, {"max_residual": float(ident)})
+    c_sq = c_kappa(kappa, ts) ** 2
+    resid = np.abs(c_sq + kappa * s_kappa(kappa, ts) ** 2 - 1.0)
+    # rounding in C^2 and kappa*S^2 alone is a few eps*C^2, so the bound
+    # holds relative to C^2 (C = 1 when kappa = 0)
+    check("comparison-identity", np.max(resid / c_sq) < 1e-12,
+          {"max_residual": float(np.max(resid))})
 
     radii = cfg.exhaustion_radii
     if radii is None:
@@ -481,8 +474,16 @@ def _parse_resolution(text: str):
     return vals[0] if len(vals) == 1 else vals
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError (exit code 2, one JSON
+    object on stderr) instead of printing usage text."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="extgeo",
         description="Numerical invariants of immersed submanifolds of "
                     "nonpositively curved space forms")
@@ -498,7 +499,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--immersion", help="catalog entry name (shortcut "
                                            "when no config file is given)")
         p.add_argument("--out", help="directory for report files")
-        p.add_argument("--threads", type=int)
         p.add_argument("--resolution", type=_parse_resolution)
         p.add_argument("--truncation", type=float)
         p.add_argument("--seed", type=int)
@@ -525,10 +525,6 @@ def _config_from_args(args) -> RunConfig:
                           "(--immersion) is required")
     if args.resolution is not None:
         cfg.resolution = args.resolution
-    if args.threads is not None:
-        if args.threads < 0:
-            raise ConfigError("threads must be nonnegative")
-        cfg.threads = args.threads
     if args.truncation is not None:
         if args.truncation <= 0:
             raise ConfigError("truncation must be positive")
@@ -552,7 +548,7 @@ def _emit_error(exc: Exception) -> None:
 
 def main(argv=None) -> int:
     try:
-        # inside the try: --resolution raises ConfigError during parsing
+        # inside the try: a bad command line raises ConfigError
         args = _build_parser().parse_args(argv)
         if args.command == "catalog":
             payload = run_catalog_list()

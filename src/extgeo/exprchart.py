@@ -19,9 +19,9 @@ set supported by the jet layer.  ``const`` binds named constants, usable
 anywhere, declared in any order.  An optional ``basepoint`` statement
 marks a distinguished chart point (the domain midpoint otherwise).
 
-Parsed charts evaluate either to second-order jets (for curvature work)
-or to plain coordinate arrays, and they pretty-print back to source that
-reparses to a structurally identical tree.
+Parsed charts evaluate to second-order jets (positions are their values),
+and they pretty-print back to source that reparses to a structurally
+identical tree.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .errors import DomainError, EvaluationError, ParseError
 from .jets import Jet2
 from .spaceform import lorentz_inner
 
-__all__ = ["parse_chart", "ChartSpec", "ChartBase", "eval_chart",
-           "chart_positions", "Lit", "Var", "ConstRef", "Unary", "Binary", "Call"]
+__all__ = ["parse_chart", "ChartSpec", "ChartBase", "eval_chart", "Lit",
+           "Var", "ConstRef", "Unary", "Binary", "Call"]
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "sinh", "cosh", "tanh")
 
@@ -329,46 +329,6 @@ def _eval_jet(node, varjets, consts):
     raise TypeError(node)
 
 
-def _eval_value(node, varvals, consts):
-    """Value-only walk used for bulk position evaluation."""
-    if isinstance(node, (Lit, ConstRef)):
-        return _fold(node, consts)
-    if isinstance(node, Var):
-        return varvals[node.index]
-    if isinstance(node, Unary):
-        return -_eval_value(node.child, varvals, consts)
-    if isinstance(node, Call):
-        arg = _eval_value(node.arg, varvals, consts)
-        if np.ndim(arg) == 0 and not isinstance(arg, np.ndarray):
-            return _fold_call(node.fn, float(arg))
-        if node.fn in ("sqrt", "log") and np.any(arg <= 0.0):
-            raise EvaluationError(node.fn, "argument not strictly positive")
-        return getattr(np, node.fn)(arg)
-    if isinstance(node, Binary):
-        a = _eval_value(node.lhs, varvals, consts)
-        b = _eval_value(node.rhs, varvals, consts)
-        scalars = not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray)
-        if scalars:
-            return _fold_binary(node.op, float(a), float(b))
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise EvaluationError("div", "division by zero")
-            return a / b
-        # power with array operands
-        if not isinstance(b, np.ndarray) and float(b) == int(float(b)):
-            return np.power(a, float(b))
-        if np.any(np.asarray(a) <= 0.0):
-            raise EvaluationError("pow", "non-integer exponent needs a positive base")
-        return np.exp(np.asarray(b) * np.log(a))
-    raise TypeError(node)
-
-
 # ---------------------------------------------------------------------------
 # charts
 
@@ -376,7 +336,7 @@ class ChartBase:
     """Common surface for parsed and built-in charts.
 
     Subclasses fill in the dimensions, the ambient curvature, the parameter
-    box, and the two evaluation paths.
+    box, and ``eval_jets``; positions are the values of the jets.
     """
 
     name = "chart"
@@ -440,14 +400,6 @@ def eval_chart(chart: ChartBase, point) -> list:
     return chart.eval_jets(jets.seed_point(point))
 
 
-def chart_positions(chart: ChartBase, points, check=False) -> np.ndarray:
-    """Bulk ambient positions of chart points, shape (..., ncoords)."""
-    points = np.asarray(points, dtype=float)
-    if check and not chart.contains(points):
-        raise DomainError("points outside the declared chart domain")
-    return chart.eval_positions(points)
-
-
 class ChartSpec(ChartBase):
     """A chart parsed from source text."""
 
@@ -472,19 +424,6 @@ class ChartSpec(ChartBase):
                 val = jets.constant(val, self.m, batch)
             out.append(val)
         return out
-
-    def eval_positions(self, points):
-        points = np.asarray(points, dtype=float)
-        varvals = [points[..., i] for i in range(self.m)]
-        batch = points.shape[:-1]
-        cols = []
-        for ast in self.coords:
-            val = _eval_value(ast, varvals, self.consts)
-            arr = np.broadcast_to(np.asarray(val, dtype=float), batch)
-            if not np.isfinite(arr).all():
-                raise EvaluationError("eval", "non-finite coordinate value")
-            cols.append(arr)
-        return np.stack(cols, axis=-1)
 
     def to_source(self) -> str:
         parts = [f"m = {self.m}", f"n = {self.n}"]

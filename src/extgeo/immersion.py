@@ -3,15 +3,16 @@
 Everything here is derived from second-order jets of a chart: the induced
 metric, the second fundamental form and its norm, and the split of the
 ambient radial gradient into parts tangent and normal to the submanifold.
-Bulk evaluation over large point sets is chunked and optionally threaded;
-results are identical either way.
+Bulk evaluation over large point sets is chunked, and the chunks run on a
+thread pool; the result does not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,9 +42,7 @@ class PointGeometry:
     """Geometry of one chart point or a batch of them.
 
     Arrays share the leading batch shape.  ``alpha`` and the radial
-    gradient vectors are kept only when requested; ``rho`` (intrinsic
-    distance to the basepoint) starts as None and is filled in by mesh
-    post-processing.
+    gradient vectors are kept only when requested.
     """
 
     kappa: float
@@ -59,7 +58,6 @@ class PointGeometry:
     alpha: np.ndarray = None            # (..., ncoords, m, m)
     grad_M_r: np.ndarray = None         # (..., ncoords)
     grad_perp_r: np.ndarray = None      # (..., ncoords)
-    rho: np.ndarray = None              # (...) intrinsic distance, mesh-filled
     at_pole: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -78,37 +76,30 @@ class PointGeometry:
     def norm_alpha(self) -> np.ndarray:
         return np.sqrt(self.norm_alpha_sq)
 
+    def map_arrays(self, fn, *others) -> "PointGeometry":
+        """A copy with every array field replaced by ``fn(array,
+        trailing_dims, *same_field_of_others)``; ``trailing_dims`` counts
+        the axes after the batch shape.  Fields left None stay None."""
+        lead = len(self.batch_shape)
+        out = {}
+        for f in fields(self):
+            arr = getattr(self, f.name)
+            if isinstance(arr, (np.ndarray, np.generic)):
+                out[f.name] = fn(arr, np.ndim(arr) - lead,
+                                 *(getattr(o, f.name) for o in others))
+        return replace(self, **out)
+
     def take(self, idx) -> "PointGeometry":
         """Subset along a flat batch (flatten first if multi-dimensional)."""
-        def pick(arr, extra_dims):
-            if arr is None:
-                return None
-            flat = arr.reshape((-1,) + arr.shape[arr.ndim - extra_dims:]) \
-                if extra_dims else arr.reshape(-1)
-            return flat[idx]
-
-        return PointGeometry(
-            kappa=self.kappa,
-            points=pick(self.points, 1),
-            metric=pick(self.metric, 2),
-            sqrt_det_g=pick(self.sqrt_det_g, 0),
-            r=pick(self.r, 0),
-            grad_r_tan_norm=pick(self.grad_r_tan_norm, 0),
-            grad_r_perp_norm=pick(self.grad_r_perp_norm, 0),
-            norm_alpha_sq=pick(self.norm_alpha_sq, 0),
-            position=pick(self.position, 1),
-            jacobian=pick(self.jacobian, 2),
-            alpha=pick(self.alpha, 3),
-            grad_M_r=pick(self.grad_M_r, 1),
-            grad_perp_r=pick(self.grad_perp_r, 1),
-            rho=pick(self.rho, 0),
-            at_pole=pick(self.at_pole, 0),
-        )
+        return self.map_arrays(
+            lambda arr, k: arr.reshape((-1,) + arr.shape[arr.ndim - k:])[idx])
 
 
-def ambient_of(chart: ChartBase) -> Ambient:
-    """Ambient space of a chart, with the pole at the basepoint's image."""
-    pole = np.asarray(chart.eval_positions(np.asarray(chart.basepoint)), dtype=float)
+def ambient_of(chart: ChartBase, pole=None) -> Ambient:
+    """Ambient space of a chart, with the pole at ``pole`` or, by default,
+    at the basepoint's image."""
+    if pole is None:
+        pole = chart.eval_positions(chart.basepoint)
     if chart.kappa == 0.0:
         return euclidean(chart.n, pole=pole)
     return hyperbolic(chart.n, chart.kappa, pole=pole)
@@ -258,12 +249,9 @@ def _resolve_ambient(chart: ChartBase, amb) -> Ambient:
 
 def grid_geometry(chart: ChartBase, points, keep_alpha=False,
                   keep_vectors=False, keep_positions=True,
-                  chunk=DEFAULT_CHUNK, threads=0, amb: Ambient = None) -> PointGeometry:
-    """Geometry over a batch of chart points, chunked to bound memory.
-
-    ``threads`` > 1 fans chunks out to a thread pool; the output does not
-    depend on the thread count.
-    """
+                  chunk=DEFAULT_CHUNK, amb: Ambient = None) -> PointGeometry:
+    """Geometry over a batch of chart points, in chunks of at most ``chunk``
+    points (to bound memory) spread over one thread per CPU."""
     amb = _resolve_ambient(chart, amb)
     points = np.asarray(points, dtype=float)
     batch = points.shape[:-1]
@@ -272,68 +260,20 @@ def grid_geometry(chart: ChartBase, points, keep_alpha=False,
     if n_pts == 0:
         raise DomainError("grid_geometry needs at least one point")
 
-    spans = [slice(i, min(i + chunk, n_pts)) for i in range(0, n_pts, chunk)]
-
-    def run(sl):
-        return _geometry_block(chart, amb, flat[sl], keep_alpha,
+    def run(lo):
+        return _geometry_block(chart, amb, flat[lo:lo + chunk], keep_alpha,
                                keep_vectors, keep_positions)
 
-    if threads and threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(run, spans))
-    else:
-        blocks = [run(sl) for sl in spans]
-
-    def cat(name):
-        parts = [getattr(blk, name) for blk in blocks]
-        if parts[0] is None:
-            return None
-        return np.concatenate(parts, axis=0)
-
-    geom = PointGeometry(
-        kappa=amb.kappa,
-        points=flat,
-        metric=cat("metric"),
-        sqrt_det_g=cat("sqrt_det_g"),
-        r=cat("r"),
-        grad_r_tan_norm=cat("grad_r_tan_norm"),
-        grad_r_perp_norm=cat("grad_r_perp_norm"),
-        norm_alpha_sq=cat("norm_alpha_sq"),
-        position=cat("position"),
-        jacobian=cat("jacobian"),
-        alpha=cat("alpha"),
-        grad_M_r=cat("grad_M_r"),
-        grad_perp_r=cat("grad_perp_r"),
-        at_pole=cat("at_pole"),
-    )
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        blocks = list(pool.map(run, range(0, n_pts, chunk)))
+    geom = blocks[0]
+    if len(blocks) > 1:
+        geom = geom.map_arrays(
+            lambda arr, k, *rest: np.concatenate((arr,) + rest), *blocks[1:])
     if batch != (n_pts,):
-        geom = _reshape_batch(geom, batch)
+        geom = geom.map_arrays(
+            lambda arr, k: arr.reshape(batch + arr.shape[arr.ndim - k:]))
     return geom
-
-
-def _reshape_batch(geom: PointGeometry, batch) -> PointGeometry:
-    def fix(arr, extra):
-        if arr is None:
-            return None
-        return arr.reshape(batch + arr.shape[1:1 + extra])
-
-    return PointGeometry(
-        kappa=geom.kappa,
-        points=fix(geom.points, 1),
-        metric=fix(geom.metric, 2),
-        sqrt_det_g=fix(geom.sqrt_det_g, 0),
-        r=fix(geom.r, 0),
-        grad_r_tan_norm=fix(geom.grad_r_tan_norm, 0),
-        grad_r_perp_norm=fix(geom.grad_r_perp_norm, 0),
-        norm_alpha_sq=fix(geom.norm_alpha_sq, 0),
-        position=fix(geom.position, 1),
-        jacobian=fix(geom.jacobian, 2),
-        alpha=fix(geom.alpha, 3),
-        grad_M_r=fix(geom.grad_M_r, 1),
-        grad_perp_r=fix(geom.grad_perp_r, 1),
-        rho=fix(geom.rho, 0),
-        at_pole=fix(geom.at_pole, 0),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from scipy.optimize import bisect
 
 from .curves import Curve
 from .errors import DomainError, EvaluationError, TruncationError
-from .mesh import MeshGraph
+from .mesh import RADIUS_CAP_FRACTION, MeshGraph
 from .spaceform import c_kappa, s_kappa
 
 __all__ = ["DecayProfile", "DeltaModel", "PinchingValues", "InvariantReport",
@@ -43,8 +43,6 @@ FLAT_TOL = 0.05
 OSC_TOL = 0.10
 # scale factor of the "flat slope" tolerance
 SLOPE_FRACTION = 0.05
-# exhaustion radii must stay below this fraction of the truncation radius
-RADIUS_CAP_FRACTION = 0.9
 QUAD_EPSREL = 1e-12
 C_STAR_AGREEMENT = 1e-10
 

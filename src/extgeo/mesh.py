@@ -31,12 +31,11 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from .eikonal import stencil, upwind_distances
 from .errors import DomainError, GeometryError
 from .exprchart import ChartBase
-from .immersion import DEFAULT_CHUNK, PointGeometry, ambient_of, grid_geometry
+from .immersion import PointGeometry, ambient_of, grid_geometry
 from .reporting import write_csv
-from .spaceform import Ambient, euclidean, hyperbolic
+from .spaceform import Ambient
 
-__all__ = ["MeshGraph", "BallRegion", "EndsReport", "build_mesh",
-           "intrinsic_distances", "extrinsic_ball",
+__all__ = ["MeshGraph", "EndsReport", "build_mesh", "intrinsic_distances",
            "critical_free_radius", "count_ends", "ends_stability",
            "mesh_dump"]
 
@@ -45,6 +44,9 @@ MIN_RESOLUTION = 3
 EPSILON_CRIT = 1e-3
 # ends are only probed strictly inside the sampled region
 ENDS_WINDOW_FRACTION = 0.8
+# exhaustion and volume radii stay below this fraction of the truncation
+# radius
+RADIUS_CAP_FRACTION = 0.9
 # rows converted to Python numbers at once when dumping a mesh
 DUMP_BLOCK = 4096
 
@@ -197,20 +199,6 @@ class MeshGraph:
 
 
 @dataclass
-class BallRegion:
-    """Sublevel set {r < t} of the radial function on the mesh."""
-
-    t: float
-    inside: np.ndarray            # (N,) vertex mask
-    boundary_cells: np.ndarray    # flat cell indices crossed by {r = t}
-    truncated: bool
-
-    @property
-    def n_inside(self) -> int:
-        return int(np.count_nonzero(self.inside))
-
-
-@dataclass
 class EndsReport:
     R: float
     n_ends: int
@@ -302,17 +290,7 @@ def _mesh_product(index_lists, shape=None):
     return np.ravel_multi_index(cols, shape)
 
 
-def ambient_for(chart: ChartBase, pole=None) -> Ambient:
-    """Ambient model for a chart, optionally recentered at ``pole``."""
-    if pole is None:
-        return ambient_of(chart)
-    if chart.kappa == 0.0:
-        return euclidean(chart.n, pole=pole)
-    return hyperbolic(chart.n, chart.kappa, pole=pole)
-
-
-def build_mesh(chart: ChartBase, resolution, pole=None, threads: int = 0,
-               chunk: int = DEFAULT_CHUNK) -> MeshGraph:
+def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
     """Sample a chart on a grid and assemble the weighted neighbor graph.
 
     ``resolution`` is the vertex count per axis (one int broadcasts).
@@ -322,37 +300,19 @@ def build_mesh(chart: ChartBase, resolution, pole=None, threads: int = 0,
     """
     shape, origin, spacing = _axis_layout(chart, resolution)
     m = chart.m
-    amb = ambient_for(chart, pole)
+    amb = ambient_of(chart, pole)
 
     refined_axes = [origin[i] + 0.5 * spacing[i] * np.arange(
         2 * shape[i] if chart.periodic[i] else 2 * shape[i] - 1)
         for i in range(m)]
     refined_pts = np.stack(
         np.meshgrid(*refined_axes, indexing="ij"), axis=-1)
-    refined = grid_geometry(chart, refined_pts, keep_positions=False,
-                            chunk=chunk, threads=threads, amb=amb)
+    refined = grid_geometry(chart, refined_pts, keep_positions=False, amb=amb)
     del refined_pts
 
     evens = tuple([slice(0, None, 2)] * m)
-
-    def vertex_field(arr, extra_dims):
-        if arr is None:
-            return None
-        sub = arr[evens]
-        tail = sub.shape[m:]
-        return np.ascontiguousarray(sub.reshape((-1,) + tail))
-
-    vertices = PointGeometry(
-        kappa=refined.kappa,
-        points=vertex_field(refined.points, 1),
-        metric=vertex_field(refined.metric, 2),
-        sqrt_det_g=vertex_field(refined.sqrt_det_g, 0),
-        r=vertex_field(refined.r, 0),
-        grad_r_tan_norm=vertex_field(refined.grad_r_tan_norm, 0),
-        grad_r_perp_norm=vertex_field(refined.grad_r_perp_norm, 0),
-        norm_alpha_sq=vertex_field(refined.norm_alpha_sq, 0),
-        at_pole=vertex_field(refined.at_pole, 0),
-    )
+    vertices = refined.map_arrays(lambda arr, k: np.ascontiguousarray(
+        arr[evens].reshape((-1,) + arr.shape[arr.ndim - k:])))
 
     # Simpson arc length over each edge: endpoint metrics from the vertex
     # lattice, midpoint metric from the refined lattice
@@ -397,7 +357,6 @@ def build_mesh(chart: ChartBase, resolution, pole=None, threads: int = 0,
     )
     rho, bad = intrinsic_distances(mesh)
     mesh.rho = rho
-    mesh.vertices.rho = rho
     mesh.unreachable = bad
     return mesh
 
@@ -470,28 +429,6 @@ def intrinsic_distances(mesh: MeshGraph, source: int = None):
 
 # ---------------------------------------------------------------------------
 # radial machinery
-
-def extrinsic_ball(mesh: MeshGraph, t: float) -> BallRegion:
-    """Vertices of the extrinsic ball {r < t} plus the cells its boundary
-    crosses.  Falls back to the basepoint alone when t is below the first
-    sampled radius; warns when the ball reaches the truncation faces."""
-    if not t > 0.0:
-        raise DomainError(f"ball radius must be positive, got {t:g}")
-    inside = mesh.vertices.r < t
-    if not inside.any():
-        inside = np.zeros(mesh.n_vertices, dtype=bool)
-        inside[mesh.basepoint] = True
-    truncated = t > mesh.r_truncation_min
-    if truncated:
-        warnings.warn(
-            f"ball radius {t:g} exceeds the smallest truncation-face radius "
-            f"{mesh.r_truncation_min:g}; the region is cut off by the "
-            "parameter box", RuntimeWarning, stacklevel=2)
-    rmin, rmax = mesh.cell_r_bounds()
-    boundary = np.nonzero((rmin < t) & (t <= rmax))[0]
-    return BallRegion(t=float(t), inside=inside, boundary_cells=boundary,
-                      truncated=bool(truncated))
-
 
 def critical_free_radius(mesh: MeshGraph,
                          epsilon_crit: float = EPSILON_CRIT) -> float:

@@ -22,15 +22,13 @@ from .errors import (DomainError, GeometryError, HypothesisViolatedError,
                      TruncationError)
 from .immersion import point_geometry, sectional_curvature
 from .invariants import InvariantReport
-from .mesh import MeshGraph, ends_stability
+from .mesh import RADIUS_CAP_FRACTION, MeshGraph, ends_stability
 from .spaceform import model_volumes
 
 __all__ = ["VolumeCurve", "GapReport", "GrowthVerdict", "ball_volume",
            "sphere_volume", "volume_curve", "default_volume_radii",
            "verify_growth_bounds", "gap_ratio"]
 
-# usable fraction of the truncation radius, matching the tail window
-RADIUS_CAP_FRACTION = 0.9
 # relative slack when comparing a finite-mesh ratio against a sharp bound
 GROWTH_SLACK = 0.05
 # tolerance when screening the ambient-curvature hypothesis K <= kappa

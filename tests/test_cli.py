@@ -93,6 +93,34 @@ def test_verify_failure_exits_one(tmp_path):
     assert failed == {"ends-expected"}
 
 
+def identity_check(seed):
+    """(exit code, comparison-identity check) of a small hyperbolic verify."""
+    code, out, err = run_cli(["verify", "--immersion", "totally-geodesic",
+                              "--resolution", "9", "--seed", str(seed)])
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    return code, checks["comparison-identity"]
+
+
+@pytest.mark.parametrize("seed", [8, 11])
+def test_comparison_identity_is_relative_to_c_squared(seed):
+    # these seeds draw t near 5, where C^2 = cosh^2 t is about 5500 and
+    # rounding alone leaves |C^2 + kappa S^2 - 1| = 1.8e-12
+    code, check = identity_check(seed)
+    assert check["passed"] is True
+    assert check["detail"]["max_residual"] > 1e-12
+    assert code == 0
+
+
+def test_comparison_identity_catches_a_relative_error(monkeypatch):
+    import extgeo.cli
+    exact = extgeo.cli.c_kappa
+    monkeypatch.setattr(extgeo.cli, "c_kappa",
+                        lambda kappa, t: exact(kappa, t) * (1.0 + 1e-9))
+    code, check = identity_check(8)
+    assert check["passed"] is False
+    assert code == 1
+
+
 def test_verify_subprocess_byte_identical(tmp_path):
     outs, dumps = [], []
     for sub in ("a", "b"):
@@ -285,7 +313,7 @@ def test_unknown_catalog_name():
 
 
 @pytest.mark.parametrize("flag,value,needle", [
-    ("--threads", "-1", "nonnegative"),
+    ("--threads", "2", "unrecognized"),
     ("--truncation", "-2", "positive"),
 ])
 def test_bad_flag_values(flag, value, needle):

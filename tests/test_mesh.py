@@ -284,30 +284,6 @@ def test_eikonal_update_minimises_over_the_whole_stencil_surface(
 # ---------------------------------------------------------------------------
 # radial machinery
 
-def test_extrinsic_ball_small_radius(flat2_mesh):
-    ball = xg.extrinsic_ball(flat2_mesh, 0.01)
-    assert ball.n_inside == 1
-    assert ball.inside[flat2_mesh.basepoint]
-
-
-def test_extrinsic_ball_interior(flat2_mesh):
-    ball = xg.extrinsic_ball(flat2_mesh, 1.0)
-    assert ball.n_inside == int(np.count_nonzero(flat2_mesh.r < 1.0))
-    assert not ball.truncated
-    assert ball.boundary_cells.size > 0
-    rmin, rmax = flat2_mesh.cell_r_bounds()
-    assert np.all(rmin[ball.boundary_cells] < 1.0)
-    assert np.all(rmax[ball.boundary_cells] >= 1.0)
-
-
-def test_extrinsic_ball_truncation_warning(flat2_mesh):
-    with pytest.warns(RuntimeWarning, match="truncation"):
-        ball = xg.extrinsic_ball(flat2_mesh, 2.5)
-    assert ball.truncated
-    with pytest.raises(DomainError):
-        xg.extrinsic_ball(flat2_mesh, 0.0)
-
-
 def test_critical_free_radius_plane(flat2_mesh):
     assert xg.critical_free_radius(flat2_mesh) == 0.0
 
