@@ -16,6 +16,8 @@ Config schema (all keys optional unless marked):
       "samples": 48
     }
 
+Every number must be finite: JSON NaN and Infinity are malformed config.
+
 Exit codes: 0 success, 1 verification checks failed, 2 malformed config,
 3 numeric pipeline failure.  Errors print one JSON object on stderr.
 Identical configs produce byte-identical output files.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -67,11 +70,20 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _finite(x) -> bool:
+    """A JSON number, not a bool, with a finite value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:       # an integer beyond the float range
+        return False
+
+
 def _number_list(value, name):
     _require(isinstance(value, list) and value, f"{name} must be a nonempty list")
     for x in value:
-        _require(isinstance(x, (int, float)) and not isinstance(x, bool),
-                 f"{name} entries must be numbers")
+        _require(_finite(x), f"{name} entries must be finite numbers")
     return [float(x) for x in value]
 
 
@@ -115,8 +127,8 @@ def parse_config(data: dict) -> RunConfig:
 
     trunc = data.get("truncation")
     if trunc is not None:
-        _require(isinstance(trunc, (int, float)) and not isinstance(trunc, bool)
-                 and trunc > 0, "truncation must be a positive number")
+        _require(_finite(trunc) and trunc > 0,
+                 "truncation must be a positive finite number")
         trunc = float(trunc)
 
     radii = data.get("exhaustion_radii")
@@ -127,15 +139,17 @@ def parse_config(data: dict) -> RunConfig:
         vradii = _number_list(vradii, "volume_radii")
 
     eps = data.get("epsilon_crit", EPSILON_CRIT)
-    _require(isinstance(eps, (int, float)) and not isinstance(eps, bool)
-             and eps > 0, "epsilon_crit must be a positive number")
+    _require(_finite(eps) and eps > 0,
+             "epsilon_crit must be a positive finite number")
 
     delta_raw = data.get("delta", {"kind": "zero"})
     _require(isinstance(delta_raw, dict), "delta must be an object")
+    d0, t0 = delta_raw.get("d0", 0.0), delta_raw.get("t0", 1.0)
+    _require(_finite(d0) and _finite(t0),
+             "delta d0 and t0 must be finite numbers")
     try:
         delta = DeltaModel(kind=delta_raw.get("kind", "zero"),
-                           d0=float(delta_raw.get("d0", 0.0)),
-                           t0=float(delta_raw.get("t0", 1.0)))
+                           d0=float(d0), t0=float(t0))
     except DomainError as exc:
         raise ConfigError(f"delta model: {exc}")
 
@@ -193,10 +207,6 @@ def _build_immersion(cfg: RunConfig):
     return chart, gt, desc
 
 
-def _mesh_for(cfg: RunConfig, chart):
-    return build_mesh(chart, cfg.resolution, pole=cfg.pole)
-
-
 def _mesh_header(mesh, desc) -> dict:
     return {
         "immersion": desc,
@@ -224,7 +234,7 @@ def _out_path(out_dir, name):
 
 def run_invariants(cfg: RunConfig, out_dir) -> dict:
     chart, gt, desc = _build_immersion(cfg)
-    mesh = _mesh_for(cfg, chart)
+    mesh = build_mesh(chart, cfg.resolution, pole=cfg.pole)
     radii = cfg.exhaustion_radii
     if radii is None:
         radii = default_tail_radii(mesh)
@@ -263,7 +273,7 @@ def run_invariants(cfg: RunConfig, out_dir) -> dict:
 
 def run_volume(cfg: RunConfig, out_dir) -> dict:
     chart, gt, desc = _build_immersion(cfg)
-    mesh = _mesh_for(cfg, chart)
+    mesh = build_mesh(chart, cfg.resolution, pole=cfg.pole)
     curve = volume_curve(mesh, cfg.volume_radii)
     tail_radii = cfg.exhaustion_radii
     if tail_radii is None:
@@ -313,7 +323,7 @@ def run_volume(cfg: RunConfig, out_dir) -> dict:
 
 def run_ends(cfg: RunConfig, out_dir) -> dict:
     chart, gt, desc = _build_immersion(cfg)
-    mesh = _mesh_for(cfg, chart)
+    mesh = build_mesh(chart, cfg.resolution, pole=cfg.pole)
     stab = ends_stability(mesh, epsilon_crit=cfg.epsilon_crit)
     final = count_ends(mesh, stab["radii"][-1], cfg.epsilon_crit)
     payload = _mesh_header(mesh, desc)
@@ -377,20 +387,21 @@ def run_curvature(cfg: RunConfig, out_dir) -> dict:
 def run_verify(cfg: RunConfig, out_dir) -> dict:
     """Battery of internal checks on one configured immersion."""
     chart, gt, desc = _build_immersion(cfg)
-    mesh = _mesh_for(cfg, chart)
+    mesh = build_mesh(chart, cfg.resolution, pole=cfg.pole)
     checks = []
 
     def check(name, passed, detail):
         checks.append({"check": name, "passed": bool(passed),
                        "detail": detail})
 
-    check("edge-lengths-positive", bool(np.all(mesh.edge_lengths > 0.0)),
-          {"min": float(np.min(mesh.edge_lengths))})
+    edges, lengths = mesh.edges, mesh.edge_lengths
+    check("edge-lengths-positive", bool(np.all(lengths > 0.0)),
+          {"min": float(np.min(lengths))})
 
     rho = mesh.rho
-    finite = np.isfinite(rho[mesh.edges[:, 0]]) & np.isfinite(rho[mesh.edges[:, 1]])
-    lhs = np.abs(rho[mesh.edges[finite, 0]] - rho[mesh.edges[finite, 1]])
-    viol = float(np.max(lhs - mesh.edge_lengths[finite], initial=0.0))
+    finite = np.isfinite(rho[edges[:, 0]]) & np.isfinite(rho[edges[:, 1]])
+    lhs = np.abs(rho[edges[finite, 0]] - rho[edges[finite, 1]])
+    viol = float(np.max(lhs - lengths[finite], initial=0.0))
     check("distance-triangle-inequality", viol <= 1e-9, {"max_violation": viol})
     check("basepoint-distance-zero", rho[mesh.basepoint] == 0.0,
           {"value": float(rho[mesh.basepoint])})
@@ -526,8 +537,8 @@ def _config_from_args(args) -> RunConfig:
     if args.resolution is not None:
         cfg.resolution = args.resolution
     if args.truncation is not None:
-        if args.truncation <= 0:
-            raise ConfigError("truncation must be positive")
+        _require(_finite(args.truncation) and args.truncation > 0,
+                 "truncation must be a positive finite number")
         cfg.truncation = args.truncation
     if args.seed is not None:
         cfg.seed = args.seed

@@ -77,6 +77,7 @@ class Stencil:
 
     offsets: np.ndarray      # (S, m) integer offsets, S = 3^m - 1
     opposite: np.ndarray     # (S,) slot of the negated offset
+    forward: np.ndarray      # (S,) first nonzero entry of the offset > 0
     pairs: np.ndarray        # (E, 2) slots joined by a face edge
     star: tuple
     facets: tuple
@@ -156,10 +157,11 @@ def stencil(m: int) -> Stencil:
     facet_slots = np.array([[slot[d] for d in offsets if d[a] == side]
                             for a in range(m) for side in (-1, 1)],
                            dtype=np.intp)
+    forward = np.array([next(c for c in d if c) > 0 for d in offsets])
     return Stencil(offsets=np.array(offsets, dtype=np.intp).reshape(-1, m),
-                   opposite=opposite, pairs=pairs, star=tuple(star),
-                   facets=tuple(facets), facet_axis=facet_axis,
-                   facet_slots=facet_slots)
+                   opposite=opposite, forward=forward, pairs=pairs,
+                   star=tuple(star), facets=tuple(facets),
+                   facet_axis=facet_axis, facet_slots=facet_slots)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from .errors import DomainError, EvaluationError, ParseError
 from .jets import Jet2
 from .spaceform import lorentz_inner
 
-__all__ = ["parse_chart", "ChartSpec", "ChartBase", "eval_chart", "Lit",
-           "Var", "ConstRef", "Unary", "Binary", "Call"]
+__all__ = ["parse_chart", "ChartSpec", "ChartBase", "check_point",
+           "eval_chart", "Lit", "Var", "ConstRef", "Unary", "Binary", "Call"]
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "sinh", "cosh", "tanh")
 
@@ -299,7 +299,7 @@ def _eval_jet(node, varjets, consts):
     if isinstance(node, Call):
         arg = _eval_jet(node.arg, varjets, consts)
         if isinstance(arg, Jet2):
-            return jets.jet_apply(node.fn, [arg])
+            return getattr(jets, node.fn)(arg)
         return _fold_call(node.fn, arg)
     if isinstance(node, Binary):
         if node.op == "^" and _is_constant(node.rhs):
@@ -390,14 +390,20 @@ class ChartBase:
         return hi - lo
 
 
-def eval_chart(chart: ChartBase, point) -> list:
-    """Evaluate a chart at one point (or a batch) as second-order jets."""
+def check_point(chart: ChartBase, point) -> np.ndarray:
+    """``point`` (one point or a batch) as floats; DomainError unless it
+    has m coordinates and lies in the declared chart domain."""
     point = np.asarray(point, dtype=float)
     if point.shape[-1] != chart.m:
         raise DomainError(f"point has {point.shape[-1]} coordinates, chart has m={chart.m}")
     if not chart.contains(point):
         raise DomainError("point outside the declared chart domain")
-    return chart.eval_jets(jets.seed_point(point))
+    return point
+
+
+def eval_chart(chart: ChartBase, point) -> list:
+    """Evaluate a chart at one point (or a batch) as second-order jets."""
+    return chart.eval_jets(jets.seed_point(check_point(chart, point)))
 
 
 class ChartSpec(ChartBase):

@@ -19,7 +19,7 @@ import numpy as np
 from . import jets
 from .errors import (CriticalPointError, DegeneratePlaneError, DomainError,
                      GeometryError)
-from .exprchart import ChartBase, eval_chart
+from .exprchart import ChartBase, check_point
 from .spaceform import Ambient, c_kappa, euclidean, hyperbolic, s_kappa
 
 __all__ = ["PointGeometry", "ambient_of", "point_geometry", "grid_geometry",
@@ -233,7 +233,7 @@ def point_geometry(chart: ChartBase, point, amb: Ambient = None) -> PointGeometr
     point = np.asarray(point, dtype=float)
     if point.ndim != 1:
         raise DomainError("point_geometry expects a single chart point")
-    eval_chart(chart, point)  # domain check with a clear error
+    check_point(chart, point)
     amb = _resolve_ambient(chart, amb)
     return _geometry_block(chart, amb, point[None, :], keep_alpha=True,
                            keep_vectors=True, keep_positions=True).take(0)

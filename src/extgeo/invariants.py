@@ -24,13 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import bisect
 
 from .curves import Curve
 from .errors import DomainError, EvaluationError, TruncationError
 from .mesh import RADIUS_CAP_FRACTION, MeshGraph
-from .spaceform import c_kappa, s_kappa
+from .spaceform import c_kappa, gauss_legendre, s_kappa
 
 __all__ = ["DecayProfile", "DeltaModel", "PinchingValues", "InvariantReport",
            "kasue_bound", "kasue_closed_form", "pinching_functions",
@@ -43,7 +41,6 @@ FLAT_TOL = 0.05
 OSC_TOL = 0.10
 # scale factor of the "flat slope" tolerance
 SLOPE_FRACTION = 0.05
-QUAD_EPSREL = 1e-12
 C_STAR_AGREEMENT = 1e-10
 
 PROFILE_KINDS = ("inverse-distance", "inverse-s", "inverse-sc")
@@ -119,9 +116,9 @@ def kasue_bound(t: float, profile: DecayProfile, kappa: float = -1.0,
     _check_kasue_args(t, kappa, R0)
 
     def integrand(s):
-        return float(s_kappa(kappa, s) * profile.g(kappa, s))
+        return s_kappa(kappa, s) * profile.g(kappa, s)
 
-    val, _ = quad(integrand, R0, t, epsabs=0.0, epsrel=QUAD_EPSREL, limit=200)
+    val = gauss_legendre(integrand, R0, t)
     return delta.value(t) + val / float(s_kappa(kappa, t))
 
 
@@ -200,9 +197,17 @@ def c_star_closed_form() -> float:
 
 
 def c_star_bisection(tol: float = 1e-12) -> float:
-    """The same crossing located by bisection, no algebra involved."""
-    return float(bisect(lambda c: pinching_functions(c).F - 0.25,
-                        0.0, 0.5, xtol=tol))
+    """The same crossing located by bisection, no algebra involved.
+
+    F falls from 1 at c = 0 to below 1/4 at c = 1/2."""
+    lo, hi = 0.0, 0.5
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pinching_functions(mid).F > 0.25:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def threshold_c_star() -> float:

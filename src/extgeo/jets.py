@@ -23,9 +23,9 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 __all__ = [
-    "Jet2", "seed_variable", "seed_point", "constant", "jet_apply",
+    "Jet2", "seed_variable", "seed_point", "constant",
     "sqrt", "exp", "log", "sin", "cos", "sinh", "cosh", "tanh", "powc",
-    "compose_scalar", "ELEMENTARY_OPS",
+    "compose_scalar",
 ]
 
 
@@ -233,46 +233,3 @@ def compose_scalar(x: Jet2, f, f1, f2, op="compose") -> Jet2:
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
     return _chain(op, x, f, f1, f2)
-
-
-_UNARY = {
-    "neg": lambda x: -x,
-    "sqrt": sqrt,
-    "exp": exp,
-    "log": log,
-    "sin": sin,
-    "cos": cos,
-    "sinh": sinh,
-    "cosh": cosh,
-    "tanh": tanh,
-}
-
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-ELEMENTARY_OPS = ("add", "sub", "mul", "div", "neg", "pow",
-                  "sqrt", "exp", "log", "sin", "cos", "sinh", "cosh", "tanh")
-
-
-def jet_apply(op: str, args, exponent: float | None = None) -> Jet2:
-    """Dispatch an elementary operation by name.
-
-    ``pow`` takes a single jet argument plus the constant ``exponent``.
-    """
-    if op == "pow":
-        if len(args) != 1 or exponent is None:
-            raise DomainError("pow expects one jet argument and a constant exponent")
-        return powc(args[0], exponent)
-    if op in _UNARY:
-        if len(args) != 1:
-            raise DomainError(f"{op} expects one argument, got {len(args)}")
-        return _UNARY[op](args[0])
-    if op in _BINARY:
-        if len(args) != 2:
-            raise DomainError(f"{op} expects two arguments, got {len(args)}")
-        return _BINARY[op](args[0], args[1])
-    raise DomainError(f"unknown jet operation '{op}'")

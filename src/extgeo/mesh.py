@@ -12,6 +12,14 @@ resolution.  The tail invariants therefore use ``eikonal_rho``, an upwind
 solve of |grad rho| = 1 on the same grid (``extgeo.eikonal``) that
 converges at first order.
 
+The graph is stored once, as a neighbour table over the slots of the
+eikonal stencil ``stencil(m)``: ``neighbours`` (N, S) holds the vertex at
+each offset (N where the offset leaves the grid) and ``neighbour_lengths``
+(N, S) the edge length (inf where there is no neighbour).  Each edge is
+measured once, along its forward offset (first nonzero entry positive),
+and mirrored into the opposite slot.  ``edges`` and ``edge_lengths`` list
+the forward entries, slot by slot and in vertex order within a slot.
+
 The refined lattice is also what the volume integrators consume: each grid
 cell knows the radial values on its 3^m sub-lattice and the volume density
 at its center.
@@ -62,8 +70,8 @@ class MeshGraph:
     spacing: np.ndarray              # vertex spacing per axis
     points: np.ndarray               # (N, m) chart coordinates
     vertices: PointGeometry          # flat, N entries
-    edges: np.ndarray                # (E, 2) vertex indices
-    edge_lengths: np.ndarray         # (E,)
+    neighbours: np.ndarray           # (N, S) vertex per stencil slot, or N
+    neighbour_lengths: np.ndarray    # (N, S) edge length per slot, or inf
     basepoint: int
     rho: np.ndarray = None           # (N,) graph distance to basepoint
     unreachable: int = 0
@@ -95,6 +103,25 @@ class MeshGraph:
     @property
     def periodic(self):
         return self.chart.periodic
+
+    def _forward(self):
+        """Table entries along the forward offsets, slot by slot: (F, N)
+        neighbour indices and the mask of those inside the grid."""
+        nb = self.neighbours[:, stencil(self.m).forward].T
+        return nb, nb < self.n_vertices
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(E, 2) vertex pairs, each edge once along its forward offset."""
+        nb, inside = self._forward()
+        u = np.broadcast_to(np.arange(self.n_vertices), nb.shape)[inside]
+        return np.stack([u, nb[inside]], axis=1)
+
+    @property
+    def edge_lengths(self) -> np.ndarray:
+        """(E,) lengths of ``edges`` in the same order."""
+        _nb, inside = self._forward()
+        return self.neighbour_lengths[:, stencil(self.m).forward].T[inside]
 
     @property
     def eikonal_rho(self) -> np.ndarray:
@@ -145,8 +172,9 @@ class MeshGraph:
     def _graph(self):
         if self._graph_csr is None:
             n = self.n_vertices
+            edges = self.edges
             self._graph_csr = csr_matrix(
-                (self.edge_lengths, (self.edges[:, 0], self.edges[:, 1])),
+                (self.edge_lengths, (edges[:, 0], edges[:, 1])),
                 shape=(n, n))
         return self._graph_csr
 
@@ -231,63 +259,49 @@ def _axis_layout(chart: ChartBase, resolution):
     return tuple(res), origin, spacing
 
 
-def _canonical_offsets(m: int):
-    offs = []
-    for delta in itertools.product((-1, 0, 1), repeat=m):
-        if not any(delta):
-            continue
-        if next(x for x in delta if x != 0) > 0:
-            offs.append(delta)
-    return offs
+def _neighbour_table(shape, periodic, spacing, metric, refined_metric):
+    """(N, S) neighbour indices and Simpson edge lengths over the slots of
+    ``stencil(m)``; index N and length inf where an offset leaves the grid.
 
-
-def _offset_edges(mesh_shape, periodic, delta):
-    """Vertex/neighbor/midpoint index arrays for one offset direction.
-
-    Returns per-axis index lists; the caller meshes them into the full
-    cartesian product.  None when the offset leaves no room on some axis.
+    The arc length of each edge weighs the speed at both endpoints, from
+    the vertex metric, and at the midpoint, from the refined lattice.
     """
-    vert, neigh, mid = [], [], []
-    for axis, d in enumerate(delta):
-        k = mesh_shape[axis]
-        if periodic[axis]:
-            i = np.arange(k)
-            vert.append(i)
-            neigh.append((i + d) % k)
-            mid.append((2 * i + d) % (2 * k))
-        else:
-            if d == 1:
-                i = np.arange(k - 1)
-            elif d == -1:
-                i = np.arange(1, k)
+    st = stencil(len(shape))
+    n = int(np.prod(shape, dtype=int))
+    neighbours = np.full((n, len(st.offsets)), n, dtype=np.intp)
+    lengths = np.full((n, len(st.offsets)), np.inf)
+    grid = np.indices(shape).reshape(len(shape), -1)
+    for fwd in np.flatnonzero(st.forward):
+        delta = st.offsets[fwd]
+        ahead = grid + delta[:, None]
+        mid = 2 * grid + delta[:, None]
+        inside = np.ones(n, dtype=bool)
+        for axis, (k, p) in enumerate(zip(shape, periodic)):
+            if p:
+                ahead[axis] %= k
+                mid[axis] %= 2 * k
             else:
-                i = np.arange(k)
-            if i.size == 0:
-                return None
-            vert.append(i)
-            neigh.append(i + d)
-            mid.append(2 * i + d)
-    return vert, neigh, mid
+                inside &= (ahead[axis] >= 0) & (ahead[axis] < k)
+        u = np.flatnonzero(inside)
+        v = np.ravel_multi_index(tuple(ahead[:, u]), shape)
+        d = delta * spacing
 
+        def speed(gblock):
+            q = np.einsum("...ij,i,j->...", gblock, d, d, optimize=True)
+            return np.sqrt(np.maximum(q, 0.0))
 
-def _edge_blocks(shape, periodic):
-    """(delta, u, v, midpoint index lists) per canonical offset, in the
-    order the edge array is assembled."""
-    for delta in _canonical_offsets(len(shape)):
-        made = _offset_edges(shape, periodic, delta)
-        if made is None:
-            continue
-        vert, neigh, mid = made
-        yield (delta, _mesh_product(vert, shape), _mesh_product(neigh, shape),
-               mid)
-
-
-def _mesh_product(index_lists, shape=None):
-    grids = np.meshgrid(*index_lists, indexing="ij")
-    cols = tuple(g.reshape(-1) for g in grids)
-    if shape is None:
-        return cols
-    return np.ravel_multi_index(cols, shape)
+        # endpoint speeds at every vertex, midpoint speeds per edge
+        q = speed(metric)
+        q_mid = speed(refined_metric[tuple(mid[:, u])])
+        edge = (q[u] + 4.0 * q_mid + q[v]) / 6.0
+        if np.any(edge <= 0.0):
+            bad = int(np.argmax(edge <= 0.0))
+            raise GeometryError(
+                f"degenerate edge of zero length at vertex index {int(u[bad])}")
+        back = st.opposite[fwd]
+        neighbours[u, fwd], lengths[u, fwd] = v, edge
+        neighbours[v, back], lengths[v, back] = u, edge
+    return neighbours, lengths
 
 
 def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
@@ -314,32 +328,8 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
     vertices = refined.map_arrays(lambda arr, k: np.ascontiguousarray(
         arr[evens].reshape((-1,) + arr.shape[arr.ndim - k:])))
 
-    # Simpson arc length over each edge: endpoint metrics from the vertex
-    # lattice, midpoint metric from the refined lattice
-    edge_blocks, length_blocks = [], []
-    metric_flat = vertices.metric
-    refined_metric = refined.metric
-    for delta, u, v, mid in _edge_blocks(shape, chart.periodic):
-        mid_ix = _mesh_product(mid)
-        d = np.asarray(delta, dtype=float) * spacing
-
-        def speed(gblock):
-            q = np.einsum("...ij,i,j->...", gblock, d, d, optimize=True)
-            return np.sqrt(np.maximum(q, 0.0))
-
-        q_u = speed(metric_flat[u])
-        q_v = speed(metric_flat[v])
-        q_mid = speed(refined_metric[mid_ix])
-        lengths = (q_u + 4.0 * q_mid + q_v) / 6.0
-        if np.any(lengths <= 0.0):
-            k = int(np.argmax(lengths <= 0.0))
-            raise GeometryError(
-                f"degenerate edge of zero length at vertex index {int(u[k])}")
-        edge_blocks.append(np.stack([u, v], axis=1))
-        length_blocks.append(lengths)
-
-    edges = np.concatenate(edge_blocks, axis=0)
-    edge_lengths = np.concatenate(length_blocks, axis=0)
+    neighbours, lengths = _neighbour_table(
+        shape, chart.periodic, spacing, vertices.metric, refined.metric)
 
     mesh = MeshGraph(
         chart=chart,
@@ -349,8 +339,8 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
         spacing=spacing,
         points=vertices.points,
         vertices=vertices,
-        edges=edges,
-        edge_lengths=edge_lengths,
+        neighbours=neighbours,
+        neighbour_lengths=lengths,
         basepoint=int(np.argmin(vertices.r)),
         refined_r=np.ascontiguousarray(refined.r),
         refined_sdg=np.ascontiguousarray(refined.sqrt_det_g),
@@ -361,49 +351,13 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
     return mesh
 
 
-def _stencil_tables(mesh: MeshGraph):
-    """Neighbour index and edge length at every offset of the eikonal
-    stencil, (N, S) each; index N and length inf where the grid ends."""
-    st = stencil(mesh.m)
-    slot = {tuple(d): i for i, d in enumerate(st.offsets.tolist())}
-    n = mesh.n_vertices
-    neighbours = np.full(mesh.shape + (len(slot),), n, dtype=np.intp)
-    lengths = np.full(mesh.shape + (len(slot),), np.inf)
-    start = 0
-    for delta, u, v, _mid in _edge_blocks(mesh.shape, mesh.periodic):
-        block = mesh.edge_lengths[start:start + u.size]
-        start += u.size
-        # each block runs over a box of the grid in grid order; the
-        # reverse edges sit on the box shifted by the offset
-        box, back_box = [], []
-        for k, d, p in zip(mesh.shape, delta, mesh.periodic):
-            box.append(slice(None) if p or d == 0
-                       else slice(0, k - 1) if d > 0 else slice(1, k))
-            back_box.append(slice(None) if p or d == 0
-                            else slice(1, k) if d > 0 else slice(0, k - 1))
-        box, back_box = tuple(box), tuple(back_box)
-        fwd = slot[delta]
-        back = st.opposite[fwd]
-        sub = lengths[box + (fwd,)].shape
-        lengths[box + (fwd,)] = block.reshape(sub)
-        neighbours[box + (fwd,)] = v.reshape(sub)
-        # periodic axes wrap: the reverse of the edge leaving i lands on i + d
-        shift = [d if p else 0 for d, p in zip(delta, mesh.periodic)]
-        axes = tuple(range(mesh.m))
-        lengths[back_box + (back,)] = np.roll(block.reshape(sub), shift, axes)
-        neighbours[back_box + (back,)] = np.roll(u.reshape(sub), shift, axes)
-    return (neighbours.reshape(n, len(slot)),
-            lengths.reshape(n, len(slot)))
-
-
 def _eikonal_distances(mesh: MeshGraph) -> np.ndarray:
     """Upwind eikonal distances from the basepoint, solving |grad rho|_g = 1
     on the parameter grid (see ``extgeo.eikonal``).  Vertices the grid
     cannot reach keep inf."""
-    neighbours, lengths = _stencil_tables(mesh)
     return upwind_distances(mesh.shape, mesh.periodic, mesh.spacing,
-                            mesh.vertices.metric, neighbours, lengths,
-                            int(mesh.basepoint))
+                            mesh.vertices.metric, mesh.neighbours,
+                            mesh.neighbour_lengths, int(mesh.basepoint))
 
 
 def intrinsic_distances(mesh: MeshGraph, source: int = None):
@@ -464,17 +418,11 @@ def count_ends(mesh: MeshGraph, R: float,
             f"R={R:g} is not below the largest sampled radius {mesh.r_max:g}")
 
     far = mesh.vertices.r > R
-    keep = far[mesh.edges[:, 0]] & far[mesh.edges[:, 1]]
-    sub = csr_matrix(
-        (mesh.edge_lengths[keep],
-         (mesh.edges[keep, 0], mesh.edges[keep, 1])),
-        shape=(mesh.n_vertices, mesh.n_vertices))
-    _, labels = connected_components(sub, directed=False)
-
-    face = mesh.boundary_vertex_mask()
-    far_labels = labels[far]
-    touching_labels = np.unique(labels[far & face])
-    uniq, counts = np.unique(far_labels, return_counts=True)
+    # components of the graph restricted to the far vertices
+    _, labels = connected_components(mesh._graph()[far][:, far],
+                                     directed=False)
+    touching_labels = np.unique(labels[mesh.boundary_vertex_mask()[far]])
+    uniq, counts = np.unique(labels, return_counts=True)
     sizes = []
     n_ends = 0
     n_bounded = 0

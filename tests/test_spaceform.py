@@ -214,6 +214,20 @@ def test_model_volumes_hyperbolic_closed_forms():
                                  rel=1e-10)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_model_volumes_hyperbolic_ball_matches_adaptive_quadrature(m):
+    from scipy.integrate import quad
+    om = xg.omega_m(m)
+    for kappa in (-0.25, -1.0, -4.0):
+        rk = math.sqrt(-kappa)
+        for t in np.geomspace(0.05, 10.0, 25):
+            want, _ = quad(lambda s: m * om * (math.sinh(rk * s) / rk)
+                           ** (m - 1), 0.0, t, epsabs=0.0, epsrel=1e-13,
+                           limit=200)
+            ball, _ = xg.model_volumes(kappa, m, float(t))
+            assert ball == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_model_volumes_scaling():
     # curvature -4 = curvature -1 shrunk by factor 2
     t = 0.9
