@@ -26,8 +26,7 @@ from .invariants import (DecayProfile, DeltaModel, InvariantReport,
                          kasue_closed_form, pinching_functions,
                          threshold_c_star)
 from .mesh import (EndsReport, MeshGraph, build_mesh, count_ends,
-                   critical_free_radius, ends_stability, intrinsic_distances,
-                   mesh_dump)
+                   critical_free_radius, ends_stability, mesh_dump)
 from .spaceform import (Ambient, ambient_distance, c_kappa, euclidean,
                         geodesic, hyperbolic, lorentz_inner, model_volumes,
                         omega_m, s_kappa)

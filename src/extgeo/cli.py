@@ -214,7 +214,7 @@ def _mesh_header(mesh, desc) -> dict:
         "kappa": mesh.vertices.kappa,
         "resolution": list(mesh.shape),
         "vertices": mesh.n_vertices,
-        "edges": int(mesh.edges.shape[0]),
+        "edges": mesh.n_edges,
         "basepoint": int(mesh.basepoint),
         "r_max": mesh.r_max,
         "r_truncation_min": mesh.r_truncation_min,

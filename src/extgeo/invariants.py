@@ -8,10 +8,10 @@ comparison functions of the ambient curvature.  The first stays finite on
 charts whose bending decays at least like 1/distance; the second is much
 stricter and controls volume growth in the negatively curved case.
 
-On a mesh, rho is the upwind eikonal distance ``MeshGraph.eikonal_rho``,
-which converges to the intrinsic distance under refinement.  The graph
-distance does not, and (C*S)(rho) ~ e^{2 rho}/4 turns a distance error d
-into a factor e^{2d}.
+On a mesh, rho is the upwind eikonal distance ``MeshGraph.rho``, which
+converges to the intrinsic distance under refinement.  Graph distances do
+not, and (C*S)(rho) ~ e^{2 rho}/4 turns a distance error d into a factor
+e^{2d}.
 
 Estimating a limsup from a finite mesh is inherently one-sided, so the
 report keeps the last tail value together with the least-squares slope of
@@ -272,10 +272,10 @@ def invariant_tails(mesh: MeshGraph, radii, flat_tol: float = FLAT_TOL,
     Both tails are non-increasing by construction (suprema over shrinking
     regions).  Classification follows the estimates: below the flatness
     tolerance with a flat-or-falling slope is asymptotically flat, upgraded
-    to strongly-tamed when the product-weighted tail certifies a positive
-    bounded plateau; above 1 without decay is not tamed; growing tails stay
-    inconclusive.  The weights use the eikonal distance
-    ``mesh.eikonal_rho``; vertices unreachable from the basepoint carry no
+    to strongly-tamed in a hyperbolic ambient when the product-weighted
+    tail certifies a positive bounded plateau; above 1 without decay is not
+    tamed; growing tails stay inconclusive.  The weights use the intrinsic
+    distance ``mesh.rho``; vertices unreachable from the basepoint carry no
     intrinsic distance and are excluded from the suprema.
     """
     radii = np.asarray(radii, dtype=float)
@@ -293,7 +293,7 @@ def invariant_tails(mesh: MeshGraph, radii, flat_tol: float = FLAT_TOL,
             f"{mesh.r_truncation_min:g}")
 
     verts = mesh.vertices
-    rho = mesh.eikonal_rho
+    rho = mesh.rho
     ok = np.isfinite(rho)
     excluded = int(verts.r.size - np.count_nonzero(ok))
     kappa = verts.kappa
@@ -336,8 +336,10 @@ def invariant_tails(mesh: MeshGraph, radii, flat_tol: float = FLAT_TOL,
     eaf = bool(a_est < flat_tol and slope_ok)
     tamed = bool(a_est < 1.0 and slope_ok)
     # the certificate needs a positive plateau; an exactly-zero tail is
-    # plain asymptotic flatness
-    strongly = bool(b_bounded and eaf and b_est > 0.0)
+    # plain asymptotic flatness.  At kappa = 0 both weights are rho, so
+    # b_tail is a_tail and a bounded plateau is only a flat run of a (one
+    # vertex's value on a coarse grid): the upgrade is hyperbolic only
+    strongly = bool(kappa < 0.0 and b_bounded and eaf and b_est > 0.0)
 
     if a_est >= 1.0:
         label = "not-tamed" if a_slope >= -thr else "inconclusive"

@@ -4,13 +4,12 @@ A mesh samples the chart on a regular grid and connects each vertex to its
 axis and diagonal neighbors.  Edge lengths are induced arc lengths along
 parameter segments, integrated with a three-point rule whose midpoint data
 comes from a once-refined lattice (so every midpoint is evaluated exactly,
-not interpolated).  Graph distances from the basepoint (``rho``) are upper
-bounds on intrinsic distances, but they do not converge to them: paths
-restricted to the 3^m - 1 neighbour directions tend to a polyhedral norm,
-up to 8% long on a flat plane and 13% in flat 3-space at every
-resolution.  The tail invariants therefore use ``eikonal_rho``, an upwind
-solve of |grad rho| = 1 on the same grid (``extgeo.eikonal``) that
-converges at first order.
+not interpolated).  The intrinsic distance to the basepoint, ``rho``, is
+an upwind solve of |grad rho| = 1 on the same grid (``extgeo.eikonal``),
+made on first use; it converges at first order.  Shortest paths in the
+graph would not: restricted to the 3^m - 1 neighbour directions they tend
+to a polyhedral norm, 8% long on a flat plane and 13% in flat 3-space at
+every resolution.
 
 The graph is stored once, as a neighbour table over the slots of the
 eikonal stencil ``stencil(m)``: ``neighbours`` (N, S) holds the vertex at
@@ -29,12 +28,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components
 
 from .eikonal import stencil, upwind_distances
 from .errors import DomainError, GeometryError
@@ -43,9 +41,8 @@ from .immersion import PointGeometry, ambient_of, grid_geometry
 from .reporting import write_csv
 from .spaceform import Ambient
 
-__all__ = ["MeshGraph", "EndsReport", "build_mesh", "intrinsic_distances",
-           "critical_free_radius", "count_ends", "ends_stability",
-           "mesh_dump"]
+__all__ = ["MeshGraph", "EndsReport", "build_mesh", "critical_free_radius",
+           "count_ends", "ends_stability", "mesh_dump"]
 
 MIN_RESOLUTION = 3
 # default threshold on |grad_M r| below which a vertex counts as critical
@@ -61,7 +58,8 @@ DUMP_BLOCK = 4096
 
 @dataclass
 class MeshGraph:
-    """Vertex geometry plus the weighted neighbor graph."""
+    """Vertex geometry, the weighted neighbor graph and, solved on first
+    use, the intrinsic distance ``rho`` to the basepoint."""
 
     chart: ChartBase
     amb: Ambient
@@ -73,9 +71,7 @@ class MeshGraph:
     neighbours: np.ndarray           # (N, S) vertex per stencil slot, or N
     neighbour_lengths: np.ndarray    # (N, S) edge length per slot, or inf
     basepoint: int
-    rho: np.ndarray = None           # (N,) graph distance to basepoint
-    unreachable: int = 0
-    _eikonal_rho: np.ndarray = field(default=None, repr=False)
+    _rho: np.ndarray = field(default=None, repr=False)
     refined_r: np.ndarray = field(default=None, repr=False)
     refined_sdg: np.ndarray = field(default=None, repr=False)
     _graph_csr: object = field(default=None, repr=False)
@@ -124,13 +120,27 @@ class MeshGraph:
         return self.neighbour_lengths[:, stencil(self.m).forward].T[inside]
 
     @property
-    def eikonal_rho(self) -> np.ndarray:
+    def n_edges(self) -> int:
+        """Number of edges: the filled forward slots of the table."""
+        return int(np.count_nonzero(self._forward()[1]))
+
+    @property
+    def rho(self) -> np.ndarray:
         """(N,) upwind eikonal distance to the basepoint, solved on first
-        use.  It converges to the intrinsic distance; ``rho`` stays the
-        graph distance, an upper bound that does not."""
-        if self._eikonal_rho is None:
-            self._eikonal_rho = _eikonal_distances(self)
-        return self._eikonal_rho
+        use; it converges to the intrinsic distance.  Vertices the grid
+        cannot reach keep inf."""
+        if self._rho is None:
+            self._rho = upwind_distances(
+                self.shape, self.periodic, self.spacing, self.vertices.metric,
+                self.neighbours, self.neighbour_lengths, self.basepoint)
+        return self._rho
+
+    @property
+    def unreachable(self) -> int:
+        """Vertices outside the basepoint's component of the graph, where
+        ``rho`` is inf; one components pass, so ``rho`` is not solved."""
+        _, labels = connected_components(self._graph(), directed=False)
+        return int(np.count_nonzero(labels != labels[self.basepoint]))
 
     @property
     def refined_shape(self):
@@ -331,7 +341,7 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
     neighbours, lengths = _neighbour_table(
         shape, chart.periodic, spacing, vertices.metric, refined.metric)
 
-    mesh = MeshGraph(
+    return MeshGraph(
         chart=chart,
         amb=amb,
         shape=shape,
@@ -345,40 +355,6 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
         refined_r=np.ascontiguousarray(refined.r),
         refined_sdg=np.ascontiguousarray(refined.sqrt_det_g),
     )
-    rho, bad = intrinsic_distances(mesh)
-    mesh.rho = rho
-    mesh.unreachable = bad
-    return mesh
-
-
-def _eikonal_distances(mesh: MeshGraph) -> np.ndarray:
-    """Upwind eikonal distances from the basepoint, solving |grad rho|_g = 1
-    on the parameter grid (see ``extgeo.eikonal``).  Vertices the grid
-    cannot reach keep inf."""
-    return upwind_distances(mesh.shape, mesh.periodic, mesh.spacing,
-                            mesh.vertices.metric, mesh.neighbours,
-                            mesh.neighbour_lengths, int(mesh.basepoint))
-
-
-def intrinsic_distances(mesh: MeshGraph, source: int = None):
-    """Graph distances from a vertex (default: the basepoint).
-
-    These overestimate true intrinsic distances and do not increase under
-    refinement at shared vertices, but they tend to the polyhedral norm of
-    the neighbour stencil rather than to the intrinsic distance; see
-    ``MeshGraph.eikonal_rho`` for the convergent one.  Unreachable vertices
-    keep distance inf and are reported; downstream consumers skip them.
-    """
-    if source is None:
-        source = mesh.basepoint
-    dist = dijkstra(mesh._graph(), directed=False, indices=source)
-    bad = int(np.count_nonzero(~np.isfinite(dist)))
-    if bad:
-        warnings.warn(
-            f"{bad} mesh vertices are unreachable from vertex {source}; "
-            "they are excluded from distance-based quantities",
-            RuntimeWarning, stacklevel=2)
-    return dist, bad
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exact geodesic distances on the rotation hypersurface, for the tests.
+"""Reference distances for the tests: exact geodesic distances on the
+rotation hypersurface, and shortest paths in a mesh's graph.
 
 The catalog's rotation hypersurface carries the metric ds^2 + f(s)^2 dtheta^2
 with f^2 = a cosh 2s - 1/2 (for n = 3 the equatorial slice has the same
@@ -12,12 +13,18 @@ The point (pi, S) on the antipodal meridian is reached by the geodesic
 with Theta(c) = pi over [0, S]; since f^2 - c^2 = f(0)^2 - c^2 + 2a sinh^2 s,
 the substitution sinh s = k sinh v with k^2 = (f(0)^2 - c^2) / 2a makes
 both integrands smooth.  Only scipy quadrature is used, no mesh code.
+
+``graph_distances`` is the other reference: Dijkstra over the mesh edges,
+an upper bound on the intrinsic distance that tends to the polyhedral norm
+of the neighbour stencil instead of converging to it.
 """
 
 import math
 
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 QUAD_TOL = 1e-13
 # integrands decay like 1/(k sinh v)^2; past this the tail is below 1e-34
@@ -60,3 +67,14 @@ def antipodal_excess(a, s_max=math.inf):
 def antipodal_distance(a, s):
     """Intrinsic distance from the waist point to (pi, s)."""
     return abs(s) + antipodal_excess(a, abs(s))
+
+
+def graph_distances(mesh, source=None):
+    """Shortest-path distances in the mesh graph from ``source`` (default:
+    the basepoint); inf where the graph does not reach."""
+    if source is None:
+        source = mesh.basepoint
+    n = mesh.n_vertices
+    u, v = mesh.edges.T
+    graph = csr_matrix((mesh.edge_lengths, (u, v)), shape=(n, n))
+    return dijkstra(graph, directed=False, indices=source)

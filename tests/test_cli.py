@@ -8,8 +8,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import extgeo.cli
+import extgeo.mesh
 from extgeo.cli import main
 
 INLINE_PLANE = """
@@ -40,6 +43,22 @@ def error_of(argv, expect_code):
     body = json.loads(err)
     assert set(body) >= {"error", "message"}
     return body
+
+
+def keep_meshes(monkeypatch, edit=None):
+    """Route the CLI's build_mesh through ``edit`` (if given) and collect
+    the meshes it returns."""
+    build, kept = extgeo.cli.build_mesh, []
+
+    def keep(*args, **kwargs):
+        mesh = build(*args, **kwargs)
+        if edit is not None:
+            edit(mesh)
+        kept.append(mesh)
+        return mesh
+
+    monkeypatch.setattr(extgeo.cli, "build_mesh", keep)
+    return kept
 
 
 def write_config(tmp_path, data):
@@ -75,6 +94,14 @@ def test_verify_flat_passes():
                      "tails-non-increasing", "bending-ground-truth",
                      "classification-expected", "ends-expected"]
     assert all(c["passed"] for c in pay["checks"])
+
+
+@pytest.mark.parametrize("name", ["catenoid", "flat-subspace", "sphere",
+                                  "totally-geodesic"])
+def test_verify_passes_at_the_default_resolution(name):
+    code, out, err = run_cli(["verify", "--immersion", name])
+    assert code == 0, [c for c in json.loads(out)["checks"]
+                       if not c["passed"]]
 
 
 def test_verify_failure_exits_one(tmp_path):
@@ -119,6 +146,28 @@ def test_comparison_identity_catches_a_relative_error(monkeypatch):
     code, check = identity_check(8)
     assert check["passed"] is False
     assert code == 1
+
+
+def test_distance_triangle_inequality_catches_a_raised_vertex(monkeypatch):
+    shortest = []
+
+    def raise_farthest(mesh):
+        # every neighbour of the farthest vertex is nearer the basepoint,
+        # so lifting it past its shortest edge breaks |rho(u) - rho(v)|
+        # <= |uv| there
+        k = int(np.argmax(mesh.rho))
+        shortest.append(float(np.min(mesh.neighbour_lengths[k])))
+        mesh.rho[k] += 1.5 * shortest[0]
+
+    keep_meshes(monkeypatch, raise_farthest)
+    code, out, err = run_cli(["verify", "--immersion", "flat-subspace",
+                              "--resolution", "13"])
+    assert code == 1
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert {k for k, c in checks.items() if not c["passed"]} == {
+        "distance-triangle-inequality"}
+    violation = checks["distance-triangle-inequality"]["detail"]
+    assert violation["max_violation"] >= 0.5 * shortest[0] - 1e-12
 
 
 def test_verify_subprocess_byte_identical(tmp_path):
@@ -187,6 +236,16 @@ def test_invariants_report_files(tmp_path):
     assert stored == pay
 
 
+def test_mesh_csv_rho_column_is_the_mesh_distance(tmp_path, monkeypatch):
+    kept = keep_meshes(monkeypatch)
+    payload_of(["invariants", "--immersion", "catenoid",
+                "--resolution", "41x16", "--out", str(tmp_path)])
+    lines = (tmp_path / "mesh.csv").read_text().splitlines()
+    col = lines[0].split(",").index("rho")
+    printed = [float(line.split(",")[col]) for line in lines[1:]]
+    np.testing.assert_array_equal(printed, kept[0].rho)
+
+
 # ---------------------------------------------------------------------------
 # volume, ends, curvature subcommands
 
@@ -234,6 +293,16 @@ def test_ends_payload_and_csv(tmp_path):
     assert lines[0] == "R,n_ends"
     counts = [int(line.split(",")[1]) for line in lines[1:]]
     assert counts == [1] * len(counts)
+
+
+def test_ends_does_not_solve_the_distance(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("ends solved the eikonal distance")
+
+    monkeypatch.setattr(extgeo.mesh, "upwind_distances", unused)
+    pay = payload_of(["ends", "--immersion", "catenoid"])
+    assert pay["unreachable"] == 0
+    assert pay["ends"]["count"] == 2
 
 
 def test_curvature_via_config(tmp_path):

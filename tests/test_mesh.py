@@ -8,7 +8,7 @@ import pytest
 import extgeo as xg
 from extgeo import eikonal
 from extgeo.errors import DomainError
-from oracles import antipodal_distance
+from oracles import antipodal_distance, graph_distances
 
 LINE = """
 m = 1; n = 2; ambient = euclidean;
@@ -163,23 +163,25 @@ def test_pole_override_shifts_radii():
 
 def test_plane_distances_along_lattice_directions(flat2_mesh):
     mesh = flat2_mesh
+    rho = graph_distances(mesh)
     # axis-aligned and diagonal paths are exact on a flat grid
     for coords, want in [((2.0, 0.0), 2.0), ((-2.0, 0.0), 2.0),
                          ((0.0, 2.0), 2.0), ((2.0, 2.0), 2.0 * math.sqrt(2)),
                          ((-2.0, -2.0), 2.0 * math.sqrt(2))]:
         k = vertex_at(mesh, coords)
-        assert mesh.rho[k] == pytest.approx(want, abs=1e-10)
+        assert rho[k] == pytest.approx(want, abs=1e-10)
 
 
 def test_plane_distances_bound_off_lattice_directions(flat2_mesh):
     mesh = flat2_mesh
+    rho = graph_distances(mesh)
     # graph distance can overshoot off-lattice directions, at worst by
     # the 8-neighbor stencil factor, and never undershoots
-    assert np.all(mesh.rho >= mesh.r - 1e-9)
+    assert np.all(rho >= mesh.r - 1e-9)
     k = vertex_at(mesh, (2.0, 1.0))
     true = math.sqrt(5.0)
     stencil = 1.0 + math.sqrt(2.0)  # mixed diagonal/axis path
-    assert true - 1e-9 <= mesh.rho[k] <= stencil + 1e-9
+    assert true - 1e-9 <= rho[k] <= stencil + 1e-9
 
 
 def test_catenoid_meridian_distance(catenoid_fine_mesh):
@@ -187,7 +189,7 @@ def test_catenoid_meridian_distance(catenoid_fine_mesh):
     angle0 = mesh.points[mesh.basepoint, 1]
     on_meridian = np.abs(mesh.points[:, 1] - angle0) < 1e-12
     u1 = mesh.points[on_meridian, 0]
-    rho = mesh.rho[on_meridian]
+    rho = graph_distances(mesh)[on_meridian]
     keep = np.abs(u1) >= 0.5
     want = np.sinh(np.abs(u1[keep]))
     rel = np.abs(rho[keep] - want) / want
@@ -196,15 +198,15 @@ def test_catenoid_meridian_distance(catenoid_fine_mesh):
 
 def test_distance_symmetry(catenoid_mesh):
     a, b = 137, 4021
-    da, _ = xg.intrinsic_distances(catenoid_mesh, source=a)
-    db, _ = xg.intrinsic_distances(catenoid_mesh, source=b)
+    da = graph_distances(catenoid_mesh, source=a)
+    db = graph_distances(catenoid_mesh, source=b)
     assert da[b] == pytest.approx(db[a], rel=1e-12)
 
 
 def test_edge_relaxation(catenoid_mesh):
     # dijkstra output is consistent with every edge, which is the graph
     # triangle inequality
-    rho = catenoid_mesh.rho
+    rho = graph_distances(catenoid_mesh)
     u = catenoid_mesh.edges[:, 0]
     v = catenoid_mesh.edges[:, 1]
     slack = np.abs(rho[u] - rho[v]) - catenoid_mesh.edge_lengths
@@ -216,8 +218,9 @@ def test_refinement_never_increases_flat_distances():
     coarse = xg.build_mesh(chart, 11)
     fine = xg.build_mesh(chart, 21)
     ix = np.ix_(*(2 * np.arange(k) for k in coarse.shape))
-    shared = fine.rho.reshape(fine.shape)[ix].reshape(-1)
-    np.testing.assert_allclose(shared, coarse.rho, rtol=0, atol=1e-12)
+    shared = graph_distances(fine).reshape(fine.shape)[ix].reshape(-1)
+    np.testing.assert_allclose(shared, graph_distances(coarse), rtol=0,
+                               atol=1e-12)
 
 
 def test_refinement_improves_curved_distances():
@@ -225,8 +228,8 @@ def test_refinement_improves_curved_distances():
     coarse = xg.build_mesh(chart, [51, 16])
     fine = xg.build_mesh(chart, [101, 32])
     ix = np.ix_(2 * np.arange(51), 2 * np.arange(16))
-    shared = fine.rho.reshape(fine.shape)[ix].reshape(-1)
-    diff = shared - coarse.rho
+    shared = graph_distances(fine).reshape(fine.shape)[ix].reshape(-1)
+    diff = shared - graph_distances(coarse)
     assert float(np.max(diff)) <= 1e-12       # never up
     assert float(np.min(diff)) < -1e-7        # strictly better somewhere
 
@@ -253,7 +256,7 @@ def test_eikonal_distance_converges_to_r(name, params, resolutions):
     errors = []
     for res in resolutions:
         mesh = xg.build_mesh(chart, res)
-        errors.append(float(np.max(np.abs(mesh.eikonal_rho - mesh.r))))
+        errors.append(float(np.max(np.abs(mesh.rho - mesh.r))))
     assert np.all(np.diff(errors) < 0.0), errors
     assert observed_order(errors) >= 1.0, errors
 
@@ -270,7 +273,7 @@ def test_eikonal_distance_converges_on_the_antipodal_meridian():
         far = np.flatnonzero((np.abs(u1 - math.pi) < 1e-12)
                              & (np.abs(s) >= 1.2 - 1e-12))
         want = np.array([antipodal_distance(1.0, x) for x in s[far]])
-        errors.append(float(np.max(np.abs(mesh.eikonal_rho[far] - want))))
+        errors.append(float(np.max(np.abs(mesh.rho[far] - want))))
     assert np.all(np.diff(errors) < 0.0), errors
     assert observed_order(errors) >= 1.0, errors
 
@@ -283,28 +286,28 @@ def test_eikonal_distance_within_the_graph_error_on_flat_charts(
                                 truncation=truncation)
     mesh = xg.build_mesh(chart, res)
     far = mesh.r > 0.0
-    graph = np.max(np.abs(mesh.rho[far] / mesh.r[far] - 1.0))
-    upwind = np.max(np.abs(mesh.eikonal_rho[far] / mesh.r[far] - 1.0))
+    graph = np.max(np.abs(graph_distances(mesh)[far] / mesh.r[far] - 1.0))
+    upwind = np.max(np.abs(mesh.rho[far] / mesh.r[far] - 1.0))
     assert graph == pytest.approx(graph_err, abs=5e-4)
     assert upwind <= graph
 
 
 def test_eikonal_distance_basics(catenoid_mesh):
-    rho = catenoid_mesh.eikonal_rho
-    assert rho is catenoid_mesh.eikonal_rho           # solved once
+    rho = catenoid_mesh.rho
+    assert rho is catenoid_mesh.rho                   # solved once
     assert rho[catenoid_mesh.basepoint] == 0.0
     assert np.all(np.isfinite(rho))
     # the graph distance stays the upper bound it was
-    assert np.all(rho <= catenoid_mesh.rho + 1e-9)
+    assert np.all(rho <= graph_distances(catenoid_mesh) + 1e-9)
     # exact on a line, and a lower-error cousin of the graph distance in 4-d
     line = xg.build_mesh(xg.parse_chart(LINE), 5)
-    np.testing.assert_allclose(line.eikonal_rho, line.points[:, 0],
+    np.testing.assert_allclose(line.rho, line.points[:, 0],
                                atol=1e-15)
     chart, _ = xg.catalog_build("flat-subspace", m=4, n=5, truncation=1.0)
     mesh = xg.build_mesh(chart, 5)
     far = mesh.r > 0.0
-    upwind = np.abs(mesh.eikonal_rho[far] / mesh.r[far] - 1.0)
-    graph = np.abs(mesh.rho[far] / mesh.r[far] - 1.0)
+    upwind = np.abs(mesh.rho[far] / mesh.r[far] - 1.0)
+    graph = np.abs(graph_distances(mesh)[far] / mesh.r[far] - 1.0)
     assert np.max(upwind) < np.max(graph)
 
 
@@ -317,11 +320,11 @@ def test_eikonal_update_minimises_over_the_whole_stencil_surface(
     # over every face
     chart = xg.parse_chart(SHEARED[m])
     mesh = xg.build_mesh(chart, res)
-    searched = mesh.eikonal_rho
+    searched = mesh.rho
 
     def solve(facets):
         monkeypatch.setattr(eikonal._Update, "_open_facets", facets)
-        return xg.build_mesh(chart, res).eikonal_rho
+        return xg.build_mesh(chart, res).rho
 
     every = solve(lambda self, idx, *_: np.nonzero(
         np.ones((idx.size, 2 * m), dtype=bool)))
