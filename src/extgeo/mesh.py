@@ -18,6 +18,8 @@ each offset (N where the offset leaves the grid) and ``neighbour_lengths``
 measured once, along its forward offset (first nonzero entry positive),
 and mirrored into the opposite slot.  ``edges`` and ``edge_lengths`` list
 the forward entries, slot by slot and in vertex order within a slot.
+The grid graph is connected; the components of {r > R}, which count the
+ends, come from the same table by pointer jumping.
 
 The refined lattice is also what the volume integrators consume: each grid
 cell knows the radial values on its 3^m sub-lattice and the volume density
@@ -31,8 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .eikonal import stencil, upwind_distances
 from .errors import DomainError, GeometryError
@@ -42,7 +42,7 @@ from .reporting import write_csv
 from .spaceform import Ambient
 
 __all__ = ["MeshGraph", "EndsReport", "build_mesh", "critical_free_radius",
-           "count_ends", "ends_stability", "mesh_dump"]
+           "count_ends", "ends_window", "ends_stability", "mesh_dump"]
 
 MIN_RESOLUTION = 3
 # default threshold on |grad_M r| below which a vertex counts as critical
@@ -74,7 +74,6 @@ class MeshGraph:
     _rho: np.ndarray = field(default=None, repr=False)
     refined_r: np.ndarray = field(default=None, repr=False)
     refined_sdg: np.ndarray = field(default=None, repr=False)
-    _graph_csr: object = field(default=None, repr=False)
     _cell_sub_r: np.ndarray = field(default=None, repr=False)
     _cell_bounds: tuple = field(default=None, repr=False)
 
@@ -127,25 +126,13 @@ class MeshGraph:
     @property
     def rho(self) -> np.ndarray:
         """(N,) upwind eikonal distance to the basepoint, solved on first
-        use; it converges to the intrinsic distance.  Vertices the grid
-        cannot reach keep inf."""
+        use; it converges to the intrinsic distance.  The grid graph is
+        connected, so every vertex gets a finite value."""
         if self._rho is None:
             self._rho = upwind_distances(
                 self.shape, self.periodic, self.spacing, self.vertices.metric,
                 self.neighbours, self.neighbour_lengths, self.basepoint)
         return self._rho
-
-    @property
-    def unreachable(self) -> int:
-        """Vertices outside the basepoint's component of the graph, where
-        ``rho`` is inf; one components pass, so ``rho`` is not solved."""
-        _, labels = connected_components(self._graph(), directed=False)
-        return int(np.count_nonzero(labels != labels[self.basepoint]))
-
-    @property
-    def refined_shape(self):
-        return tuple(2 * k if p else 2 * k - 1
-                     for k, p in zip(self.shape, self.periodic))
 
     def boundary_vertex_mask(self) -> np.ndarray:
         """Vertices on a truncation face.
@@ -179,14 +166,12 @@ class MeshGraph:
             return math.inf
         return float(np.min(self.vertices.r[mask]))
 
-    def _graph(self):
-        if self._graph_csr is None:
-            n = self.n_vertices
-            edges = self.edges
-            self._graph_csr = csr_matrix(
-                (self.edge_lengths, (edges[:, 0], edges[:, 1])),
-                shape=(n, n))
-        return self._graph_csr
+    @property
+    def r_reliable(self) -> float:
+        """Largest radius the sampled region surrounds: ``r_truncation_min``,
+        or ``r_max`` when every axis is periodic."""
+        cap = self.r_truncation_min
+        return cap if math.isfinite(cap) else self.r_max
 
     # -- cell decomposition (used by the volume integrators) ---------------
 
@@ -376,6 +361,39 @@ def critical_free_radius(mesh: MeshGraph,
     return float(np.max(mesh.vertices.r[flagged]))
 
 
+def _components(neighbours, keep) -> np.ndarray:
+    """(N,) component labels of the graph restricted to ``keep``: the
+    least vertex index of each component, N outside ``keep``.  Hooking and
+    pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982): labels
+    only fall and stay vertices of their component, so at the fixed point
+    they agree across every edge."""
+    n = len(neighbours)
+    idx = np.flatnonzero(keep)
+    nb = neighbours[idx]
+    label = np.full(n + 1, n)           # slot N stands for a missing neighbour
+    label[idx] = idx
+    while True:
+        new = label[np.minimum(label[idx], label[nb].min(axis=1))]
+        if np.array_equal(new, label[idx]):
+            return label[:n]
+        label[idx] = new
+
+
+def _ends_at(mesh: MeshGraph, R: float, r0: float) -> EndsReport:
+    """``count_ends`` at a radius already checked against ``r0``."""
+    far = mesh.vertices.r > R
+    labels = _components(mesh.neighbours, far)
+    touching = set(labels[far & mesh.boundary_vertex_mask()].tolist())
+    uniq, counts = np.unique(labels[far], return_counts=True)
+    sizes = [{"vertices": cnt, "end": lab in touching}
+             for lab, cnt in zip(uniq.tolist(), counts.tolist())]
+    n_ends = sum(s["end"] for s in sizes)
+    sizes.sort(key=lambda s: (-s["vertices"], not s["end"]))
+    return EndsReport(R=float(R), n_ends=n_ends,
+                      n_bounded=len(sizes) - n_ends,
+                      component_sizes=sizes, critical_free_radius=r0)
+
+
 def count_ends(mesh: MeshGraph, R: float,
                epsilon_crit: float = EPSILON_CRIT) -> EndsReport:
     """Number of unbounded components of {r > R}.
@@ -392,26 +410,29 @@ def count_ends(mesh: MeshGraph, R: float,
     if R >= mesh.r_max:
         raise DomainError(
             f"R={R:g} is not below the largest sampled radius {mesh.r_max:g}")
+    return _ends_at(mesh, R, r0)
 
-    far = mesh.vertices.r > R
-    # components of the graph restricted to the far vertices
-    _, labels = connected_components(mesh._graph()[far][:, far],
-                                     directed=False)
-    touching_labels = np.unique(labels[mesh.boundary_vertex_mask()[far]])
-    uniq, counts = np.unique(labels, return_counts=True)
-    sizes = []
-    n_ends = 0
-    n_bounded = 0
-    for lab, cnt in zip(uniq, counts):
-        is_end = lab in touching_labels
-        sizes.append({"vertices": int(cnt), "end": bool(is_end)})
-        if is_end:
-            n_ends += 1
-        else:
-            n_bounded += 1
-    sizes.sort(key=lambda s: (-s["vertices"], not s["end"]))
-    return EndsReport(R=float(R), n_ends=n_ends, n_bounded=n_bounded,
-                      component_sizes=sizes, critical_free_radius=r0)
+
+def ends_window(mesh: MeshGraph, n_samples: int = 5,
+                epsilon_crit: float = EPSILON_CRIT,
+                margin_fraction: float = 0.2):
+    """``ends_stability`` and the ``EndsReport`` at its outermost radius."""
+    r0 = critical_free_radius(mesh, epsilon_crit)
+    r_hi = ENDS_WINDOW_FRACTION * mesh.r_reliable
+    r_lo = r0 + margin_fraction * (r_hi - r0)
+    if not r0 < r_lo < r_hi:
+        raise DomainError(
+            f"no radius window clear of the critical region: estimate "
+            f"{r0:g} against usable maximum {r_hi:g}")
+    radii = np.linspace(r_lo, r_hi, n_samples)
+    reports = [_ends_at(mesh, float(t), r0) for t in radii]
+    counts = [rep.n_ends for rep in reports]
+    return {
+        "radii": [float(t) for t in radii],
+        "counts": counts,
+        "stable": len(set(counts)) == 1,
+        "n_ends": counts[-1],
+    }, reports[-1]
 
 
 def ends_stability(mesh: MeshGraph, n_samples: int = 5,
@@ -419,24 +440,7 @@ def ends_stability(mesh: MeshGraph, n_samples: int = 5,
                    margin_fraction: float = 0.2) -> dict:
     """End counts across a window of radii clear of both the critical
     region and the truncation faces; stable means all counts agree."""
-    r0 = critical_free_radius(mesh, epsilon_crit)
-    r_cap = mesh.r_truncation_min
-    if not math.isfinite(r_cap):
-        r_cap = mesh.r_max
-    r_hi = ENDS_WINDOW_FRACTION * r_cap
-    r_lo = r0 + margin_fraction * (r_hi - r0)
-    if not r_lo < r_hi:
-        raise DomainError(
-            f"no radius window clear of the critical region: estimate "
-            f"{r0:g} against usable maximum {r_hi:g}")
-    radii = np.linspace(r_lo, r_hi, n_samples)
-    counts = [count_ends(mesh, float(t), epsilon_crit).n_ends for t in radii]
-    return {
-        "radii": [float(t) for t in radii],
-        "counts": counts,
-        "stable": len(set(counts)) == 1,
-        "n_ends": counts[-1],
-    }
+    return ends_window(mesh, n_samples, epsilon_crit, margin_fraction)[0]
 
 
 def mesh_dump(mesh: MeshGraph, path) -> None:

@@ -36,10 +36,7 @@ CURVATURE_TOL = 1e-6
 
 
 def _radius_cap(mesh: MeshGraph) -> float:
-    cap = mesh.r_truncation_min
-    if not math.isfinite(cap):
-        cap = mesh.r_max
-    return RADIUS_CAP_FRACTION * cap
+    return RADIUS_CAP_FRACTION * mesh.r_reliable
 
 
 def _fd_step(mesh: MeshGraph) -> float:

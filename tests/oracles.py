@@ -16,15 +16,17 @@ both integrands smooth.  Only scipy quadrature is used, no mesh code.
 
 ``graph_distances`` is the other reference: Dijkstra over the mesh edges,
 an upper bound on the intrinsic distance that tends to the polyhedral norm
-of the neighbour stencil instead of converging to it.
+of the neighbour stencil instead of converging to it.  ``graph_components``
+labels the components of the mesh graph restricted to a vertex mask.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 QUAD_TOL = 1e-13
 # integrands decay like 1/(k sinh v)^2; past this the tail is below 1e-34
@@ -78,3 +80,13 @@ def graph_distances(mesh, source=None):
     u, v = mesh.edges.T
     graph = csr_matrix((mesh.edge_lengths, (u, v)), shape=(n, n))
     return dijkstra(graph, directed=False, indices=source)
+
+
+def graph_components(mesh, keep):
+    """scipy's component labels of the mesh graph restricted to the vertex
+    mask ``keep``; -1 outside ``keep``."""
+    n = mesh.n_vertices
+    u, v = mesh.edges[keep[mesh.edges].all(axis=1)].T
+    graph = csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    return np.where(keep, labels, -1)

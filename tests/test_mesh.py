@@ -8,7 +8,9 @@ import pytest
 import extgeo as xg
 from extgeo import eikonal
 from extgeo.errors import DomainError
-from oracles import antipodal_distance, graph_distances
+from extgeo.catalog import CATALOG
+from extgeo.mesh import _components
+from oracles import antipodal_distance, graph_components, graph_distances
 
 LINE = """
 m = 1; n = 2; ambient = euclidean;
@@ -97,7 +99,50 @@ def test_basepoint_has_zero_r_and_rho(catenoid_mesh):
     bp = catenoid_mesh.basepoint
     assert catenoid_mesh.r[bp] == 0.0
     assert catenoid_mesh.rho[bp] == 0.0
-    assert catenoid_mesh.unreachable == 0
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_grid_graph_is_connected(name):
+    # the ground for the CLI header's constant "unreachable": 0
+    mesh = xg.build_mesh(CATALOG[name].build()[0], 5)
+    assert np.all(np.isfinite(graph_distances(mesh)))
+    assert np.all(np.isfinite(mesh.rho))
+
+
+def assert_same_partition(mesh, keep):
+    """``_components`` labels each kept vertex by the least vertex of its
+    component in the oracle's partition, and N outside ``keep``."""
+    n = mesh.n_vertices
+    ref = graph_components(mesh, keep)
+    least = np.full(n, n)
+    np.minimum.at(least, ref[keep], np.flatnonzero(keep))
+    want = np.full(n, n)
+    want[keep] = least[ref[keep]]
+    np.testing.assert_array_equal(_components(mesh.neighbours, keep), want)
+
+
+@pytest.mark.parametrize("name,params,res", [
+    (None, {}, 40),
+    ("cylinder", {}, [12, 16]),
+    ("flat-subspace", {"m": 3, "n": 4}, 9),
+], ids=["line", "cylinder", "flat3"])
+def test_components_match_the_oracle(name, params, res):
+    chart = (xg.parse_chart(LINE) if name is None
+             else xg.catalog_build(name, **params)[0])
+    mesh = xg.build_mesh(chart, res)
+    rng = np.random.default_rng(11)
+    for density in (0.0, 0.3, 0.5, 0.7, 1.0):
+        assert_same_partition(mesh, rng.random(mesh.n_vertices) < density)
+
+
+def test_components_join_diagonal_neighbours():
+    # two blocks that meet at one corner: the diagonal offset is an edge
+    mesh = xg.build_mesh(flat_chart(), 6)
+    keep = np.zeros(mesh.shape, dtype=bool)
+    keep[:3, :3] = keep[3:, 3:] = True
+    keep = keep.reshape(-1)
+    assert_same_partition(mesh, keep)
+    assert np.all(_components(mesh.neighbours, keep)[keep] == 0)
 
 
 @pytest.mark.parametrize("name,params,res", [
