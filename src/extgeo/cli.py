@@ -133,10 +133,10 @@ def parse_config(data: dict) -> RunConfig:
 
     radii = data.get("exhaustion_radii")
     if radii is not None:
-        radii = _number_list(radii, "exhaustion_radii")
+        radii = _radius_list(radii, "exhaustion_radii")
     vradii = data.get("volume_radii")
     if vradii is not None:
-        vradii = _number_list(vradii, "volume_radii")
+        vradii = _radius_list(vradii, "volume_radii")
 
     eps = data.get("epsilon_crit", EPSILON_CRIT)
     _require(_finite(eps) and eps > 0,
@@ -474,6 +474,14 @@ def run_catalog_list() -> dict:
 
 # ---------------------------------------------------------------------------
 # argument handling
+
+def _radius_list(value, name):
+    """A config radius list: positive and strictly increasing."""
+    radii = _number_list(value, name)
+    _require(radii[0] > 0 and all(a < b for a, b in zip(radii, radii[1:])),
+             f"{name} must be strictly increasing positive numbers")
+    return radii
+
 
 def _parse_resolution(text: str):
     parts = text.replace("x", ",").split(",")

@@ -251,22 +251,21 @@ class InvariantReport:
         }
 
 
-def default_tail_radii(mesh: MeshGraph, n: int = 12,
-                       lo_fraction: float = 0.25) -> np.ndarray:
-    """Evenly spaced exhaustion radii strictly inside the reliable window."""
+def default_tail_radii(mesh: MeshGraph, n: int = 12) -> np.ndarray:
+    """Evenly spaced exhaustion radii strictly inside the reliable window,
+    from a quarter of its top upwards."""
     cap = mesh.r_truncation_min
     if math.isfinite(cap):
         hi = 0.99 * RADIUS_CAP_FRACTION * cap
     else:
         hi = 0.95 * mesh.r_max
-    lo = lo_fraction * hi
+    lo = 0.25 * hi
     if not 0.0 < lo < hi:
         raise DomainError("mesh is too small for a tail radius window")
     return np.linspace(lo, hi, n)
 
 
-def invariant_tails(mesh: MeshGraph, radii, flat_tol: float = FLAT_TOL,
-                    osc_tol: float = OSC_TOL) -> InvariantReport:
+def invariant_tails(mesh: MeshGraph, radii) -> InvariantReport:
     """Tail suprema of the weighted bending norm over an exhaustion.
 
     Both tails are non-increasing by construction (suprema over shrinking
@@ -326,14 +325,14 @@ def invariant_tails(mesh: MeshGraph, radii, flat_tol: float = FLAT_TOL,
     a_slope = a_tail.tail_slope()
     k = max(2, int(np.ceil(radii.size / 3.0)))
     span = float(radii[-1] - radii[-k])
-    thr = SLOPE_FRACTION * max(a_est, flat_tol) / max(span, 1e-12)
+    thr = SLOPE_FRACTION * max(a_est, FLAT_TOL) / max(span, 1e-12)
     slope_ok = a_slope <= thr
 
     b_increasing = b_tail.is_tail_increasing()
     b_est = math.inf if b_increasing else b_tail.last
-    b_bounded = (not b_increasing) and b_tail.tail_oscillation() < osc_tol
+    b_bounded = (not b_increasing) and b_tail.tail_oscillation() < OSC_TOL
 
-    eaf = bool(a_est < flat_tol and slope_ok)
+    eaf = bool(a_est < FLAT_TOL and slope_ok)
     tamed = bool(a_est < 1.0 and slope_ok)
     # the certificate needs a positive plateau; an exactly-zero tail is
     # plain asymptotic flatness.  At kappa = 0 both weights are rho, so

@@ -21,9 +21,12 @@ the forward entries, slot by slot and in vertex order within a slot.
 The grid graph is connected; the components of {r > R}, which count the
 ends, come from the same table by pointer jumping.
 
-The refined lattice is also what the volume integrators consume: each grid
-cell knows the radial values on its 3^m sub-lattice and the volume density
-at its center.
+The refined lattice is also what the volume integrators consume: each of
+its nodes carries r and a volume weight, ``refined_r`` and
+``refined_weight``.  A grid cell's volume, its center density times
+``cell_measure``, is split evenly over the 3^m nodes of its sub-lattice
+(``cell_nodes``), and the shares add up where cells share a node, so the
+volume of {r < t} is one weighted count of nodes.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ MIN_RESOLUTION = 3
 EPSILON_CRIT = 1e-3
 # ends are only probed strictly inside the sampled region
 ENDS_WINDOW_FRACTION = 0.8
+# the end-count window: this many radii, the first this fraction of the way
+# from the critical-free radius to the window's top
+ENDS_RADII = 5
+ENDS_MARGIN_FRACTION = 0.2
 # exhaustion and volume radii stay below this fraction of the truncation
 # radius
 RADIUS_CAP_FRACTION = 0.9
@@ -73,9 +80,7 @@ class MeshGraph:
     basepoint: int
     _rho: np.ndarray = field(default=None, repr=False)
     refined_r: np.ndarray = field(default=None, repr=False)
-    refined_sdg: np.ndarray = field(default=None, repr=False)
-    _cell_sub_r: np.ndarray = field(default=None, repr=False)
-    _cell_bounds: tuple = field(default=None, repr=False)
+    refined_weight: np.ndarray = field(default=None, repr=False)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -173,52 +178,10 @@ class MeshGraph:
         cap = self.r_truncation_min
         return cap if math.isfinite(cap) else self.r_max
 
-    # -- cell decomposition (used by the volume integrators) ---------------
-
-    @property
-    def cell_shape(self):
-        return tuple(k if p else k - 1 for k, p in zip(self.shape, self.periodic))
-
-    @property
-    def n_cells(self) -> int:
-        return int(np.prod(self.cell_shape, dtype=int))
-
     @property
     def cell_measure(self) -> float:
         """Parameter measure of one grid cell (same for all)."""
         return float(np.prod(self.spacing))
-
-    def _cell_axis_refined(self, axis: int, delta: int) -> np.ndarray:
-        """Refined-lattice index of sub-node ``delta`` (0, 1, 2) for every
-        cell along one axis."""
-        k = self.shape[axis]
-        if self.periodic[axis]:
-            return (2 * np.arange(k) + delta) % (2 * k)
-        return 2 * np.arange(k - 1) + delta
-
-    def cell_subsample_r(self) -> np.ndarray:
-        """Radial values on the 3^m sub-lattice of every cell, (C, 3^m)."""
-        if self._cell_sub_r is None:
-            deltas = list(itertools.product((0, 1, 2), repeat=self.m))
-            out = np.empty((self.n_cells, len(deltas)))
-            for col, delta in enumerate(deltas):
-                ix = np.ix_(*[self._cell_axis_refined(ax, d)
-                              for ax, d in enumerate(delta)])
-                out[:, col] = self.refined_r[ix].reshape(-1)
-            self._cell_sub_r = out
-        return self._cell_sub_r
-
-    def cell_r_bounds(self):
-        """(min, max) of r over each cell's sub-lattice."""
-        if self._cell_bounds is None:
-            sub = self.cell_subsample_r()
-            self._cell_bounds = (sub.min(axis=1), sub.max(axis=1))
-        return self._cell_bounds
-
-    def cell_center_values(self):
-        """(r, sqrt_det_g) at every cell center, each (C,)."""
-        ix = np.ix_(*[self._cell_axis_refined(ax, 1) for ax in range(self.m)])
-        return self.refined_r[ix].reshape(-1), self.refined_sdg[ix].reshape(-1)
 
 
 @dataclass
@@ -299,6 +262,29 @@ def _neighbour_table(shape, periodic, spacing, metric, refined_metric):
     return neighbours, lengths
 
 
+def cell_nodes(shape, periodic):
+    """Index tuples into the refined lattice, one per sub-lattice offset d
+    in {0, 1, 2}^m (in ``itertools.product`` order): each picks node 2c + d
+    of every grid cell c, in cell order, wrapping on periodic axes."""
+    cells = [np.arange(k if p else k - 1) for k, p in zip(shape, periodic)]
+    for delta in itertools.product((0, 1, 2), repeat=len(shape)):
+        yield np.ix_(*[(2 * c + d) % (2 * k)
+                       for c, d, k in zip(cells, delta, shape)])
+
+
+def _node_weights(shape, periodic, sqrt_det_g, measure) -> np.ndarray:
+    """Volume weight of every refined node: each cell's center density
+    times its measure, split evenly over the 3^m nodes of its sub-lattice
+    and summed where cells share a node."""
+    nodes = list(cell_nodes(shape, periodic))
+    center = nodes[len(nodes) // 2]          # the offset (1, ..., 1)
+    share = sqrt_det_g[center] * measure / len(nodes)
+    weight = np.zeros_like(sqrt_det_g)
+    for ix in nodes:
+        weight[ix] += share
+    return weight
+
+
 def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
     """Sample a chart on a grid and assemble the weighted neighbor graph.
 
@@ -338,7 +324,8 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
         neighbour_lengths=lengths,
         basepoint=int(np.argmin(vertices.r)),
         refined_r=np.ascontiguousarray(refined.r),
-        refined_sdg=np.ascontiguousarray(refined.sqrt_det_g),
+        refined_weight=_node_weights(shape, chart.periodic, refined.sqrt_det_g,
+                                     float(np.prod(spacing))),
     )
 
 
@@ -413,18 +400,16 @@ def count_ends(mesh: MeshGraph, R: float,
     return _ends_at(mesh, R, r0)
 
 
-def ends_window(mesh: MeshGraph, n_samples: int = 5,
-                epsilon_crit: float = EPSILON_CRIT,
-                margin_fraction: float = 0.2):
+def ends_window(mesh: MeshGraph, epsilon_crit: float = EPSILON_CRIT):
     """``ends_stability`` and the ``EndsReport`` at its outermost radius."""
     r0 = critical_free_radius(mesh, epsilon_crit)
     r_hi = ENDS_WINDOW_FRACTION * mesh.r_reliable
-    r_lo = r0 + margin_fraction * (r_hi - r0)
+    r_lo = r0 + ENDS_MARGIN_FRACTION * (r_hi - r0)
     if not r0 < r_lo < r_hi:
         raise DomainError(
             f"no radius window clear of the critical region: estimate "
             f"{r0:g} against usable maximum {r_hi:g}")
-    radii = np.linspace(r_lo, r_hi, n_samples)
+    radii = np.linspace(r_lo, r_hi, ENDS_RADII)
     reports = [_ends_at(mesh, float(t), r0) for t in radii]
     counts = [rep.n_ends for rep in reports]
     return {
@@ -435,12 +420,11 @@ def ends_window(mesh: MeshGraph, n_samples: int = 5,
     }, reports[-1]
 
 
-def ends_stability(mesh: MeshGraph, n_samples: int = 5,
-                   epsilon_crit: float = EPSILON_CRIT,
-                   margin_fraction: float = 0.2) -> dict:
+def ends_stability(mesh: MeshGraph,
+                   epsilon_crit: float = EPSILON_CRIT) -> dict:
     """End counts across a window of radii clear of both the critical
     region and the truncation faces; stable means all counts agree."""
-    return ends_window(mesh, n_samples, epsilon_crit, margin_fraction)[0]
+    return ends_window(mesh, epsilon_crit)[0]
 
 
 def mesh_dump(mesh: MeshGraph, path) -> None:

@@ -18,8 +18,14 @@ both integrands smooth.  Only scipy quadrature is used, no mesh code.
 an upper bound on the intrinsic distance that tends to the polyhedral norm
 of the neighbour stencil instead of converging to it.  ``graph_components``
 labels the components of the mesh graph restricted to a vertex mask.
+
+``cell_fraction_ball_volumes`` integrates ball volumes cell by cell: each
+grid cell contributes its center density times its parameter measure,
+scaled by the fraction of its 3^m sub-lattice of refined r values inside
+the ball.  ``cell_r_spans`` gives the r-span of each such sub-lattice.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +33,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
+
+from extgeo.immersion import grid_geometry
 
 QUAD_TOL = 1e-13
 # integrands decay like 1/(k sinh v)^2; past this the tail is below 1e-34
@@ -90,3 +98,43 @@ def graph_components(mesh, keep):
     graph = csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     return np.where(keep, labels, -1)
+
+
+def _cells(mesh):
+    """Cell indices per axis: every vertex starts a cell on a periodic
+    axis, all but the last on the others."""
+    return [np.arange(k if p else k - 1)
+            for k, p in zip(mesh.shape, mesh.periodic)]
+
+
+def _cell_sublattice_r(mesh):
+    """(C, 3^m) refined r values on the sub-lattice of every cell."""
+    cells = _cells(mesh)
+    cols = []
+    for delta in itertools.product((0, 1, 2), repeat=mesh.m):
+        ix = np.ix_(*[(2 * c + d) % (2 * k)
+                      for c, d, k in zip(cells, delta, mesh.shape)])
+        cols.append(mesh.refined_r[ix].reshape(-1))
+    return np.stack(cols, axis=1)
+
+
+def cell_fraction_ball_volumes(mesh, radii):
+    """Volume of {r < t} for each t: the sum over cells of the center
+    density (evaluated afresh at the cell centers) times ``cell_measure``
+    times the fraction of the cell's sub-lattice with r < t."""
+    axes = [o + h * (c + 0.5)
+            for o, h, c in zip(mesh.origin, mesh.spacing, _cells(mesh))]
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    density = grid_geometry(mesh.chart, centers, keep_positions=False,
+                            amb=mesh.amb).sqrt_det_g.reshape(-1)
+    weight = density * mesh.cell_measure
+    sub = _cell_sublattice_r(mesh)
+    return np.array([
+        np.sum(weight * np.count_nonzero(sub < t, axis=1) / sub.shape[1])
+        for t in radii])
+
+
+def cell_r_spans(mesh):
+    """(C,) max minus min of r over each cell's sub-lattice."""
+    sub = _cell_sublattice_r(mesh)
+    return sub.max(axis=1) - sub.min(axis=1)

@@ -413,6 +413,20 @@ def test_non_finite_numbers_are_config_errors(tmp_path, extra, flags):
     assert "finite" in body["message"]
 
 
+@pytest.mark.parametrize("key", ["exhaustion_radii", "volume_radii"])
+@pytest.mark.parametrize("radii", [[1.0, 0.5], [0.5, 0.5], [-1.0, 0.5],
+                                   [0.0, 0.5]],
+                         ids=["decreasing", "repeated", "negative", "zero"])
+def test_bad_radius_lists_are_config_errors(tmp_path, key, radii):
+    cfg = write_config(tmp_path, {
+        "immersion": {"catalog": "flat-subspace"}, "resolution": 9,
+        key: radii})
+    body = error_of(["volume", "--config", cfg], expect_code=2)
+    assert body["error"] == "ConfigError"
+    assert body["message"] == (
+        f"{key} must be strictly increasing positive numbers")
+
+
 def test_import_leaves_out_scipy():
     code = ("import sys, extgeo.cli; "
             "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")

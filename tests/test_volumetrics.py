@@ -9,6 +9,9 @@ import pytest
 import extgeo as xg
 from extgeo.errors import (DomainError, GeometryError,
                            HypothesisViolatedError, TruncationError)
+from extgeo.volumetrics import _ball_values, _fd_step
+
+from oracles import cell_fraction_ball_volumes, cell_r_spans
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +30,37 @@ def test_hyperbolic_ball_and_sphere_volume(tg2_mesh):
                                  rel=0.01)
     sphere = xg.sphere_volume(tg2_mesh, 1.0)
     assert sphere == pytest.approx(2.0 * math.pi * math.sinh(1.0), rel=0.02)
+
+
+@pytest.mark.parametrize("name,params,resolution", [
+    ("sphere", {"m": 1, "n": 2}, 33),
+    ("catenoid", {}, [41, 16]),
+    ("flat-subspace", {"m": 3, "n": 4, "truncation": 1.2}, 13),
+    ("rotation-hypersurface", {"n": 3}, [5, 8, 13]),
+], ids=["circle", "catenoid", "flat3", "rotation3"])
+def test_ball_values_match_the_cell_fraction_formula(name, params, resolution):
+    # one weighted count over the refined nodes reproduces the per-cell sum
+    # of center density x measure x sub-lattice fraction, unsorted radii and
+    # radii past r_max (the total volume) included
+    chart, _ = xg.catalog_build(name, **params)
+    mesh = xg.build_mesh(chart, resolution)
+    radii = mesh.r_max * np.array([0.6, 0.1, 1.2, 0.3, 0.9, 0.45, 0.75,
+                                   1.0, 0.2, 1.5])
+    expect = cell_fraction_ball_volumes(mesh, radii)
+    assert np.all(expect > 0.0)
+    np.testing.assert_allclose(_ball_values(mesh, radii), expect,
+                               rtol=1e-12, atol=0.0)
+    spans = cell_r_spans(mesh)
+    assert _fd_step(mesh) == 2.0 * float(np.median(spans[spans > 0.0]))
+
+
+def test_coarea_deviation_is_inf_without_a_warning():
+    # catenoid 81x24 has a zero sphere volume beside a nonzero difference
+    chart, _ = xg.catalog_build("catenoid")
+    curve = xg.volume_curve(xg.build_mesh(chart, [81, 24]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert curve.coarea_max_dev() == math.inf
 
 
 def test_volume_radius_guards(flat2_mesh):
