@@ -17,6 +17,15 @@ Config schema (all keys optional unless marked):
     }
 
 Every number must be finite: JSON NaN and Infinity are malformed config.
+Each resolution entry must be at least ``mesh.MIN_RESOLUTION``.
+
+Every analysis command runs through one pipeline, ``_run``: validate the
+config, build the immersion, build the mesh (``curvature`` samples the chart
+instead), run the command body, merge the mesh header into the body's
+payload sections, then, with ``--out``, write the body's report files and
+``<command>.json``.  The ``--resolution``, ``--truncation`` and ``--seed``
+values are merged into the config object before it is validated, so they
+pass exactly the checks that the config keys pass.
 
 Exit codes: 0 success, 1 verification checks failed, 2 malformed config,
 3 numeric pipeline failure.  Errors print one JSON object on stderr.
@@ -31,6 +40,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,14 +51,15 @@ from .exprchart import parse_chart
 from .immersion import ambient_of, extrinsic_sphere_curvature, point_geometry
 from .invariants import (DeltaModel, default_tail_radii, invariant_tails,
                          pinching_functions, threshold_c_star)
-from .mesh import (EPSILON_CRIT, build_mesh, critical_free_radius,
-                   ends_stability, ends_window, mesh_dump)
+from .mesh import (EPSILON_CRIT, MIN_RESOLUTION, build_mesh,
+                   critical_free_radius, ends_stability, ends_window,
+                   mesh_dump)
 from .reporting import dumps_json, write_csv, write_json
 from .spaceform import c_kappa, s_kappa
 from .volumetrics import (GrowthVerdict, gap_ratio, verify_growth_bounds,
                           volume_curve)
 
-__all__ = ["RunConfig", "load_config", "main"]
+__all__ = ["RunConfig", "parse_config", "main"]
 
 
 @dataclass
@@ -87,6 +98,14 @@ def _number_list(value, name):
     return [float(x) for x in value]
 
 
+def _radius_list(value, name):
+    """A config radius list: positive and strictly increasing."""
+    radii = _number_list(value, name)
+    _require(radii[0] > 0 and all(a < b for a, b in zip(radii, radii[1:])),
+             f"{name} must be strictly increasing positive numbers")
+    return radii
+
+
 def parse_config(data: dict) -> RunConfig:
     _require(isinstance(data, dict), "config must be a JSON object")
     known = {"immersion", "resolution", "pole", "truncation",
@@ -112,14 +131,12 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("immersion needs either 'catalog' or 'source'")
 
     res = data.get("resolution")
-    if isinstance(res, int) and not isinstance(res, bool):
-        _require(res > 0, "resolution must be positive")
-    elif isinstance(res, list):
-        _require(res and all(isinstance(k, int) and not isinstance(k, bool)
-                             and k > 0 for k in res),
-                 "resolution list must hold positive integers")
-    else:
-        raise ConfigError("config needs 'resolution' (int or list of ints)")
+    counts = res if isinstance(res, list) else [res]
+    _require(counts and all(isinstance(k, int) and not isinstance(k, bool)
+                            for k in counts),
+             "config needs 'resolution' (int or list of ints)")
+    _require(min(counts) >= MIN_RESOLUTION,
+             f"resolution {min(counts)} is below the minimum {MIN_RESOLUTION}")
 
     pole = data.get("pole")
     if pole is not None:
@@ -166,15 +183,15 @@ def parse_config(data: dict) -> RunConfig:
                      delta=delta, seed=seed, samples=samples)
 
 
-def load_config(path: str) -> RunConfig:
+def _read_config(path: str):
+    """The JSON value of a config file, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    return parse_config(data)
 
 
 # ---------------------------------------------------------------------------
@@ -224,28 +241,22 @@ def _mesh_header(mesh, desc) -> dict:
     }
 
 
-def _out_path(out_dir, name):
-    if out_dir is None:
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+def _tails(cfg: RunConfig, mesh):
+    """Bending tails over the configured or else the default radii."""
+    return invariant_tails(
+        mesh, cfg.exhaustion_radii or default_tail_radii(mesh))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# command bodies: (payload sections, {report file name: writer(path)})
 
-def run_invariants(cfg: RunConfig, out_dir) -> dict:
-    chart, gt, desc = _build_immersion(cfg)
-    mesh = build_mesh(chart, cfg.resolution, pole=cfg.pole)
-    radii = cfg.exhaustion_radii
-    if radii is None:
-        radii = default_tail_radii(mesh)
-    report = invariant_tails(mesh, radii)
-    payload = _mesh_header(mesh, desc)
-    payload["invariants"] = report.summary()
-    payload["critical_free_radius"] = critical_free_radius(
-        mesh, cfg.epsilon_crit)
-    payload["delta_model"] = cfg.delta.label
+def run_invariants(cfg: RunConfig, mesh, gt):
+    report = _tails(cfg, mesh)
+    sections = {
+        "invariants": report.summary(),
+        "critical_free_radius": critical_free_radius(mesh, cfg.epsilon_crit),
+        "delta_model": cfg.delta.label,
+    }
 
     kappa = mesh.vertices.kappa
     if kappa < 0.0:
@@ -262,30 +273,24 @@ def run_invariants(cfg: RunConfig, out_dir) -> dict:
             }
         except DomainError as exc:
             block["at_estimate"] = {"skipped": str(exc)}
-        payload["pinching"] = block
+        sections["pinching"] = block
 
-    csv_path = _out_path(out_dir, "tails.csv")
-    if csv_path:
-        write_csv(csv_path, ["t", "a_tail", "b_tail"],
-                  zip(report.a_tail.x, report.a_tail.y, report.b_tail.y))
-        write_json(_out_path(out_dir, "invariants.json"), payload)
-        mesh_dump(mesh, _out_path(out_dir, "mesh.csv"))
-    return payload
+    return sections, {
+        "tails.csv": partial(
+            write_csv, header=["t", "a_tail", "b_tail"],
+            rows=zip(report.a_tail.x, report.a_tail.y, report.b_tail.y)),
+        "mesh.csv": partial(mesh_dump, mesh),
+    }
 
 
-def run_volume(cfg: RunConfig, out_dir) -> dict:
-    chart, gt, desc = _build_immersion(cfg)
-    mesh = build_mesh(chart, cfg.resolution, pole=cfg.pole)
+def run_volume(cfg: RunConfig, mesh, gt):
     curve = volume_curve(mesh, cfg.volume_radii)
-    tail_radii = cfg.exhaustion_radii
-    if tail_radii is None:
-        tail_radii = default_tail_radii(mesh)
-    report = invariant_tails(mesh, tail_radii)
+    report = _tails(cfg, mesh)
 
     try:
         stab = ends_stability(mesh, epsilon_crit=cfg.epsilon_crit)
         ends = stab["n_ends"]
-    except (DomainError, ExtGeoError) as exc:
+    except ExtGeoError as exc:
         stab = {"error": str(exc)}
         ends = None
 
@@ -306,45 +311,35 @@ def run_volume(cfg: RunConfig, out_dir) -> dict:
         gap = {"verdict": "inconclusive", "reason": str(exc),
                "offenders": exc.offenders}
 
-    payload = _mesh_header(mesh, desc)
-    payload["volume"] = curve.summary()
-    payload["coarea_max_dev"] = curve.coarea_max_dev()
-    payload["growth"] = growth.summary()
-    payload["gap"] = gap
-    payload["ends_stability"] = stab
-
-    csv_path = _out_path(out_dir, "volume.csv")
-    if csv_path:
-        write_csv(csv_path,
-                  ["t", "ball_vol", "sphere_vol", "ball_ratio", "sphere_ratio"],
-                  zip(curve.radii, curve.ball, curve.sphere,
-                      curve.ball_ratio, curve.sphere_ratio))
-        write_json(_out_path(out_dir, "volume.json"), payload)
-    return payload
+    sections = {
+        "volume": curve.summary(),
+        "coarea_max_dev": curve.coarea_max_dev(),
+        "growth": growth.summary(),
+        "gap": gap,
+        "ends_stability": stab,
+    }
+    return sections, {"volume.csv": partial(
+        write_csv,
+        header=["t", "ball_vol", "sphere_vol", "ball_ratio", "sphere_ratio"],
+        rows=zip(curve.radii, curve.ball, curve.sphere,
+                 curve.ball_ratio, curve.sphere_ratio))}
 
 
-def run_ends(cfg: RunConfig, out_dir) -> dict:
-    chart, gt, desc = _build_immersion(cfg)
-    mesh = build_mesh(chart, cfg.resolution, pole=cfg.pole)
+def run_ends(cfg: RunConfig, mesh, gt):
     stab, final = ends_window(mesh, epsilon_crit=cfg.epsilon_crit)
-    payload = _mesh_header(mesh, desc)
-    payload["ends"] = {
+    sections = {"ends": {
         "count": final.n_ends,
         "bounded_components": final.n_bounded,
         "components": final.component_sizes,
         "critical_free_radius": final.critical_free_radius,
         "stability": stab,
-    }
-    csv_path = _out_path(out_dir, "ends.csv")
-    if csv_path:
-        write_csv(csv_path, ["R", "n_ends"],
-                  zip(stab["radii"], stab["counts"]))
-        write_json(_out_path(out_dir, "ends.json"), payload)
-    return payload
+    }}
+    return sections, {"ends.csv": partial(
+        write_csv, header=["R", "n_ends"],
+        rows=zip(stab["radii"], stab["counts"]))}
 
 
-def run_curvature(cfg: RunConfig, out_dir) -> dict:
-    chart, gt, desc = _build_immersion(cfg)
+def run_curvature(cfg: RunConfig, chart, gt):
     if chart.m < 3:
         raise DomainError(
             "distance-sphere curvature sampling needs m >= 3 "
@@ -371,24 +366,19 @@ def run_curvature(cfg: RunConfig, out_dir) -> dict:
                      lower, upper, valid])
     if not rows:
         raise DomainError("no admissible sample points for curvature rows")
-    payload = {"immersion": desc, "samples": len(rows), "skipped": skipped,
-               "header": [f"u{i + 1}" for i in range(chart.m)]
-               + ["r", "exact", "lower", "upper", "valid"]}
+    sections = {"samples": len(rows), "skipped": skipped,
+                "header": [f"u{i + 1}" for i in range(chart.m)]
+                + ["r", "exact", "lower", "upper", "valid"]}
     sandwich = [r for r in rows if r[-1]]
-    payload["admissible"] = len(sandwich)
-    payload["sandwich_ok"] = sum(
+    sections["admissible"] = len(sandwich)
+    sections["sandwich_ok"] = sum(
         1 for r in sandwich if r[-4] >= r[-3] - 1e-9 and r[-4] <= r[-2] + 1e-9)
-    csv_path = _out_path(out_dir, "curvature.csv")
-    if csv_path:
-        write_csv(csv_path, payload["header"], rows)
-        write_json(_out_path(out_dir, "curvature.json"), payload)
-    return payload
+    return sections, {"curvature.csv": partial(
+        write_csv, header=sections["header"], rows=rows)}
 
 
-def run_verify(cfg: RunConfig, out_dir) -> dict:
+def run_verify(cfg: RunConfig, mesh, gt):
     """Battery of internal checks on one configured immersion."""
-    chart, gt, desc = _build_immersion(cfg)
-    mesh = build_mesh(chart, cfg.resolution, pole=cfg.pole)
     checks = []
 
     def check(name, passed, detail):
@@ -417,10 +407,7 @@ def run_verify(cfg: RunConfig, out_dir) -> dict:
     check("comparison-identity", np.max(resid / c_sq) < 1e-12,
           {"max_residual": float(np.max(resid))})
 
-    radii = cfg.exhaustion_radii
-    if radii is None:
-        radii = default_tail_radii(mesh)
-    report = invariant_tails(mesh, radii)
+    report = _tails(cfg, mesh)
     a_mono = bool(np.all(np.diff(report.a_tail.y) <= 1e-12))
     b_mono = bool(np.all(np.diff(report.b_tail.y) <= 1e-12))
     check("tails-non-increasing", a_mono and b_mono,
@@ -446,11 +433,36 @@ def run_verify(cfg: RunConfig, out_dir) -> dict:
         except DomainError as exc:
             check("ends-expected", False, {"error": str(exc)})
 
-    payload = _mesh_header(mesh, desc)
-    payload["checks"] = checks
-    payload["passed"] = all(c["passed"] for c in checks)
-    if out_dir is not None:
-        write_json(_out_path(out_dir, "verify.json"), payload)
+    return {"checks": checks, "passed": all(c["passed"] for c in checks)}, {}
+
+
+_COMMANDS = {
+    "invariants": run_invariants,
+    "volume": run_volume,
+    "ends": run_ends,
+    "curvature": run_curvature,
+    "verify": run_verify,
+}
+
+
+def _run(args) -> dict:
+    """One analysis command, from the command line to its payload and,
+    with ``--out``, its report files."""
+    cfg = _config_from_args(args)
+    chart, gt, desc = _build_immersion(cfg)
+    if args.command == "curvature":
+        header, subject = {"immersion": desc}, chart
+    else:
+        # through the module global, so callers can wrap the mesh build
+        subject = build_mesh(chart, cfg.resolution, pole=cfg.pole)
+        header = _mesh_header(subject, desc)
+    sections, files = _COMMANDS[args.command](cfg, subject, gt)
+    payload = {**header, **sections}
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+        for name, write in files.items():
+            write(os.path.join(args.out, name))
+        write_json(os.path.join(args.out, f"{args.command}.json"), payload)
     return payload
 
 
@@ -474,14 +486,6 @@ def run_catalog_list() -> dict:
 
 # ---------------------------------------------------------------------------
 # argument handling
-
-def _radius_list(value, name):
-    """A config radius list: positive and strictly increasing."""
-    radii = _number_list(value, name)
-    _require(radii[0] > 0 and all(a < b for a, b in zip(radii, radii[1:])),
-             f"{name} must be strictly increasing positive numbers")
-    return radii
-
 
 def _parse_resolution(text: str):
     parts = text.replace("x", ",").split(",")
@@ -531,27 +535,24 @@ _DEFAULT_RESOLUTION = 33
 
 
 def _config_from_args(args) -> RunConfig:
+    """The run config: the config file or the catalog shortcut, with the
+    command-line values merged in before validation."""
     if args.config:
-        cfg = load_config(args.config)
+        data = _read_config(args.config)
         if args.immersion:
             raise ConfigError("give either --config or --immersion, not both")
     elif args.immersion:
-        cfg = parse_config({
-            "immersion": {"catalog": args.immersion},
-            "resolution": _DEFAULT_RESOLUTION,
-        })
+        data = {"immersion": {"catalog": args.immersion},
+                "resolution": _DEFAULT_RESOLUTION}
     else:
         raise ConfigError("a config file (--config) or a catalog immersion "
                           "(--immersion) is required")
-    if args.resolution is not None:
-        cfg.resolution = args.resolution
-    if args.truncation is not None:
-        _require(_finite(args.truncation) and args.truncation > 0,
-                 "truncation must be a positive finite number")
-        cfg.truncation = args.truncation
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    if isinstance(data, dict):
+        # a config that is not an object is left for parse_config to refuse
+        flags = {"resolution": args.resolution,
+                 "truncation": args.truncation, "seed": args.seed}
+        data = {**data, **{k: v for k, v in flags.items() if v is not None}}
+    return parse_config(data)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -572,17 +573,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command == "catalog":
             payload = run_catalog_list()
-            sys.stdout.write(dumps_json(payload))
-            return 0
-        cfg = _config_from_args(args)
-        runner = {
-            "invariants": run_invariants,
-            "volume": run_volume,
-            "ends": run_ends,
-            "curvature": run_curvature,
-            "verify": run_verify,
-        }[args.command]
-        payload = runner(cfg, args.out)
+        else:
+            payload = _run(args)
     except (ConfigError, ParseError) as exc:
         _emit_error(exc)
         return 2

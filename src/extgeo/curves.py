@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class Curve:
-    """A sampled scalar curve y(x) with axis labels and free-form metadata."""
+    """A sampled scalar curve y(x)."""
 
     x: np.ndarray
     y: np.ndarray
-    xlabel: str = "x"
-    ylabel: str = "y"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)

@@ -318,8 +318,8 @@ def invariant_tails(mesh: MeshGraph, radii) -> InvariantReport:
         a_vals[i] = np.max(vals_a[mask])
         b_vals[i] = np.max(vals_b[mask])
 
-    a_tail = Curve(radii, a_vals, xlabel="t", ylabel="a_tail")
-    b_tail = Curve(radii, b_vals, xlabel="t", ylabel="b_tail")
+    a_tail = Curve(radii, a_vals)
+    b_tail = Curve(radii, b_vals)
 
     a_est = a_tail.last
     a_slope = a_tail.tail_slope()

@@ -25,8 +25,9 @@ The refined lattice is also what the volume integrators consume: each of
 its nodes carries r and a volume weight, ``refined_r`` and
 ``refined_weight``.  A grid cell's volume, its center density times
 ``cell_measure``, is split evenly over the 3^m nodes of its sub-lattice
-(``cell_nodes``), and the shares add up where cells share a node, so the
-volume of {r < t} is one weighted count of nodes.
+(``_cell_nodes``), and the shares add up where cells share a node, so the
+volume of {r < t} is one weighted count of nodes.  The same sub-lattices
+give ``fd_step``, the radial step of the sphere-volume differences.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class MeshGraph:
     _rho: np.ndarray = field(default=None, repr=False)
     refined_r: np.ndarray = field(default=None, repr=False)
     refined_weight: np.ndarray = field(default=None, repr=False)
+    _fd_step: float = field(default=None, repr=False)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -183,6 +185,25 @@ class MeshGraph:
         """Parameter measure of one grid cell (same for all)."""
         return float(np.prod(self.spacing))
 
+    @property
+    def fd_step(self) -> float:
+        """Two grid cells in radial units: twice the median span of r over
+        a cell's sub-lattice, among the cells where r varies.  Computed on
+        first use."""
+        if self._fd_step is None:
+            nodes = _cell_nodes(self.shape, self.periodic)
+            rmin = rmax = self.refined_r[next(nodes)]
+            for ix in nodes:
+                sub = self.refined_r[ix]
+                rmin, rmax = np.minimum(rmin, sub), np.maximum(rmax, sub)
+            spans = (rmax - rmin).reshape(-1)
+            spans = spans[spans > 0.0]
+            if spans.size == 0:
+                raise DomainError("no cell shows radial variation; the pole "
+                                  "map appears constant on this mesh")
+            self._fd_step = 2.0 * float(np.median(spans))
+        return self._fd_step
+
 
 @dataclass
 class EndsReport:
@@ -262,7 +283,7 @@ def _neighbour_table(shape, periodic, spacing, metric, refined_metric):
     return neighbours, lengths
 
 
-def cell_nodes(shape, periodic):
+def _cell_nodes(shape, periodic):
     """Index tuples into the refined lattice, one per sub-lattice offset d
     in {0, 1, 2}^m (in ``itertools.product`` order): each picks node 2c + d
     of every grid cell c, in cell order, wrapping on periodic axes."""
@@ -276,7 +297,7 @@ def _node_weights(shape, periodic, sqrt_det_g, measure) -> np.ndarray:
     """Volume weight of every refined node: each cell's center density
     times its measure, split evenly over the 3^m nodes of its sub-lattice
     and summed where cells share a node."""
-    nodes = list(cell_nodes(shape, periodic))
+    nodes = list(_cell_nodes(shape, periodic))
     center = nodes[len(nodes) // 2]          # the offset (1, ..., 1)
     share = sqrt_det_g[center] * measure / len(nodes)
     weight = np.zeros_like(sqrt_det_g)

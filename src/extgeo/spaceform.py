@@ -120,10 +120,6 @@ class Ambient:
         """Number of model coordinates (n for flat, n+1 on the hyperboloid)."""
         return self.n if self.kappa == 0.0 else self.n + 1
 
-    @property
-    def model(self) -> str:
-        return "cartesian" if self.kappa == 0.0 else "hyperboloid"
-
     def inner(self, u, v):
         """The ambient inner product (Lorentz one on the hyperboloid model)."""
         if self.kappa == 0.0:

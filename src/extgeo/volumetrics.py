@@ -6,9 +6,9 @@ r < t, which gives each cell its center density times its parameter
 measure, scaled by the fraction of its 3^m sub-lattice inside the ball.
 One sort of the radii and one ``searchsorted`` of the node values give
 every radius at once.  Sphere volumes are central differences of the ball
-curve with a step of two cells in radial units, which keeps the estimate
-consistent with the coarea relation without assuming smoothness of the
-discretized boundary.
+curve with a step of two cells in radial units (``MeshGraph.fd_step``),
+which keeps the estimate consistent with the coarea relation without
+assuming smoothness of the discretized boundary.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (DomainError, GeometryError, HypothesisViolatedError,
                      TruncationError)
 from .immersion import point_geometry, sectional_curvature
 from .invariants import InvariantReport
-from .mesh import RADIUS_CAP_FRACTION, MeshGraph, cell_nodes, ends_stability
+from .mesh import RADIUS_CAP_FRACTION, MeshGraph, ends_stability
 from .spaceform import model_volumes
 
 __all__ = ["VolumeCurve", "GapReport", "GrowthVerdict", "ball_volume",
@@ -39,21 +39,6 @@ CURVATURE_TOL = 1e-6
 
 def _radius_cap(mesh: MeshGraph) -> float:
     return RADIUS_CAP_FRACTION * mesh.r_reliable
-
-
-def _fd_step(mesh: MeshGraph) -> float:
-    """Two grid cells, in radial units (median over radially active cells)."""
-    nodes = cell_nodes(mesh.shape, mesh.periodic)
-    rmin = rmax = mesh.refined_r[next(nodes)]
-    for ix in nodes:
-        sub = mesh.refined_r[ix]
-        rmin, rmax = np.minimum(rmin, sub), np.maximum(rmax, sub)
-    spans = (rmax - rmin).reshape(-1)
-    spans = spans[spans > 0.0]
-    if spans.size == 0:
-        raise DomainError("no cell shows radial variation; the pole map "
-                          "appears constant on this mesh")
-    return 2.0 * float(np.median(spans))
 
 
 def _ball_values(mesh: MeshGraph, radii) -> np.ndarray:
@@ -85,7 +70,7 @@ def ball_volume(mesh: MeshGraph, t: float) -> float:
 def sphere_volume(mesh: MeshGraph, t: float) -> float:
     """Boundary volume of the extrinsic ball, as a central difference of
     the ball curve over two grid cells of radius."""
-    dr = _fd_step(mesh)
+    dr = mesh.fd_step
     if not t - dr > 0.0:
         raise DomainError(
             f"sphere radius {t:g} is too small for the difference step {dr:g}")
@@ -142,7 +127,7 @@ class VolumeCurve:
 def default_volume_radii(mesh: MeshGraph, n: int = 16) -> np.ndarray:
     """Radii spanning the reliable window with room for the sphere step."""
     cap = _radius_cap(mesh)
-    dr = _fd_step(mesh)
+    dr = mesh.fd_step
     hi = cap - 1.5 * dr
     lo = max(hi / 4.0, 2.0 * dr)
     if not lo < hi:
@@ -158,7 +143,7 @@ def volume_curve(mesh: MeshGraph, radii=None) -> VolumeCurve:
         raise DomainError("volume curve needs at least two radii")
     if np.any(np.diff(radii) <= 0.0):
         raise DomainError("volume radii must be strictly increasing")
-    dr = _fd_step(mesh)
+    dr = mesh.fd_step
     if not radii[0] - dr > 0.0:
         raise DomainError(
             f"first radius {radii[0]:g} is too small for the step {dr:g}")
@@ -355,6 +340,6 @@ def gap_ratio(mesh: MeshGraph, radii=None, samples: int = 48,
     for i, t in enumerate(radii):
         model_ball, _ = model_volumes(kappa, mesh.m, float(t))
         ratios[i] = ball[i] / model_ball
-    curve = Curve(radii, ratios, xlabel="t", ylabel="ball / model ball")
+    curve = Curve(radii, ratios)
     return GapReport(curve=curve, min_ratio=float(np.min(ratios)),
                      checked_points=checked)

@@ -4,9 +4,18 @@ The expensive lattice builds are session-scoped; tests treat them as
 immutable (MeshGraph mutators are only the lazy caches).
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 import extgeo as xg
+
+# child interpreters do not inherit pytest's ``pythonpath`` setting, so the
+# tests that start one find the package through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

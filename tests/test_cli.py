@@ -14,6 +14,7 @@ import pytest
 import extgeo.cli
 import extgeo.mesh
 from extgeo.cli import main
+from extgeo.mesh import MIN_RESOLUTION
 
 INLINE_PLANE = """
 m = 2; n = 3; ambient = euclidean;
@@ -273,6 +274,37 @@ def test_volume_payload_and_report_files(tmp_path):
     assert stored == pay
 
 
+# the report files README lists for each analysis command
+README_FILES = {
+    "invariants": ["invariants.json", "mesh.csv", "tails.csv"],
+    "volume": ["volume.csv", "volume.json"],
+    "ends": ["ends.csv", "ends.json"],
+    "curvature": ["curvature.csv", "curvature.json"],
+    "verify": ["verify.json"],
+}
+
+
+@pytest.mark.parametrize("command,params,resolution", [
+    ("invariants", {}, 13),
+    ("volume", {}, 33),
+    ("ends", {}, 13),
+    ("curvature", {"m": 3, "n": 4}, 9),
+    ("verify", {}, 13),
+])
+@pytest.mark.filterwarnings("ignore:growth bounds are stated:RuntimeWarning")
+def test_out_directory_holds_the_listed_files(tmp_path, command, params,
+                                              resolution):
+    cfg = write_config(tmp_path, {
+        "immersion": {"catalog": "flat-subspace", "params": params},
+        "resolution": resolution, "samples": 6})
+    out_dir = tmp_path / "reports"
+    code, out, err = run_cli([command, "--config", cfg,
+                              "--out", str(out_dir)])
+    assert code == 0, err
+    assert sorted(os.listdir(out_dir)) == README_FILES[command]
+    assert (out_dir / f"{command}.json").read_bytes() == out.encode()
+
+
 def test_volume_rejects_too_coarse_mesh():
     body = error_of(["volume", "--immersion", "flat-subspace",
                      "--resolution", "17"], expect_code=3)
@@ -480,6 +512,25 @@ def test_resolution_flag_malformed():
     body = error_of(["invariants", "--immersion", "flat-subspace",
                      "--resolution", "abc"], expect_code=2)
     assert body["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("resolution,flags,low", [
+    (9, ["--resolution", "0"], 0),
+    (9, ["--resolution", "2"], 2),
+    (9, ["--resolution", "5,0"], 0),
+    (9, ["--resolution", "-3"], -3),
+    (2, [], 2),
+    ([9, 2], [], 2),
+], ids=["flag-zero", "flag-two", "flag-list", "flag-negative",
+        "config-two", "config-list"])
+def test_resolution_below_the_minimum_is_a_config_error(tmp_path, resolution,
+                                                        flags, low):
+    cfg = write_config(tmp_path, {"immersion": {"catalog": "flat-subspace"},
+                                  "resolution": resolution})
+    body = error_of(["invariants", "--config", cfg, *flags], expect_code=2)
+    assert body["error"] == "ConfigError"
+    assert body["message"] == (
+        f"resolution {low} is below the minimum {MIN_RESOLUTION}")
 
 
 def test_resolution_rank_mismatch():

@@ -9,7 +9,7 @@ import pytest
 import extgeo as xg
 from extgeo.errors import (DomainError, GeometryError,
                            HypothesisViolatedError, TruncationError)
-from extgeo.volumetrics import _ball_values, _fd_step
+from extgeo.volumetrics import _ball_values
 
 from oracles import cell_fraction_ball_volumes, cell_r_spans
 
@@ -51,7 +51,7 @@ def test_ball_values_match_the_cell_fraction_formula(name, params, resolution):
     np.testing.assert_allclose(_ball_values(mesh, radii), expect,
                                rtol=1e-12, atol=0.0)
     spans = cell_r_spans(mesh)
-    assert _fd_step(mesh) == 2.0 * float(np.median(spans[spans > 0.0]))
+    assert mesh.fd_step == 2.0 * float(np.median(spans[spans > 0.0]))
 
 
 def test_coarea_deviation_is_inf_without_a_warning():
