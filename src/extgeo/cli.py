@@ -6,7 +6,7 @@ Config schema (all keys optional unless marked):
       "immersion": {"catalog": "<name>", "params": {...}}     (required)
                    | {"source": "<chart source text>"},
       "resolution": 33 | [200, 64],                           (required)
-      "pole": null | [ambient coordinates],
+      "pole": null | [n model coordinates; n+1 on the hyperboloid],
       "truncation": null | positive number (catalog override),
       "exhaustion_radii": null | [increasing positive reals],
       "volume_radii": null | [increasing positive reals],
@@ -27,9 +27,9 @@ payload sections, then, with ``--out``, write the body's report files and
 values are merged into the config object before it is validated, so they
 pass exactly the checks that the config keys pass.
 
-Exit codes: 0 success, 1 verification checks failed, 2 malformed config,
-3 numeric pipeline failure.  Errors print one JSON object on stderr.
-Identical configs produce byte-identical output files.
+Exit codes: 0 success, 1 verification checks failed, 2 malformed config
+(a pole off the model too), 3 numeric pipeline failure.  Errors print one
+JSON object on stderr; identical configs give byte-identical output files.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from .catalog import CATALOG, catalog_build
-from .errors import (ConfigError, DomainError, ExtGeoError,
+from .errors import (ConfigError, DomainError, ExtGeoError, GeometryError,
                      HypothesisViolatedError, ParseError)
 from .exprchart import parse_chart
 from .immersion import ambient_of, extrinsic_sphere_curvature, point_geometry
@@ -450,6 +450,12 @@ def _run(args) -> dict:
     with ``--out``, its report files."""
     cfg = _config_from_args(args)
     chart, gt, desc = _build_immersion(cfg)
+    try:
+        pole = ambient_of(chart, cfg.pole).pole
+    except (DomainError, GeometryError) as exc:
+        raise ConfigError(f"pole: {exc}")
+    # later stages take the checked pole instead of the basepoint's image
+    cfg = replace(cfg, pole=pole)
     if args.command == "curvature":
         header, subject = {"immersion": desc}, chart
     else:

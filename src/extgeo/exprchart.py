@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .errors import DomainError, EvaluationError, ParseError
+from .errors import DomainError, EvaluationError, GeometryError, ParseError
 from .jets import Jet2
-from .spaceform import lorentz_inner
+from .spaceform import Ambient
 
 __all__ = ["parse_chart", "ChartSpec", "ChartBase", "check_point",
            "eval_chart", "Lit", "Var", "ConstRef", "Unary", "Binary", "Call"]
@@ -45,7 +45,8 @@ FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "sinh", "cosh", "tanh")
 _KEYWORDS = {"m", "n", "ambient", "domain", "const", "basepoint",
              "euclidean", "hyperbolic", "in", "periodic"}
 
-HYPERBOLOID_SAMPLE_TOL = 1e-8
+# relative slack of the domain box in ``ChartBase.contains``
+DOMAIN_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +353,6 @@ class ChartBase:
     # margin faces are not mistaken for ends or for the reliable-window cap.
     truncation_axes = None
 
-    @property
-    def ambient_ncoords(self) -> int:
-        return self.n if self.kappa == 0.0 else self.n + 1
-
     def truncation_axis_flags(self) -> list:
         if self.truncation_axes is None:
             return [not p for p in self.periodic]
@@ -373,13 +370,13 @@ class ChartBase:
         out = self.eval_jets(jets.seed_point(points))
         return np.stack([j.value for j in out], axis=-1)
 
-    def contains(self, point, tol=1e-9) -> bool:
+    def contains(self, point) -> bool:
         point = np.asarray(point, dtype=float)
         for axis in range(self.m):
             if self.periodic[axis]:
                 continue
             lo, hi = self.domain[axis]
-            slack = tol * (hi - lo)
+            slack = DOMAIN_SLACK * (hi - lo)
             x = point[..., axis]
             if np.any(x < lo - slack) or np.any(x > hi + slack):
                 return False
@@ -658,7 +655,8 @@ def _finalize(decl, coords, domains, const_order, const_asts, basepoint_asts, na
         raise ParseError("hyperbolic ambient needs kappa < 0",
                          kappa_tok.line, kappa_tok.col)
 
-    ncoords = n if kappa == 0.0 else n + 1
+    amb = Ambient(n, kappa)
+    ncoords = amb.ncoords
     missing = [k for k in range(1, ncoords + 1) if k not in coords]
     extra = [k for k in coords if k > ncoords]
     if missing or extra:
@@ -707,11 +705,11 @@ def _finalize(decl, coords, domains, const_order, const_asts, basepoint_asts, na
     if not spec.contains(spec.basepoint):
         raise ParseError("basepoint lies outside the declared domain")
     if kappa < 0.0:
-        _check_hyperboloid_samples(spec)
+        _check_hyperboloid_samples(spec, amb)
     return spec
 
 
-def _check_hyperboloid_samples(spec: ChartSpec):
+def _check_hyperboloid_samples(spec: ChartSpec, amb: Ambient):
     """Hyperboloid-model charts must actually land on the sheet."""
     axes = []
     for i, (lo, hi) in enumerate(spec.domain):
@@ -720,13 +718,7 @@ def _check_hyperboloid_samples(spec: ChartSpec):
         else:
             axes.append(np.linspace(lo, hi, 5))
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.m)
-    pos = spec.eval_positions(grid)
-    residual = np.abs(lorentz_inner(pos, pos) - 1.0 / spec.kappa)
-    scale = max(1.0, 1.0 / abs(spec.kappa))
-    worst = float(np.max(residual))
-    if worst > HYPERBOLOID_SAMPLE_TOL * scale:
-        raise ParseError(
-            "coordinates do not satisfy the hyperboloid constraint "
-            f"(worst sampled residual {worst:.3e})")
-    if np.any(pos[..., -1] <= 0.0):
-        raise ParseError("coordinates land on the wrong hyperboloid sheet")
+    try:
+        amb.check_point(spec.eval_positions(grid))
+    except GeometryError as exc:
+        raise ParseError(f"chart coordinates at sampled points: {exc}")

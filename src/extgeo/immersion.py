@@ -3,6 +3,8 @@
 Everything here is derived from second-order jets of a chart: the induced
 metric, the second fundamental form and its norm, and the split of the
 ambient radial gradient into parts tangent and normal to the submanifold.
+The distance to the pole and its ambient gradient come from
+``spaceform.pole_field``; this module only splits the gradient.
 Bulk evaluation over large point sets is chunked, and the chunks run on a
 thread pool; the result does not depend on the chunk size.
 """
@@ -20,7 +22,7 @@ from . import jets
 from .errors import (CriticalPointError, DegeneratePlaneError, DomainError,
                      GeometryError)
 from .exprchart import ChartBase, check_point
-from .spaceform import Ambient, c_kappa, euclidean, hyperbolic, s_kappa
+from .spaceform import Ambient, c_kappa, pole_field, s_kappa
 
 __all__ = ["PointGeometry", "ambient_of", "point_geometry", "grid_geometry",
            "sectional_curvature", "extrinsic_sphere_curvature",
@@ -28,8 +30,6 @@ __all__ = ["PointGeometry", "ambient_of", "point_geometry", "grid_geometry",
 
 # immersion rank tolerance: reject charts whose metric is this close to singular
 RANK_TOL = 1e-10
-# below this ambient distance a point counts as the pole itself
-POLE_TOL = 1e-13
 # |grad_M r| below this means the radial function is critical at the point
 CRITICAL_TOL = 1e-8
 PLANE_TOL = 1e-8
@@ -100,9 +100,7 @@ def ambient_of(chart: ChartBase, pole=None) -> Ambient:
     at the basepoint's image."""
     if pole is None:
         pole = chart.eval_positions(chart.basepoint)
-    if chart.kappa == 0.0:
-        return euclidean(chart.n, pole=pole)
-    return hyperbolic(chart.n, chart.kappa, pole=pole)
+    return Ambient(chart.n, chart.kappa, pole)
 
 
 # ---------------------------------------------------------------------------
@@ -182,37 +180,20 @@ def _first_rank_defect(g, pts):
 
 
 def _radial_split(amb, pos, jac, ginv, keep_vectors):
-    """Distance to the pole and the tangent/normal split of its gradient.
+    """Distance to the pole (``spaceform.pole_field``) and the split of its
+    ambient gradient into parts tangent and normal to the submanifold.
 
     At the pole itself the gradient has no limit, but its tangential norm
     tends to 1 and the normal norm to 0; those limits are substituted.
     """
+    r, grad_amb, at_pole = pole_field(amb, pos)
     eta = amb.signature()
-    if amb.kappa == 0.0:
-        d = pos - amb.pole
-        r = np.sqrt(np.einsum("...a,...a->...", d, d))
-        at_pole = r <= POLE_TOL
-        safe_r = np.where(at_pole, 1.0, r)
-        grad_amb = d / safe_r[..., None]
-    else:
-        c = amb.kappa * np.einsum("...a,a,a->...", pos, eta, amb.pole,
-                                  optimize=True)
-        c = np.maximum(c, 1.0)
-        sk = np.sqrt(-amb.kappa)
-        u = c - 1.0
-        r = np.log1p(u + np.sqrt(u * (u + 2.0))) / sk
-        at_pole = r <= POLE_TOL
-        denom = np.sqrt(np.maximum(c * c - 1.0, 0.0))
-        safe = np.where(at_pole, 1.0, denom)
-        grad_amb = sk * (c[..., None] * pos - amb.pole) / safe[..., None]
-
     dr = np.einsum("...ai,a,...a->...i", jac, eta, grad_amb, optimize=True)
     coeffs = (ginv @ dr[..., None])[..., 0]
     tan_sq = np.einsum("...i,...i->...", dr, coeffs)
     tan_sq = np.clip(tan_sq, 0.0, 1.0)
     tan_norm = np.where(at_pole, 1.0, np.sqrt(tan_sq))
     perp_norm = np.where(at_pole, 0.0, np.sqrt(1.0 - tan_sq))
-    r = np.where(at_pole, 0.0, r)
 
     grad_M = grad_perp = None
     if keep_vectors:

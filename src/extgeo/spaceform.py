@@ -13,6 +13,10 @@ The module provides the comparison functions S_kappa, C_kappa, the distance
 to a fixed pole together with its gradient and Hessian, geodesics (used by
 finite-difference checks), and the volumes of metric balls and spheres in
 the constant-curvature models.
+
+``pole_field`` is the one formula for r and its unit gradient, behind the
+meshes and ``ambient_distance``/``radial_gradient`` alike, with the one pole
+rule: a point with r <= ``POLE_TOL`` is the pole, where both read 0.
 """
 
 from __future__ import annotations
@@ -27,13 +31,17 @@ from .errors import DomainError, GeometryError, SingularityError
 
 __all__ = [
     "Ambient", "euclidean", "hyperbolic", "s_kappa", "c_kappa", "omega_m",
-    "lorentz_inner", "ambient_distance", "radial_gradient",
+    "lorentz_inner", "pole_field", "ambient_distance", "radial_gradient",
     "distance_gradient_hessian", "geodesic", "model_volumes",
     "gauss_legendre",
 ]
 
 # Residual tolerance for membership in the hyperboloid sheet.
 HYPERBOLOID_TOL = 1e-8
+# below this distance a point counts as the pole itself
+POLE_TOL = 1e-13
+# relative Lorentz residual below which a direction counts as tangent
+TANGENT_TOL = 1e-6
 
 # Nodes of the Gauss-Legendre rule used for smooth 1-D integrals.
 GAUSS_NODES = 64
@@ -132,7 +140,7 @@ class Ambient:
             eta[-1] = -1.0
         return eta
 
-    def check_point(self, p, tol=HYPERBOLOID_TOL):
+    def check_point(self, p):
         """Verify p lies in the model (no-op for Cartesian space)."""
         p = np.asarray(p, dtype=float)
         if p.shape[-1] != self.ncoords:
@@ -142,7 +150,7 @@ class Ambient:
             return
         residual = np.abs(lorentz_inner(p, p) - 1.0 / self.kappa)
         scale = max(1.0, 1.0 / abs(self.kappa))
-        if np.any(residual > tol * scale):
+        if np.any(residual > HYPERBOLOID_TOL * scale):
             raise GeometryError(
                 f"point off the hyperboloid sheet (residual {float(np.max(residual)):.3e})")
         if np.any(p[..., -1] <= 0.0):
@@ -167,15 +175,35 @@ def hyperbolic(n: int, kappa: float = -1.0, pole=None) -> Ambient:
     return Ambient(n, kappa, pole)
 
 
+def pole_field(amb: Ambient, p):
+    """``(r, grad, at_pole)`` for a batch of model points (..., ncoords):
+    the distance to the pole, its unit ambient gradient, and the mask of
+    points within ``POLE_TOL`` of the pole, where r and grad are 0."""
+    p = np.asarray(p, dtype=float)
+    if amb.kappa == 0.0:
+        d = p - amb.pole
+        r = np.sqrt(np.einsum("...a,...a->...", d, d))
+        at_pole = r <= POLE_TOL
+        grad = d / np.where(at_pole, 1.0, r)[..., None]
+    else:
+        c = amb.kappa * np.einsum("...a,a,a->...", p, amb.signature(),
+                                  amb.pole, optimize=True)
+        c = np.maximum(c, 1.0)
+        sk = np.sqrt(-amb.kappa)
+        r = _acosh_stable(c) / sk
+        at_pole = r <= POLE_TOL
+        denom = np.sqrt(np.maximum(c * c - 1.0, 0.0))
+        grad = (sk * (c[..., None] * p - amb.pole)
+                / np.where(at_pole, 1.0, denom)[..., None])
+    r = np.where(at_pole, 0.0, r)
+    grad = np.where(at_pole[..., None], 0.0, grad)
+    return r, grad, at_pole
+
+
 def ambient_distance(amb: Ambient, p):
     """Distance from the pole, for a single point or a batch (..., ncoords)."""
-    p = np.asarray(p, dtype=float)
     amb.check_point(p)
-    if amb.kappa == 0.0:
-        out = np.linalg.norm(p - amb.pole, axis=-1)
-        return out if out.ndim else float(out)
-    c = np.maximum(amb.kappa * lorentz_inner(p, amb.pole), 1.0)
-    out = _acosh_stable(c) / math.sqrt(-amb.kappa)
+    out = pole_field(amb, p)[0]
     return out if out.ndim else float(out)
 
 
@@ -185,22 +213,13 @@ def radial_gradient(amb: Ambient, p):
     Undefined at the pole itself; batched callers should mask that vertex
     before asking.
     """
-    p = np.asarray(p, dtype=float)
-    if amb.kappa == 0.0:
-        d = p - amb.pole
-        r = np.linalg.norm(d, axis=-1)
-        if np.any(r == 0.0):
-            raise SingularityError("radial gradient undefined at the pole")
-        return d / r[..., None]
-    c = np.maximum(amb.kappa * lorentz_inner(p, amb.pole), 1.0)
-    s = np.sqrt(np.maximum(c * c - 1.0, 0.0))
-    if np.any(s == 0.0):
+    _, grad, at_pole = pole_field(amb, p)
+    if np.any(at_pole):
         raise SingularityError("radial gradient undefined at the pole")
-    rk = math.sqrt(-amb.kappa)
-    return -rk * (amb.pole - c[..., None] * p) / s[..., None]
+    return grad
 
 
-def distance_gradient_hessian(amb: Ambient, p, u, v, tangent_tol=1e-6):
+def distance_gradient_hessian(amb: Ambient, p, u, v):
     """Gradient of r at p together with Hess r(u, v).
 
     u and v must be tangent at p (automatic in Cartesian space).  The
@@ -217,7 +236,7 @@ def distance_gradient_hessian(amb: Ambient, p, u, v, tangent_tol=1e-6):
         scale = math.sqrt(max(float(amb.inner(u, u)), float(amb.inner(v, v)), 1.0))
         pl = 1.0 / math.sqrt(-amb.kappa)
         for w in (u, v):
-            if abs(float(lorentz_inner(w, p))) > tangent_tol * scale * pl:
+            if abs(float(lorentz_inner(w, p))) > TANGENT_TOL * scale * pl:
                 raise DomainError("direction is not tangent to the hyperboloid at p")
     coeff = c_kappa(amb.kappa, r) / s_kappa(amb.kappa, r)
     hess = coeff * (amb.inner(u, v) - amb.inner(grad, u) * amb.inner(grad, v))

@@ -202,7 +202,9 @@ def verify_growth_bounds(mesh: MeshGraph, report: InvariantReport,
     end count with the bending estimate: flat ambients take the end count
     inflated by powers of (1 - 4a^2) and (1 - a^2), negatively curved ones
     compare both ratios directly against the end count.  Hypothesis
-    failures return an inconclusive verdict with the reason spelled out.
+    failures, and a final-quarter minimum that is not positive and finite
+    (it would satisfy any bound vacuously), return an inconclusive verdict
+    with the reason spelled out.
     """
     kappa = mesh.vertices.kappa
     m = mesh.m
@@ -213,22 +215,17 @@ def verify_growth_bounds(mesh: MeshGraph, report: InvariantReport,
             "exploratory mode", RuntimeWarning, stacklevel=2)
 
     a = report.a_estimate
-    if kappa == 0.0:
-        if not (report.flags["tamed"] and a < 0.5):
-            return GrowthVerdict(
-                verdict="inconclusive",
-                reason="hypothesis a(M) < 1/2 fails",
-                rows=[], exploratory=exploratory,
-                ends=-1 if ends is None else int(ends),
-                a_estimate=float(a))
-    else:
-        if not report.flags["strongly_tamed"]:
-            return GrowthVerdict(
-                verdict="inconclusive",
-                reason="hypothesis b(M) < infinity fails",
-                rows=[], exploratory=exploratory,
-                ends=-1 if ends is None else int(ends),
-                a_estimate=float(a))
+
+    def inconclusive(reason):
+        return GrowthVerdict(verdict="inconclusive", reason=reason, rows=[],
+                             exploratory=exploratory,
+                             ends=-1 if ends is None else int(ends),
+                             a_estimate=float(a))
+
+    if kappa == 0.0 and not (report.flags["tamed"] and a < 0.5):
+        return inconclusive("hypothesis a(M) < 1/2 fails")
+    if kappa != 0.0 and not report.flags["strongly_tamed"]:
+        return inconclusive("hypothesis b(M) < infinity fails")
 
     if ends is None:
         stab = ends_stability(mesh)
@@ -248,13 +245,17 @@ def verify_growth_bounds(mesh: MeshGraph, report: InvariantReport,
         rhs_sphere = float(ends)
         rhs_ball = float(ends)
 
-    quarter = max(1, int(np.ceil(len(curve.radii) / 4.0)))
-    lhs_sphere = float(np.min(curve.sphere_ratio[-quarter:]))
-    lhs_ball = float(np.min(curve.ball_ratio[-quarter:]))
+    liminf = {name: Curve(curve.radii, getattr(curve, name)).tail_min()
+              for name in ("sphere_ratio", "ball_ratio")}
+    # a liminf of 0 (or a non-finite one) would meet any bound vacuously
+    bad = [f"{name} {v!r}" for name, v in liminf.items() if not 0.0 < v < math.inf]
+    if bad:
+        return inconclusive("final-quarter minimum not positive and finite: "
+                            + ", ".join(bad))
 
     rows = []
-    for name, lhs, rhs in (("sphere_ratio", lhs_sphere, rhs_sphere),
-                           ("ball_ratio", lhs_ball, rhs_ball)):
+    for name, rhs in (("sphere_ratio", rhs_sphere), ("ball_ratio", rhs_ball)):
+        lhs = liminf[name]
         ok = lhs <= rhs * (1.0 + GROWTH_SLACK)
         rows.append({"quantity": name, "lhs": lhs, "rhs": rhs,
                      "margin": rhs - lhs, "satisfied": bool(ok)})

@@ -445,6 +445,21 @@ def test_non_finite_numbers_are_config_errors(tmp_path, extra, flags):
     assert "finite" in body["message"]
 
 
+@pytest.mark.parametrize("command", ["ends", "invariants"])
+@pytest.mark.parametrize("catalog,pole,needle", [
+    ("catenoid", [0.0, 0.0], "3 coordinates"),
+    ("totally-geodesic", [0.0, 0.0, 0.0, 0.0], "off the hyperboloid"),
+    ("totally-geodesic", [0.0, 0.0, 0.0, -1.0], "wrong sheet"),
+], ids=["wrong-length", "off-sheet", "lower-sheet"])
+def test_bad_pole_is_a_config_error(tmp_path, command, catalog, pole, needle):
+    cfg = write_config(tmp_path, {
+        "immersion": {"catalog": catalog}, "resolution": 9, "pole": pole})
+    body = error_of([command, "--config", cfg], expect_code=2)
+    assert body["error"] == "ConfigError"
+    assert body["message"].startswith("pole: ")
+    assert needle in body["message"]
+
+
 @pytest.mark.parametrize("key", ["exhaustion_radii", "volume_radii"])
 @pytest.mark.parametrize("radii", [[1.0, 0.5], [0.5, 0.5], [-1.0, 0.5],
                                    [0.0, 0.5]],

@@ -138,7 +138,7 @@ def test_hyperbolic_chart_accepts_geodesic():
            "x1 = sinh(u1); x2 = 0; x3 = cosh(u1); "
            "domain u1 in [-2, 2]; basepoint 0")
     chart = xg.parse_chart(src)
-    assert chart.ambient_ncoords == 3
+    assert xg.ambient_of(chart).ncoords == 3
     pos = chart.eval_positions(np.array([0.7]))
     assert xg.lorentz_inner(pos, pos) == pytest.approx(-1.0, abs=1e-12)
 

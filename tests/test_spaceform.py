@@ -107,6 +107,35 @@ def test_hyperbolic_pole_must_lie_on_sheet():
         xg.hyperbolic(2, -1.0, pole=[1.0, 0.0, 1.0])
 
 
+# -- one formula for meshes and model ---------------------------------------
+
+@pytest.mark.parametrize("name,params,resolution", [
+    ("rotation-hypersurface", {"n": 3}, [5, 8, 21]),
+    ("catenoid", {}, [21, 16]),
+    ("totally-geodesic", {"m": 3, "n": 4}, 9),
+], ids=["rotation3", "catenoid", "tg3"])
+def test_mesh_radial_field_is_the_model_formula(name, params, resolution):
+    chart, _gt = xg.catalog_build(name, **params)
+    mesh = xg.build_mesh(chart, resolution)
+    positions = chart.eval_positions(mesh.points)
+    assert np.array_equal(xg.ambient_distance(mesh.amb, positions), mesh.r)
+
+    geom = xg.grid_geometry(chart, mesh.points, keep_vectors=True,
+                            amb=mesh.amb)
+    away = ~geom.at_pole
+    split = (geom.grad_M_r + geom.grad_perp_r)[away]
+    grad = radial_gradient(mesh.amb, positions[away])
+    assert np.max(np.abs(grad - split)) <= 1e-15
+
+
+def test_points_within_pole_tolerance_are_the_pole():
+    amb = xg.euclidean(3)
+    p = amb.pole + np.array([1e-14, 0.0, 0.0])
+    assert xg.ambient_distance(amb, p) == 0.0
+    with pytest.raises(SingularityError):
+        radial_gradient(amb, p)
+
+
 # -- gradient and Hessian of r ----------------------------------------------
 
 def test_radial_gradient_flat():

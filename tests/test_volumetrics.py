@@ -196,6 +196,20 @@ def test_growth_bounds_catenoid_counts_both_ends(catenoid_mesh):
     assert rows["ball_ratio"]["rhs"] == pytest.approx(2.0, abs=0.01)
 
 
+def test_growth_bounds_refuse_a_vanishing_ratio():
+    # at 81x24 one final-quarter sphere radius catches no cell, so the
+    # sphere ratio reads 0 there and would pass any upper bound
+    chart, _gt = xg.catalog_build("catenoid")
+    mesh = xg.build_mesh(chart, [81, 24])
+    curve = xg.volume_curve(mesh)
+    assert xg.Curve(curve.radii, curve.sphere_ratio).tail_min() == 0.0
+    with pytest.warns(RuntimeWarning, match="exploratory"):
+        verdict = xg.verify_growth_bounds(mesh, tails_for(mesh), curve=curve)
+    assert verdict.verdict == "inconclusive"
+    assert "sphere_ratio" in verdict.reason
+    assert verdict.rows == []
+
+
 def test_growth_bounds_accept_precomputed_pieces(flat2_mesh):
     report = tails_for(flat2_mesh)
     curve = xg.volume_curve(flat2_mesh)
