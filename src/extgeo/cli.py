@@ -21,9 +21,9 @@ Each resolution entry must be at least ``mesh.MIN_RESOLUTION``.
 
 Every analysis command runs through one pipeline, ``_run``: validate the
 config, build the immersion, build the mesh (``curvature`` samples the chart
-instead), run the command body, merge the mesh header into the body's
-payload sections, then, with ``--out``, write the body's report files and
-``<command>.json``.  The ``--resolution``, ``--truncation`` and ``--seed``
+instead), run the command body, merge the mesh header and the warnings
+raised on the way (``warnings``) into the body's payload sections, then,
+with ``--out``, write the body's report files and ``<command>.json``.  The ``--resolution``, ``--truncation`` and ``--seed``
 values are merged into the config object before it is validated, so they
 pass exactly the checks that the config keys pass.
 
@@ -39,6 +39,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -48,7 +49,8 @@ from .catalog import CATALOG, catalog_build
 from .errors import (ConfigError, DomainError, ExtGeoError, GeometryError,
                      HypothesisViolatedError, ParseError)
 from .exprchart import parse_chart
-from .immersion import ambient_of, extrinsic_sphere_curvature, point_geometry
+from .immersion import (DEFAULT_CHUNK, ambient_of, extrinsic_sphere_curvature,
+                        grid_geometry)
 from .invariants import (DeltaModel, default_tail_radii, invariant_tails,
                          pinching_functions, threshold_c_star)
 from .mesh import (EPSILON_CRIT, MIN_RESOLUTION, build_mesh,
@@ -339,6 +341,30 @@ def run_ends(cfg: RunConfig, mesh, gt):
         rows=zip(stab["radii"], stab["counts"]))}
 
 
+def _curvature_rows(chart, pts, amb):
+    """``(ok, columns)``: the mask of the candidates with a distance sphere
+    and, for those, r, exact, lower, upper, valid and cond(g) (None if
+    there are none).  A block whose geometry fails is split in halves
+    until each failure is one point."""
+    try:
+        geom = grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True,
+                             amb=amb)
+    except ExtGeoError:
+        if len(pts) == 1:
+            return np.zeros(1, dtype=bool), None
+        parts = [_curvature_rows(chart, half, amb)
+                 for half in np.array_split(pts, 2)]
+        cols = [c for _, c in parts if c is not None]
+        return (np.concatenate([ok for ok, _ in parts]),
+                [np.concatenate(c) for c in zip(*cols)] if cols else None)
+    exact, bad = extrinsic_sphere_curvature(geom, mode="exact")
+    lower, upper, valid, bad_bounds = extrinsic_sphere_curvature(
+        geom, mode="bounds")
+    ok = ~(bad | bad_bounds)
+    return ok, [col[ok] for col in (geom.r, exact, lower, upper, valid,
+                                    np.linalg.cond(geom.metric))]
+
+
 def run_curvature(cfg: RunConfig, chart, gt):
     if chart.m < 3:
         raise DomainError(
@@ -346,35 +372,42 @@ def run_curvature(cfg: RunConfig, chart, gt):
             f"(chart has m = {chart.m})")
     rng = np.random.default_rng(cfg.seed)
     amb = ambient_of(chart, cfg.pole)
-    lows = np.array([chart.domain[i][0] for i in range(chart.m)])
-    spans = np.array([chart.domain[i][1] - chart.domain[i][0]
-                      for i in range(chart.m)])
-    rows = []
-    skipped = 0
-    attempts = 0
-    while len(rows) < cfg.samples and attempts < 20 * cfg.samples:
-        attempts += 1
-        pt = lows + spans * rng.uniform(0.02, 0.98, size=chart.m)
-        try:
-            geom = point_geometry(chart, pt, amb=amb)
-            exact = extrinsic_sphere_curvature(geom, mode="exact")
-            lower, upper, valid = extrinsic_sphere_curvature(geom, mode="bounds")
-        except ExtGeoError:
-            skipped += 1
-            continue
-        rows.append([*(float(c) for c in pt), float(geom.r), exact,
-                     lower, upper, valid])
-    if not rows:
+    lows, highs = np.array(chart.domain).T
+    budget = 20 * cfg.samples
+    rounds, kept, attempts = [], 0, 0
+    # each round draws the shortfall, at most DEFAULT_CHUNK points, so
+    # memory stays bounded and the candidates are those one draw per
+    # attempt would give
+    while kept < cfg.samples and attempts < budget:
+        k = min(cfg.samples - kept, DEFAULT_CHUNK, budget - attempts)
+        attempts += k
+        pts = lows + (highs - lows) * rng.uniform(0.02, 0.98,
+                                                  size=(k, chart.m))
+        ok, cols = _curvature_rows(chart, pts, amb)
+        if cols is not None:
+            rounds.append([pts[ok], *cols])
+            kept += len(cols[0])
+    if not kept:
         raise DomainError("no admissible sample points for curvature rows")
-    sections = {"samples": len(rows), "skipped": skipped,
-                "header": [f"u{i + 1}" for i in range(chart.m)]
-                + ["r", "exact", "lower", "upper", "valid"]}
-    sandwich = [r for r in rows if r[-1]]
-    sections["admissible"] = len(sandwich)
-    sections["sandwich_ok"] = sum(
-        1 for r in sandwich if r[-4] >= r[-3] - 1e-9 and r[-4] <= r[-2] + 1e-9)
+    pts, r, exact, lower, upper, valid, cond = (
+        np.concatenate(col) for col in zip(*rounds))
+    # the median from one sort: np.median's first call adds ~1 MB of peak
+    # memory to a run of a few tens of MB
+    cond = np.sort(cond)
+    sections = {
+        "samples": kept, "skipped": attempts - kept,
+        "header": [f"u{i + 1}" for i in range(chart.m)]
+        + ["r", "exact", "lower", "upper", "valid"],
+        "admissible": int(np.count_nonzero(valid)),
+        "sandwich_ok": int(np.count_nonzero(
+            valid & (exact >= lower - 1e-9) & (exact <= upper + 1e-9))),
+        "metric_cond": {"max": float(cond[-1]), "median": float(
+            0.5 * (cond[(kept - 1) // 2] + cond[kept // 2]))},
+    }
+    columns = [*pts.T, r, exact, lower, upper, valid]
     return sections, {"curvature.csv": partial(
-        write_csv, header=sections["header"], rows=rows)}
+        write_csv, header=sections["header"],
+        rows=zip(*(col.tolist() for col in columns)))}
 
 
 def run_verify(cfg: RunConfig, mesh, gt):
@@ -449,21 +482,26 @@ def _run(args) -> dict:
     """One analysis command, from the command line to its payload and,
     with ``--out``, its report files."""
     cfg = _config_from_args(args)
-    chart, gt, desc = _build_immersion(cfg)
-    try:
-        pole = ambient_of(chart, cfg.pole).pole
-    except (DomainError, GeometryError) as exc:
-        raise ConfigError(f"pole: {exc}")
-    # later stages take the checked pole instead of the basepoint's image
-    cfg = replace(cfg, pole=pole)
-    if args.command == "curvature":
-        header, subject = {"immersion": desc}, chart
-    else:
-        # through the module global, so callers can wrap the mesh build
-        subject = build_mesh(chart, cfg.resolution, pole=cfg.pole)
-        header = _mesh_header(subject, desc)
-    sections, files = _COMMANDS[args.command](cfg, subject, gt)
-    payload = {**header, **sections}
+    # warnings go into the payload, not to stderr with a source line; the
+    # filters stay as they are, so a repeated warning is recorded once
+    with warnings.catch_warnings(record=True) as caught:
+        chart, gt, desc = _build_immersion(cfg)
+        try:
+            pole = ambient_of(chart, cfg.pole).pole
+        except (DomainError, GeometryError) as exc:
+            raise ConfigError(f"pole: {exc}")
+        # later stages take the checked pole instead of the basepoint's image
+        cfg = replace(cfg, pole=pole)
+        if args.command == "curvature":
+            header, subject = {"immersion": desc}, chart
+        else:
+            # through the module global, so callers can wrap the mesh build
+            subject = build_mesh(chart, cfg.resolution, pole=cfg.pole)
+            header = _mesh_header(subject, desc)
+        sections, files = _COMMANDS[args.command](cfg, subject, gt)
+    payload = {**header, **sections, "warnings": [
+        {"category": w.category.__name__, "message": str(w.message)}
+        for w in caught]}
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         for name, write in files.items():

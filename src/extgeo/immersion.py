@@ -6,7 +6,9 @@ ambient radial gradient into parts tangent and normal to the submanifold.
 The distance to the pole and its ambient gradient come from
 ``spaceform.pole_field``; this module only splits the gradient.
 Bulk evaluation over large point sets is chunked, and the chunks run on a
-thread pool; the result does not depend on the chunk size.
+thread pool; the result does not depend on the chunk size.  The curvature
+functions take a geometry of any batch shape: a batch gets arrays and a
+mask of the points that failed, a single point a float or a typed error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 
 import numpy as np
 
@@ -67,10 +70,6 @@ class PointGeometry:
     @property
     def batch_shape(self):
         return self.points.shape[:-1]
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.batch_shape, dtype=int))
 
     @property
     def norm_alpha(self) -> np.ndarray:
@@ -245,8 +244,13 @@ def grid_geometry(chart: ChartBase, points, keep_alpha=False,
         return _geometry_block(chart, amb, flat[lo:lo + chunk], keep_alpha,
                                keep_vectors, keep_positions)
 
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        blocks = list(pool.map(run, range(0, n_pts, chunk)))
+    if n_pts <= chunk:
+        # one block: a worker thread would only add its stack and malloc
+        # arena to the peak memory
+        blocks = [run(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+            blocks = list(pool.map(run, range(0, n_pts, chunk)))
     geom = blocks[0]
     if len(blocks) > 1:
         geom = geom.map_arrays(
@@ -258,49 +262,112 @@ def grid_geometry(chart: ChartBase, points, keep_alpha=False,
 
 
 # ---------------------------------------------------------------------------
-# curvature at a point
+# curvature over a batch of points
+#
+# Each public function below runs one kernel on a geometry of any batch
+# shape.  The kernel computes every point and lists its checks as (mask,
+# error class, message) in the order one point is tested.  A batch gets the
+# value arrays plus the mask of failed points, where the values mean
+# nothing; one point gets Python scalars, or the error of its first check.
 
-def _require_single(geom: PointGeometry, what: str):
-    if geom.batch_shape != ():
-        raise DomainError(f"{what} works on a single-point geometry")
+def _need_alpha(geom: PointGeometry, what: str):
     if geom.alpha is None or geom.jacobian is None:
-        raise DomainError(f"{what} needs geometry from point_geometry "
-                          "(second fundamental form kept)")
+        raise DomainError(f"{what} needs geometry with the second fundamental "
+                          "form kept")
+
+
+def _finish(kernel, *args):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values, checks = kernel(*args)
+    failed = reduce(np.logical_or, [mask for mask, _, _ in checks])
+    if failed.ndim:
+        return (*values, failed)
+    for mask, err, msg in checks:
+        if mask:
+            raise err(msg)
+    values = [v.item() if v.ndim == 0 else v for v in values]
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+def _g(u, g, v) -> np.ndarray:
+    """Metric inner product g(u, v) over broadcast batches."""
+    return np.einsum("...i,...ij,...j->...", u, g, v)
 
 
 def _alpha_on(geom: PointGeometry, x, y) -> np.ndarray:
     """Second fundamental form on two chart-coefficient vectors."""
-    return np.einsum("aij,i,j->a", geom.alpha, x, y, optimize=True)
+    return np.einsum("...aij,...i,...j->...a", geom.alpha, x, y)
 
 
 def _eta(geom: PointGeometry) -> np.ndarray:
-    nc = geom.alpha.shape[-3] if geom.alpha is not None else geom.position.shape[-1]
-    eta = np.ones(nc)
+    eta = np.ones(geom.alpha.shape[-3])
     if geom.kappa != 0.0:
         eta[-1] = -1.0
     return eta
 
 
-def sectional_curvature(geom: PointGeometry, x, y) -> float:
+def _gauss(geom: PointGeometry, axx, ayy, axy) -> np.ndarray:
+    # sums over the last axis add in the order a one-point np.sum does
+    eta = _eta(geom)
+    return np.sum(eta * axx * ayy, axis=-1) - np.sum(eta * axy * axy, axis=-1)
+
+
+def _radial_covector(geom: PointGeometry) -> np.ndarray:
+    """dr in chart coordinates."""
+    return np.einsum("...ai,a,...a->...i", geom.jacobian, _eta(geom),
+                     geom.grad_M_r)
+
+
+def _sectional(geom: PointGeometry, x, y):
+    g = geom.metric
+    gxx, gyy, gxy = _g(x, g, x), _g(y, g, y), _g(x, g, y)
+    area_sq = gxx * gyy - gxy * gxy
+    num = _gauss(geom, _alpha_on(geom, x, x), _alpha_on(geom, y, y),
+                 _alpha_on(geom, x, y))
+    return [geom.kappa + num / area_sq], [
+        (area_sq <= PLANE_TOL * np.maximum(1.0, gxx * gyy),
+         DegeneratePlaneError, "tangent vectors do not span a plane")]
+
+
+def sectional_curvature(geom: PointGeometry, x, y):
     """Intrinsic sectional curvature of the plane spanned by two chart
     tangent vectors, from the ambient curvature plus the second
-    fundamental form."""
-    _require_single(geom, "sectional_curvature")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    eta = _eta(geom)
+    fundamental form.
+
+    ``x`` and ``y`` broadcast against the batch.  One point gives a float
+    (DegeneratePlaneError if they span no plane); a batch gives
+    ``(curvature, degenerate)``.
+    """
+    _need_alpha(geom, "sectional_curvature")
+    return _finish(_sectional, geom, x, y)
+
+
+def _level_set_plane(geom: PointGeometry):
     g = geom.metric
-    gxx = x @ g @ x
-    gyy = y @ g @ y
-    gxy = x @ g @ y
-    area_sq = gxx * gyy - gxy * gxy
-    if area_sq <= PLANE_TOL * max(1.0, gxx * gyy):
-        raise DegeneratePlaneError("tangent vectors do not span a plane")
-    axx = _alpha_on(geom, x, x)
-    ayy = _alpha_on(geom, y, y)
-    axy = _alpha_on(geom, x, y)
-    num = np.sum(eta * axx * ayy) - np.sum(eta * axy * axy)
-    return float(geom.kappa + num / area_sq)
+    gc = g[..., None, :, :]           # against a stack of vectors
+    dr = _radial_covector(geom)
+    sharp = np.linalg.solve(g, dr[..., None])[..., 0]
+    dr_sq = np.einsum("...i,...i->...", dr, sharp)
+    # row i: the basis vector e_i projected off the radial direction
+    cands = (np.eye(geom.m) - dr[..., :, None] / dr_sq[..., None, None]
+             * sharp[..., None, :])
+    order = np.argsort(-_g(cands, gc, cands), axis=-1, kind="stable")
+    cands = np.take_along_axis(cands, order[..., None], axis=-2)
+    x = cands[..., 0, :]
+    x = x / np.sqrt(_g(x, g, x))[..., None]
+    w = cands[..., 1:, :]
+    w = w - _g(x[..., None, :], gc, w)[..., None] * x[..., None, :]
+    nsq = _g(w, gc, w)
+    independent = nsq > PLANE_TOL
+    first = np.argmax(independent, axis=-1)[..., None]
+    y = (np.take_along_axis(w, first[..., None], axis=-2)[..., 0, :]
+         / np.sqrt(np.take_along_axis(nsq, first, axis=-1)))
+    return [x, y], [
+        (geom.at_pole | (geom.grad_r_tan_norm <= CRITICAL_TOL),
+         CriticalPointError,
+         "radial distance is critical here; no transverse sphere"),
+        (~np.any(independent, axis=-1), DegeneratePlaneError,
+         "no second independent level-set direction")]
 
 
 def level_set_tangent_plane(geom: PointGeometry):
@@ -309,44 +376,57 @@ def level_set_tangent_plane(geom: PointGeometry):
 
     Picks, among the chart basis directions projected off the radial
     gradient, the two of largest metric norm (ties break to the lower
-    index), then orthonormalizes.
+    index), then orthonormalizes.  One point gives ``(x, y)``; a batch
+    gives ``(x, y, failed)``.
     """
-    _require_single(geom, "level_set_tangent_plane")
-    m = geom.m
-    if m < 3:
+    _need_alpha(geom, "level_set_tangent_plane")
+    if geom.m < 3:
         raise DegeneratePlaneError(
-            f"level-set planes need m >= 3, chart has m = {m}")
-    if geom.at_pole or geom.grad_r_tan_norm <= CRITICAL_TOL:
-        raise CriticalPointError(
-            "radial distance is critical here; no transverse sphere")
+            f"level-set planes need m >= 3, chart has m = {geom.m}")
+    return _finish(_level_set_plane, geom)
 
-    eta = _eta(geom)
-    g = geom.metric
-    dr = np.einsum("ai,a,a->i", geom.jacobian, eta, geom.grad_M_r,
-                   optimize=True)
-    sharp = np.linalg.solve(g, dr)
-    dr_sq = float(dr @ sharp)
 
-    cands = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        v = e - (dr[i] / dr_sq) * sharp
-        cands.append((float(v @ g @ v), i, v))
-    cands.sort(key=lambda t: (-t[0], t[1]))
+def _sphere_curvature(geom: PointGeometry, plane, mode):
+    r = geom.r
+    tan = geom.grad_r_tan_norm
+    checks = [(geom.at_pole | (r <= 0.0), CriticalPointError,
+               "the pole has no sphere through it"),
+              (tan <= CRITICAL_TOL, CriticalPointError,
+               "radial distance is critical here")]
+    # np.divide: s_kappa is 0 at the pole, where Python floats would raise
+    ratio = np.divide(c_kappa(geom.kappa, r), s_kappa(geom.kappa, r))
+    tan_sq = tan * tan
 
-    x = cands[0][2]
-    x = x / np.sqrt(x @ g @ x)
-    y = None
-    for _, _, v in cands[1:]:
-        w = v - (x @ g @ v) * x
-        nsq = float(w @ g @ w)
-        if nsq > PLANE_TOL:
-            y = w / np.sqrt(nsq)
-            break
-    if y is None:
-        raise DegeneratePlaneError("no second independent level-set direction")
-    return x, y
+    if mode == "bounds":
+        na = np.sqrt(geom.norm_alpha_sq)
+        perp = geom.grad_r_perp_norm
+        upper = geom.kappa + na * na + (ratio + perp * na) ** 2 / tan_sq
+        lower = (geom.kappa - 2.0 * na * na
+                 + (ratio * ratio - 2.0 * perp * na * ratio) / tan_sq)
+        return [lower, upper, ratio > perp * na], checks
+
+    if plane is None:
+        (x, y), plane_checks = _level_set_plane(geom)
+    else:
+        x, y = plane
+        g = geom.metric
+        dr = _radial_covector(geom)
+        off = np.abs([_g(x, g, x) - 1.0, _g(y, g, y) - 1.0, _g(x, g, y)])
+        lean = np.abs([np.sum(dr * x, axis=-1), np.sum(dr * y, axis=-1)])
+        plane_checks = [
+            (np.max(off, axis=0) > 1e-6, DegeneratePlaneError,
+             "plane vectors must be g-orthonormal"),
+            (np.max(lean, axis=0) > 1e-6 * tan, DegeneratePlaneError,
+             "plane is not tangent to the sphere")]
+
+    axx = _alpha_on(geom, x, x)
+    ayy = _alpha_on(geom, y, y)
+    axy = _alpha_on(geom, x, y)
+    perp = _eta(geom) * geom.grad_perp_r
+    pxx, pyy, pxy = (np.sum(perp * a, axis=-1) for a in (axx, ayy, axy))
+    mixed = ((ratio + pxx) * (ratio + pyy) - pxy * pxy) / tan_sq
+    return ([geom.kappa + _gauss(geom, axx, ayy, axy) + mixed],
+            checks + plane_checks)
 
 
 def extrinsic_sphere_curvature(geom: PointGeometry, plane=None,
@@ -358,57 +438,17 @@ def extrinsic_sphere_curvature(geom: PointGeometry, plane=None,
     to `level_set_tangent_plane`).  ``mode='bounds'`` returns
     ``(lower, upper, valid)`` where the bounds depend only on the norm of
     the second fundamental form and the radial split, and ``valid`` marks
-    whether the comparison term dominates.
+    whether the comparison term dominates.  One point gives Python scalars
+    or the typed error of its failure; a batch gives arrays followed by
+    the mask of failed points.
     """
-    _require_single(geom, "extrinsic_sphere_curvature")
+    if mode not in ("exact", "bounds"):
+        raise DomainError(f"unknown mode {mode!r}")
+    _need_alpha(geom, "extrinsic_sphere_curvature")
     if geom.m < 3:
         raise DegeneratePlaneError(
             "distance spheres have 2-planes only for m >= 3")
-    if geom.at_pole or float(geom.r) <= 0.0:
-        raise CriticalPointError("the pole has no sphere through it")
-    tan = float(geom.grad_r_tan_norm)
-    if tan <= CRITICAL_TOL:
-        raise CriticalPointError("radial distance is critical here")
-
-    r = float(geom.r)
-    ratio = c_kappa(geom.kappa, r) / s_kappa(geom.kappa, r)
-    tan_sq = tan * tan
-
-    if mode == "bounds":
-        na = float(np.sqrt(geom.norm_alpha_sq))
-        perp = float(geom.grad_r_perp_norm)
-        upper = geom.kappa + na * na + (ratio + perp * na) ** 2 / tan_sq
-        lower = (geom.kappa - 2.0 * na * na
-                 + (ratio * ratio - 2.0 * perp * na * ratio) / tan_sq)
-        valid = ratio > perp * na
-        return float(lower), float(upper), bool(valid)
-    if mode != "exact":
-        raise DomainError(f"unknown mode {mode!r}")
-
-    if plane is None:
-        x, y = level_set_tangent_plane(geom)
-    else:
-        x, y = (np.asarray(v, dtype=float) for v in plane)
-        g = geom.metric
-        checks = (abs(x @ g @ x - 1.0), abs(y @ g @ y - 1.0), abs(x @ g @ y))
-        if max(checks) > 1e-6:
-            raise DegeneratePlaneError("plane vectors must be g-orthonormal")
-        eta = _eta(geom)
-        dr = np.einsum("ai,a,a->i", geom.jacobian, eta, geom.grad_M_r,
-                       optimize=True)
-        if max(abs(float(dr @ x)), abs(float(dr @ y))) > 1e-6 * tan:
-            raise DegeneratePlaneError("plane is not tangent to the sphere")
-
-    eta = _eta(geom)
-    axx = _alpha_on(geom, x, x)
-    ayy = _alpha_on(geom, y, y)
-    axy = _alpha_on(geom, x, y)
-    pxx = float(np.sum(eta * geom.grad_perp_r * axx))
-    pyy = float(np.sum(eta * geom.grad_perp_r * ayy))
-    pxy = float(np.sum(eta * geom.grad_perp_r * axy))
-    gauss = float(np.sum(eta * axx * ayy) - np.sum(eta * axy * axy))
-    mixed = ((ratio + pxx) * (ratio + pyy) - pxy * pxy) / tan_sq
-    return float(geom.kappa + gauss + mixed)
+    return _finish(_sphere_curvature, geom, plane, mode)
 
 
 def hypersurface_principal_curvatures(geom: PointGeometry):
@@ -420,7 +460,10 @@ def hypersurface_principal_curvatures(geom: PointGeometry):
     alpha component; flipping it flips every curvature, so callers fix
     orientation by one known sign.
     """
-    _require_single(geom, "hypersurface_principal_curvatures")
+    if geom.batch_shape != ():
+        raise DomainError("hypersurface_principal_curvatures works on a "
+                          "single-point geometry")
+    _need_alpha(geom, "hypersurface_principal_curvatures")
     ncoords = geom.alpha.shape[-3]
     n = ncoords if geom.kappa == 0.0 else ncoords - 1
     if geom.m != n - 1:

@@ -11,9 +11,12 @@ import sys
 import numpy as np
 import pytest
 
+import extgeo as xg
 import extgeo.cli
 import extgeo.mesh
 from extgeo.cli import main
+from extgeo.errors import ExtGeoError, GeometryError
+from extgeo.immersion import extrinsic_sphere_curvature, point_geometry
 from extgeo.mesh import MIN_RESOLUTION
 
 INLINE_PLANE = """
@@ -252,9 +255,9 @@ def test_mesh_csv_rho_column_is_the_mesh_distance(tmp_path, monkeypatch):
 
 def test_volume_payload_and_report_files(tmp_path):
     out_dir = tmp_path / "reports"
-    with pytest.warns(RuntimeWarning):
-        pay = payload_of(["volume", "--immersion", "flat-subspace",
-                          "--resolution", "33", "--out", str(out_dir)])
+    pay = payload_of(["volume", "--immersion", "flat-subspace",
+                      "--resolution", "33", "--out", str(out_dir)])
+    assert [w["category"] for w in pay["warnings"]] == ["RuntimeWarning"]
     assert set(pay) >= {"volume", "coarea_max_dev", "growth", "gap",
                         "ends_stability"}
     assert pay["growth"]["verdict"] == "satisfied"
@@ -363,6 +366,116 @@ def test_curvature_needs_three_dimensions():
                      "--resolution", "9"], expect_code=3)
     assert body["error"] == "DomainError"
     assert "m >= 3" in body["message"]
+
+
+ROT3 = {"catalog": "rotation-hypersurface", "params": {"n": 3}}
+
+
+def reference_curvature_rows(chart, samples, seed, geometry=point_geometry):
+    """The curvature sampler one candidate at a time: one draw, one
+    ``geometry`` call and two single-point curvature calls per candidate.
+    Returns (rows, skipped, cond(g) per row)."""
+    rng = np.random.default_rng(seed)
+    lows = np.array([lo for lo, _ in chart.domain])
+    spans = np.array([hi - lo for lo, hi in chart.domain])
+    rows, conds, skipped, attempts = [], [], 0, 0
+    while len(rows) < samples and attempts < 20 * samples:
+        attempts += 1
+        pt = lows + spans * rng.uniform(0.02, 0.98, size=chart.m)
+        try:
+            geom = geometry(chart, pt)
+            exact = extrinsic_sphere_curvature(geom, mode="exact")
+            lower, upper, valid = extrinsic_sphere_curvature(geom,
+                                                             mode="bounds")
+        except ExtGeoError:
+            skipped += 1
+            continue
+        rows.append([*pt, float(geom.r), exact, lower, upper, valid])
+        conds.append(np.linalg.cond(geom.metric))
+    return rows, skipped, conds
+
+
+def curvature_csv(path):
+    lines = path.read_text().splitlines()[1:]
+    return [[float(c) for c in line.split(",")[:-1]]
+            + [line.split(",")[-1] == "true"] for line in lines]
+
+
+def test_curvature_rows_match_the_per_point_sampler(tmp_path):
+    cfg = write_config(tmp_path, {"immersion": ROT3, "resolution": 9,
+                                  "samples": 500, "seed": 7})
+    out_dir = tmp_path / "reports"
+    pay = payload_of(["curvature", "--config", cfg, "--out", str(out_dir)])
+    assert (pay["samples"], pay["skipped"], pay["admissible"],
+            pay["sandwich_ok"]) == (500, 0, 485, 485)
+
+    chart, _ = xg.catalog_build(ROT3["catalog"], **ROT3["params"])
+    want, skipped, conds = reference_curvature_rows(chart, 500, 7)
+    got = curvature_csv(out_dir / "curvature.csv")
+    assert skipped == pay["skipped"] and len(got) == len(want)
+    for row, ref, cond in zip(got, want, conds):
+        assert row[:4] == ref[:4]            # u1, u2, u3 and r bit for bit
+        assert row[-1] == ref[-1]
+        np.testing.assert_allclose(row[4:7], ref[4:7], rtol=1e-10 * cond)
+    assert pay["metric_cond"]["max"] == pytest.approx(max(conds), rel=1e-6)
+    assert pay["metric_cond"]["median"] == pytest.approx(
+        float(np.median(conds)), rel=1e-6)
+
+
+def test_curvature_rounds_stay_within_a_chunk(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {"immersion": ROT3, "resolution": 9,
+                                  "samples": 40, "seed": 3})
+    whole = payload_of(["curvature", "--config", cfg])
+    sizes, grid = [], extgeo.cli.grid_geometry
+
+    def record(chart, points, **kwargs):
+        sizes.append(len(points))
+        return grid(chart, points, **kwargs)
+
+    monkeypatch.setattr(extgeo.cli, "grid_geometry", record)
+    monkeypatch.setattr(extgeo.cli, "DEFAULT_CHUNK", 7)
+    assert payload_of(["curvature", "--config", cfg]) == whole
+    assert sizes and max(sizes) <= 7
+    assert sum(sizes) == whole["samples"] + whole["skipped"]
+
+
+def test_curvature_skips_points_without_geometry(tmp_path, monkeypatch):
+    """A candidate whose geometry fails is skipped; the rest of its round
+    is kept, as when candidates were evaluated one at a time."""
+    chart, _ = xg.catalog_build(ROT3["catalog"], **ROT3["params"])
+    middle = 0.5 * (chart.domain[0][0] + chart.domain[0][1])
+
+    def failing(evaluate):
+        def geometry(chart, points, **kwargs):
+            if np.any(np.asarray(points)[..., 0] > middle):
+                raise GeometryError("not an immersion here")
+            return evaluate(chart, points, **kwargs)
+        return geometry
+
+    want, skipped, _ = reference_curvature_rows(
+        chart, 60, 5, geometry=failing(point_geometry))
+    monkeypatch.setattr(extgeo.cli, "grid_geometry",
+                        failing(extgeo.cli.grid_geometry))
+    cfg = write_config(tmp_path, {"immersion": ROT3, "resolution": 9,
+                                  "samples": 60, "seed": 5})
+    out_dir = tmp_path / "reports"
+    pay = payload_of(["curvature", "--config", cfg, "--out", str(out_dir)])
+    assert skipped > 0
+    assert (pay["samples"], pay["skipped"]) == (len(want), skipped)
+    got = curvature_csv(out_dir / "curvature.csv")
+    assert [row[:4] for row in got] == [ref[:4] for ref in want]
+
+
+def test_volume_warning_goes_to_the_payload():
+    proc = subprocess.run(
+        [sys.executable, "-W", "default::RuntimeWarning", "-m", "extgeo",
+         "volume", "--immersion", "cylinder"], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    warned = json.loads(proc.stdout)["warnings"]
+    assert [w["category"] for w in warned] == ["RuntimeWarning"]
+    assert warned[0]["message"].startswith(
+        "growth bounds are stated for dimension >= 3")
 
 
 # ---------------------------------------------------------------------------

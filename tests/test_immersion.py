@@ -275,10 +275,13 @@ def test_grid_preserves_batch_shape():
 
 def test_single_point_functions_reject_batches():
     chart = xg.parse_chart(CATENOID)
-    geom = xg.grid_geometry(chart, np.array([[0.5, 0.5], [0.6, 0.6]]),
-                            keep_alpha=True, keep_vectors=True)
-    with pytest.raises(DomainError):
-        xg.sectional_curvature(geom, [1.0, 0.0], [0.0, 1.0])
+    pts = np.array([[0.5, 0.5], [0.6, 0.6]])
+    geom = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
+    ks, degenerate = xg.sectional_curvature(geom, [1.0, 0.0], [0.0, 1.0])
+    assert not np.any(degenerate)
+    for k, pt in zip(ks, pts):
+        assert k == xg.sectional_curvature(xg.point_geometry(chart, pt),
+                                           [1.0, 0.0], [0.0, 1.0])
     with pytest.raises(DomainError):
         xg.point_geometry(chart, np.array([[0.5, 0.5]]))
 
@@ -387,6 +390,69 @@ def test_sphere_curvature_unknown_mode():
     geom = xg.point_geometry(chart, np.array([0.3, 0.2, 0.4]))
     with pytest.raises(DomainError):
         xg.extrinsic_sphere_curvature(geom, mode="typo")
+
+
+# S^1 x R^2 in R^4 through the pole at the basepoint; at u1 = pi the point
+# is antipodal on the circle, so the distance to the pole is critical there
+CIRCLE_CYLINDER = """
+m = 3; n = 4; ambient = euclidean;
+x1 = sin(u1); x2 = u2; x3 = u3; x4 = 1 - cos(u1);
+domain u1 in [-3.5, 3.5], u2 in [-1, 1], u3 in [-1, 1];
+basepoint 0, 0, 0
+"""
+
+
+def _scalar_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs), None
+    except (CriticalPointError, DegeneratePlaneError) as exc:
+        return None, type(exc)
+
+
+def test_batched_curvature_masks_exactly_the_failing_points():
+    chart = xg.parse_chart(CIRCLE_CYLINDER)
+    pts = np.array([[0.7, 0.3, -0.2], [0.0, 0.0, 0.0], [math.pi, 0.0, 0.0]])
+    geom = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
+    assert geom.at_pole[1]
+    assert geom.grad_r_tan_norm[2] <= xg.immersion.CRITICAL_TOL
+    singles = [xg.point_geometry(chart, pt) for pt in pts]
+    # the last plane is degenerate: y = 2 x
+    xs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    ys = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 2.0]])
+
+    batched = {
+        "sectional": xg.sectional_curvature(geom, xs, ys),
+        "plane": xg.level_set_tangent_plane(geom),
+        "exact": xg.extrinsic_sphere_curvature(geom),
+        "bounds": xg.extrinsic_sphere_curvature(geom, mode="bounds"),
+    }
+    scalar = {
+        "sectional": lambda i: xg.sectional_curvature(singles[i], xs[i],
+                                                      ys[i]),
+        "plane": lambda i: xg.level_set_tangent_plane(singles[i]),
+        "exact": lambda i: xg.extrinsic_sphere_curvature(singles[i]),
+        "bounds": lambda i: xg.extrinsic_sphere_curvature(singles[i],
+                                                          mode="bounds"),
+    }
+    want_errors = {
+        "sectional": [None, None, DegeneratePlaneError],
+        "plane": [None, CriticalPointError, CriticalPointError],
+        "exact": [None, CriticalPointError, CriticalPointError],
+        "bounds": [None, CriticalPointError, CriticalPointError],
+    }
+    cond = np.linalg.cond(geom.metric)
+    for name, (*values, failed) in batched.items():
+        assert failed.shape == (3,), name
+        for i in range(3):
+            got, err = _scalar_or_error(scalar[name], i)
+            assert err is want_errors[name][i], (name, i)
+            assert bool(failed[i]) == (err is not None), (name, i)
+            if err is not None or cond[i] >= 1e3:
+                continue
+            got = got if isinstance(got, tuple) else (got,)
+            for v, s in zip(values, got):
+                np.testing.assert_allclose(v[i], s, rtol=1e-12, atol=1e-15,
+                                           err_msg=name)
 
 
 # ---------------------------------------------------------------------------
