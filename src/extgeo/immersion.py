@@ -4,9 +4,12 @@ Everything here is derived from second-order jets of a chart: the induced
 metric, the second fundamental form and its norm, and the split of the
 ambient radial gradient into parts tangent and normal to the submanifold.
 The distance to the pole and its ambient gradient come from
-``spaceform.pole_field``; this module only splits the gradient.
+``spaceform.pole_field``; this module only splits the gradient.  A
+first-order geometry (``order=1``) stops after the metric, sqrt det g and
+r, with the same rank checks.
 Bulk evaluation over large point sets is chunked, and the chunks run on a
-thread pool; the result does not depend on the chunk size.  The curvature
+thread pool; the result does not depend on the chunk size, and one point
+alone gets the same bits as in any batch.  The curvature
 functions take a geometry of any batch shape: a batch gets arrays and a
 mask of the points that failed, a single point a float or a typed error.
 """
@@ -45,7 +48,10 @@ class PointGeometry:
     """Geometry of one chart point or a batch of them.
 
     Arrays share the leading batch shape.  ``alpha`` and the radial
-    gradient vectors are kept only when requested.
+    gradient vectors are kept only when requested.  A first-order geometry
+    (``order=1``) leaves the second-order fields None: ``grad_r_tan_norm``,
+    ``grad_r_perp_norm``, ``norm_alpha_sq``, ``alpha``, ``grad_M_r`` and
+    ``grad_perp_r``.
     """
 
     kappa: float
@@ -53,9 +59,9 @@ class PointGeometry:
     metric: np.ndarray          # (..., m, m)
     sqrt_det_g: np.ndarray      # (...)
     r: np.ndarray               # (...) ambient distance to the pole
-    grad_r_tan_norm: np.ndarray
-    grad_r_perp_norm: np.ndarray
-    norm_alpha_sq: np.ndarray
+    grad_r_tan_norm: np.ndarray = None
+    grad_r_perp_norm: np.ndarray = None
+    norm_alpha_sq: np.ndarray = None
     position: np.ndarray = None         # (..., ncoords)
     jacobian: np.ndarray = None         # (..., ncoords, m), coordinate-major
     alpha: np.ndarray = None            # (..., ncoords, m, m)
@@ -105,8 +111,17 @@ def ambient_of(chart: ChartBase, pole=None) -> Ambient:
 # ---------------------------------------------------------------------------
 # core jet -> geometry pipeline
 
-def _geometry_block(chart, amb, pts, keep_alpha, keep_vectors, keep_positions):
-    """All pointwise quantities for a flat (N, m) block of chart points."""
+def _geometry_block(chart, amb, pts, keep_alpha, keep_vectors, keep_positions,
+                    order=2):
+    """All pointwise quantities for a flat (N, m) block of chart points;
+    ``order=1`` stops after the metric, sqrt det g and r."""
+    if len(pts) == 1:
+        # einsum drops a batch axis of length one: it picks another path and
+        # hands matmul other strides, which round differently.  One point
+        # is computed as a batch of two, so it matches every batched call.
+        return _geometry_block(chart, amb, np.repeat(pts, 2, axis=0),
+                               keep_alpha, keep_vectors, keep_positions,
+                               order).take(slice(0, 1))
     out_jets = chart.eval_jets(jets.seed_point(pts))
     eta = amb.signature()
     pos = np.stack([j.value for j in out_jets], axis=-1)          # (N, a)
@@ -127,7 +142,13 @@ def _geometry_block(chart, amb, pts, keep_alpha, keep_vectors, keep_positions):
         bad = _first_rank_defect(g, pts)
         raise GeometryError(
             f"chart '{chart.name}' is rank-deficient near {bad}")
-    sqrt_det_g = np.prod(diag, axis=-1)
+    first = dict(kappa=amb.kappa, points=pts, metric=g,
+                 sqrt_det_g=np.prod(diag, axis=-1),
+                 position=pos if keep_positions else None,
+                 jacobian=jac if (keep_alpha or keep_vectors) else None)
+    if order == 1:
+        r, _grad, at_pole = pole_field(amb, pos)
+        return PointGeometry(**first, r=r, at_pole=at_pole)
     # one inverse metric, applied by matmul: a batched solve per
     # right-hand side would factor every metric again
     ginv = np.linalg.inv(g)
@@ -153,16 +174,11 @@ def _geometry_block(chart, amb, pts, keep_alpha, keep_vectors, keep_positions):
         amb, pos, jac, ginv, keep_vectors)
 
     return PointGeometry(
-        kappa=amb.kappa,
-        points=pts,
-        metric=g,
-        sqrt_det_g=sqrt_det_g,
+        **first,
         r=r,
         grad_r_tan_norm=tan_norm,
         grad_r_perp_norm=perp_norm,
         norm_alpha_sq=nasq,
-        position=pos if keep_positions else None,
-        jacobian=jac if (keep_alpha or keep_vectors) else None,
         alpha=alpha if keep_alpha else None,
         grad_M_r=grad_M,
         grad_perp_r=grad_perp,
@@ -189,7 +205,9 @@ def _radial_split(amb, pos, jac, ginv, keep_vectors):
     eta = amb.signature()
     dr = np.einsum("...ai,a,...a->...i", jac, eta, grad_amb, optimize=True)
     coeffs = (ginv @ dr[..., None])[..., 0]
-    tan_sq = np.einsum("...i,...i->...", dr, coeffs)
+    # summed in index order from 0, as einsum sums a batch of three or
+    # more points; for fewer its order follows the memory layout of dr
+    tan_sq = sum(dr[..., i] * coeffs[..., i] for i in range(dr.shape[-1]))
     tan_sq = np.clip(tan_sq, 0.0, 1.0)
     tan_norm = np.where(at_pole, 1.0, np.sqrt(tan_sq))
     perp_norm = np.where(at_pole, 0.0, np.sqrt(1.0 - tan_sq))
@@ -229,9 +247,11 @@ def _resolve_ambient(chart: ChartBase, amb) -> Ambient:
 
 def grid_geometry(chart: ChartBase, points, keep_alpha=False,
                   keep_vectors=False, keep_positions=True,
-                  chunk=DEFAULT_CHUNK, amb: Ambient = None) -> PointGeometry:
+                  chunk=DEFAULT_CHUNK, amb: Ambient = None,
+                  order=2) -> PointGeometry:
     """Geometry over a batch of chart points, in chunks of at most ``chunk``
-    points (to bound memory) spread over one thread per CPU."""
+    points (to bound memory) spread over one thread per CPU.  ``order=1``
+    gives the first-order fields only (see `PointGeometry`)."""
     amb = _resolve_ambient(chart, amb)
     points = np.asarray(points, dtype=float)
     batch = points.shape[:-1]
@@ -242,7 +262,7 @@ def grid_geometry(chart: ChartBase, points, keep_alpha=False,
 
     def run(lo):
         return _geometry_block(chart, amb, flat[lo:lo + chunk], keep_alpha,
-                               keep_vectors, keep_positions)
+                               keep_vectors, keep_positions, order)
 
     if n_pts <= chunk:
         # one block: a worker thread would only add its stack and malloc

@@ -21,6 +21,10 @@ the forward entries, slot by slot and in vertex order within a slot.
 The grid graph is connected; the components of {r > R}, which count the
 ends, come from the same table by pointer jumping.
 
+Only the vertices carry second-order geometry (the second fundamental
+form and the radial split that the invariants read); the refined lattice
+is evaluated at first order and keeps the metric, sqrt det g and r.
+
 The refined lattice is also what the volume integrators consume: each of
 its nodes carries r and a volume weight, ``refined_r`` and
 ``refined_weight``.  A grid cell's volume, its center density times
@@ -323,12 +327,13 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
         for i in range(m)]
     refined_pts = np.stack(
         np.meshgrid(*refined_axes, indexing="ij"), axis=-1)
-    refined = grid_geometry(chart, refined_pts, keep_positions=False, amb=amb)
+    # the whole lattice first, so its checks fire as they would at order 2;
+    # only the vertices (every second node per axis) need the rest
+    refined = grid_geometry(chart, refined_pts, keep_positions=False, amb=amb,
+                            order=1)
+    vertex_pts = refined_pts[(slice(0, None, 2),) * m].reshape(-1, m)
     del refined_pts
-
-    evens = tuple([slice(0, None, 2)] * m)
-    vertices = refined.map_arrays(lambda arr, k: np.ascontiguousarray(
-        arr[evens].reshape((-1,) + arr.shape[arr.ndim - k:])))
+    vertices = grid_geometry(chart, vertex_pts, keep_positions=False, amb=amb)
 
     neighbours, lengths = _neighbour_table(
         shape, chart.periodic, spacing, vertices.metric, refined.metric)

@@ -19,6 +19,10 @@ an upper bound on the intrinsic distance that tends to the polyhedral norm
 of the neighbour stencil instead of converging to it.  ``graph_components``
 labels the components of the mesh graph restricted to a vertex mask.
 
+``full_order_mesh`` is ``build_mesh`` the way it first worked:
+second-order geometry over the whole refined lattice, its vertices
+sliced out of it.
+
 ``cell_fraction_ball_volumes`` integrates ball volumes cell by cell: each
 grid cell contributes its center density times its parameter measure,
 scaled by the fraction of its 3^m sub-lattice of refined r values inside
@@ -34,7 +38,8 @@ from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from extgeo.immersion import grid_geometry
+from extgeo.immersion import ambient_of, grid_geometry
+from extgeo.mesh import MeshGraph, _axis_layout, _neighbour_table, _node_weights
 
 QUAD_TOL = 1e-13
 # integrands decay like 1/(k sinh v)^2; past this the tail is below 1e-34
@@ -138,3 +143,26 @@ def cell_r_spans(mesh):
     """(C,) max minus min of r over each cell's sub-lattice."""
     sub = _cell_sublattice_r(mesh)
     return sub.max(axis=1) - sub.min(axis=1)
+
+
+def full_order_mesh(chart, resolution, pole=None):
+    """``build_mesh`` from one second-order geometry of the refined
+    lattice, with the vertex geometry taken at every second node."""
+    shape, origin, spacing = _axis_layout(chart, resolution)
+    amb = ambient_of(chart, pole)
+    axes = [o + 0.5 * h * np.arange(2 * k if p else 2 * k - 1)
+            for o, h, k, p in zip(origin, spacing, shape, chart.periodic)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    refined = grid_geometry(chart, pts, keep_positions=False, amb=amb)
+    evens = tuple([slice(0, None, 2)] * chart.m)
+    vertices = refined.map_arrays(lambda arr, k: np.ascontiguousarray(
+        arr[evens].reshape((-1,) + arr.shape[arr.ndim - k:])))
+    neighbours, lengths = _neighbour_table(
+        shape, chart.periodic, spacing, vertices.metric, refined.metric)
+    return MeshGraph(
+        chart=chart, amb=amb, shape=shape, origin=origin, spacing=spacing,
+        points=vertices.points, vertices=vertices, neighbours=neighbours,
+        neighbour_lengths=lengths, basepoint=int(np.argmin(vertices.r)),
+        refined_r=np.ascontiguousarray(refined.r),
+        refined_weight=_node_weights(shape, chart.periodic, refined.sqrt_det_g,
+                                     float(np.prod(spacing))))

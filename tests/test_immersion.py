@@ -263,6 +263,54 @@ def test_grid_chunk_size_does_not_change_output():
         np.testing.assert_array_equal(got, want, err_msg=name)
 
 
+def far_rotation_points():
+    """Rotation hypersurface n=3 points out along both ends, where the
+    metric is ill-conditioned."""
+    chart, _ = xg.catalog_build("rotation-hypersurface", n=3)
+    lo, hi = np.array(chart.domain).T
+    pts = lo + (hi - lo) * np.random.default_rng(7).uniform(0.02, 0.98,
+                                                            size=(40, 3))
+    pts[:, 2] = np.sign(pts[:, 2] + 1e-3) * np.linspace(4.0, 5.9, 40)
+    return chart, pts
+
+
+def test_point_geometry_is_the_batched_geometry():
+    chart, pts = far_rotation_points()
+    grid = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
+    assert np.max(np.linalg.cond(grid.metric)) >= 1e4
+    for i, pt in enumerate(pts):
+        single = xg.point_geometry(chart, pt)
+        for name in _array_fields(single):
+            np.testing.assert_array_equal(getattr(single, name),
+                                          getattr(grid, name)[i],
+                                          err_msg=name)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 13])
+def test_short_trailing_chunks_match_the_default(chunk):
+    chart, pts = far_rotation_points()
+    base = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
+    chunked = xg.grid_geometry(chart, pts, keep_alpha=True,
+                               keep_vectors=True, chunk=chunk)
+    for name in _array_fields(base):
+        np.testing.assert_array_equal(getattr(chunked, name),
+                                      getattr(base, name), err_msg=name)
+
+
+def test_first_order_geometry_is_the_leading_part():
+    chart, pts = far_rotation_points()
+    full = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
+    first = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True,
+                             order=1)
+    for name in _array_fields(full):
+        if name in ("points", "metric", "sqrt_det_g", "r", "at_pole",
+                    "position", "jacobian"):
+            np.testing.assert_array_equal(getattr(first, name),
+                                          getattr(full, name), err_msg=name)
+        else:
+            assert getattr(first, name) is None, name
+
+
 def test_grid_preserves_batch_shape():
     chart = xg.parse_chart(FLAT_PLANE)
     pts = np.zeros((3, 4, 2))
@@ -291,6 +339,21 @@ def test_rank_deficient_chart_names_the_point():
     chart = xg.parse_chart(src)
     with pytest.raises(GeometryError, match="near"):
         xg.point_geometry(chart, np.array([0.0]))
+
+
+@pytest.mark.parametrize("src,u2,message", [
+    ("x1 = u1; x2 = u2^2; x3 = u2^3", 1e-11,
+     "rank-deficient near [3.e-01 1.e-11]"),
+    ("x1 = u1; x2 = u2^3; x3 = 0", 0.0, "not an immersion near [0.3 0. ]"),
+], ids=["rank-deficient", "singular"])
+def test_first_order_geometry_checks_the_rank(src, u2, message):
+    chart = xg.parse_chart("m = 2; n = 3; ambient = euclidean; " + src
+                           + "; domain u1 in [-1, 1], u2 in [-1, 1]")
+    pts = np.array([[0.2, -0.5], [0.3, u2], [0.4, 0.5]])
+    for order in (1, 2):
+        with pytest.raises(GeometryError) as err:
+            xg.grid_geometry(chart, pts, order=order)
+        assert str(err.value) == f"chart 'chart' is {message}"
 
 
 # ---------------------------------------------------------------------------

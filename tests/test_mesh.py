@@ -1,16 +1,19 @@
 """Lattice construction, graph distances, balls and end counting."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import extgeo as xg
+import extgeo.immersion
 from extgeo import eikonal
-from extgeo.errors import DomainError
+from extgeo.errors import DomainError, GeometryError
 from extgeo.catalog import CATALOG
 from extgeo.mesh import _components
-from oracles import antipodal_distance, graph_components, graph_distances
+from oracles import (antipodal_distance, full_order_mesh, graph_components,
+                     graph_distances)
 
 LINE = """
 m = 1; n = 2; ambient = euclidean;
@@ -83,6 +86,68 @@ def test_cylinder_wrap_edges():
     b = vertex_at(mesh, [0.0, 0.0])
     pairs = {(int(u), int(v)) for u, v in mesh.edges}
     assert (a, b) in pairs or (b, a) in pairs
+
+
+ORDER_CASES = [
+    ("catenoid", {}, [33, 32]),
+    ("cylinder", {}, [33, 32]),
+    ("rotation-hypersurface", {"n": 3}, [9, 24, 101]),
+    ("flat-subspace", {"m": 3, "n": 4}, 17),
+]
+
+
+@pytest.mark.parametrize("name,params,res", ORDER_CASES,
+                         ids=[c[0] for c in ORDER_CASES])
+def test_mesh_equals_the_full_order_lattice(name, params, res):
+    chart, _ = xg.catalog_build(name, **params)
+    mesh = xg.build_mesh(chart, res)
+    ref = full_order_mesh(chart, res)
+    for f in dataclasses.fields(mesh.vertices):
+        got, want = getattr(mesh.vertices, f.name), getattr(ref.vertices, f.name)
+        assert (got is None) == (want is None), f.name
+        np.testing.assert_array_equal(got, want, err_msg=f.name)
+    for attr in ("points", "neighbours", "neighbour_lengths", "refined_r",
+                 "refined_weight", "rho"):
+        np.testing.assert_array_equal(getattr(mesh, attr), getattr(ref, attr),
+                                      err_msg=attr)
+    assert mesh.basepoint == ref.basepoint
+    assert mesh.fd_step == ref.fd_step
+
+
+def test_second_order_geometry_only_at_the_vertices(monkeypatch):
+    block, counted = extgeo.immersion._geometry_block, {1: 0, 2: 0}
+
+    def count(chart, amb, pts, keep_alpha, keep_vectors, keep_positions,
+              order):
+        counted[order] += len(pts)
+        return block(chart, amb, pts, keep_alpha, keep_vectors,
+                     keep_positions, order)
+
+    monkeypatch.setattr(extgeo.immersion, "_geometry_block", count)
+    chart, _ = xg.catalog_build("rotation-hypersurface", n=3)
+    mesh = xg.build_mesh(chart, [5, 8, 21])
+    assert counted[2] == mesh.n_vertices
+    assert counted[1] == mesh.refined_r.size == 9 * 16 * 41
+
+
+@pytest.mark.parametrize("x1,upper,res,near", [
+    ("(u1 - 0.05)^3", 1.1, 22, "rank-deficient near [ 0.05 -1.  ]"),
+    ("u1^3", 1.0, 21, "not an immersion near [ 0. -1.]"),
+], ids=["between-vertices", "through-vertices"])
+def test_rank_defect_fails_as_on_the_full_order_lattice(x1, upper, res, near):
+    # singular along u1 = 0.05, refined nodes between vertices, or along
+    # u1 = 0, a line of vertices
+    chart = xg.parse_chart(f"""
+m = 2; n = 3; ambient = euclidean;
+x1 = {x1}; x2 = u2; x3 = 0;
+domain u1 in [-1, {upper}], u2 in [-1, 1];
+basepoint 0.5, 0
+""")
+    with pytest.raises(GeometryError) as want:
+        full_order_mesh(chart, res)
+    with pytest.raises(GeometryError) as got:
+        xg.build_mesh(chart, res)
+    assert str(got.value) == str(want.value) == f"chart 'chart' is {near}"
 
 
 def test_resolution_validation():
