@@ -16,8 +16,9 @@ from .errors import (ConfigError, CriticalPointError, DegeneratePlaneError,
                      HypothesisViolatedError, ParseError, SingularityError,
                      TruncationError)
 from .exprchart import ChartBase, ChartSpec, eval_chart, parse_chart
-from .immersion import (PointGeometry, ambient_of, extrinsic_sphere_curvature,
-                        grid_geometry, hypersurface_principal_curvatures,
+from .immersion import (BENDING, FRAME, METRIC, PointGeometry, ambient_of,
+                        extrinsic_sphere_curvature, grid_geometry,
+                        hypersurface_principal_curvatures,
                         level_set_tangent_plane, point_geometry,
                         sectional_curvature)
 from .invariants import (DecayProfile, DeltaModel, InvariantReport,

@@ -28,7 +28,8 @@ TWO_PI = 2.0 * math.pi
 
 # profile table accuracy targets for the rotation hypersurface
 PROFILE_RESIDUAL_TOL = 1e-8
-PROFILE_NODES = 4097
+PROFILE_NODES = 4097        # odd: the middle node is the waist s = 0
+PROFILE_SAMPLES = 2001      # s values on which the residuals are measured
 
 
 @dataclass
@@ -273,7 +274,7 @@ class RotationChart(ChartBase):
     table, first and second derivatives from the closed form above).
     """
 
-    def __init__(self, n, a, s_max=6.0, margin=0.2, nodes=PROFILE_NODES):
+    def __init__(self, n, a, s_max=6.0, margin=0.2):
         n = int(n)
         if n not in (2, 3):
             raise DomainError(f"rotation-hypersurface supports n in (2, 3), got n={n}")
@@ -301,7 +302,7 @@ class RotationChart(ChartBase):
             # the polar margin trims the sphere-factor singularity; only
             # the profile axis runs toward infinity
             self.truncation_axes = (False, False, True)
-        self._build_profile(nodes)
+        self._build_profile()
 
     # profile scalars, all closed-form in s
     def radius_sq(self, s):
@@ -329,11 +330,9 @@ class RotationChart(ChartBase):
         """Principal curvature along the profile direction."""
         return math.sqrt(self.a * self.a - 0.25) / self.radius_sq(s)
 
-    def _build_profile(self, nodes):
-        if nodes % 2 == 0:
-            nodes += 1
+    def _build_profile(self):
         pad = self.s_max + 0.5
-        grid = np.linspace(-pad, pad, nodes)
+        grid = np.linspace(-pad, pad, PROFILE_NODES)
         h = grid[1] - grid[0]
         # one classical 4th-order step per interval; the integrand depends
         # on s alone, so the step reduces to a three-point quadrature
@@ -342,7 +341,7 @@ class RotationChart(ChartBase):
         f_hi = self.theta_dot(grid[1:])
         inc = (h / 6.0) * (f_lo + 4.0 * f_mid + f_hi)
         theta = np.concatenate([[0.0], np.cumsum(inc)])
-        theta -= theta[nodes // 2]  # anchor theta(0) = 0 at the waist
+        theta -= theta[PROFILE_NODES // 2]  # anchor theta(0) = 0 at the waist
         self._nodes = grid
         self._theta = theta
         self._slope = self.theta_dot(grid)
@@ -382,10 +381,10 @@ class RotationChart(ChartBase):
         return [x1 * sin1 * jets.cos(t2), x1 * sin1 * jets.sin(t2),
                 x1 * jets.cos(t1), y, z]
 
-    def profile_residuals(self, samples=2001):
+    def profile_residuals(self):
         """Worst constraint violations of the generating curve, measured
-        numerically on a dense sample."""
-        s = np.linspace(-self.s_max, self.s_max, samples)
+        numerically on ``PROFILE_SAMPLES`` evenly spaced values of s."""
+        s = np.linspace(-self.s_max, self.s_max, PROFILE_SAMPLES)
         x1 = np.sqrt(self.radius_sq(s))
         w = np.sqrt(self.radius_sq(s) + 1.0)
         th = self.theta_value(s)

@@ -23,9 +23,12 @@ Every analysis command runs through one pipeline, ``_run``: validate the
 config, build the immersion, build the mesh (``curvature`` samples the chart
 instead), run the command body, merge the mesh header and the warnings
 raised on the way (``warnings``) into the body's payload sections, then,
-with ``--out``, write the body's report files and ``<command>.json``.  The ``--resolution``, ``--truncation`` and ``--seed``
-values are merged into the config object before it is validated, so they
-pass exactly the checks that the config keys pass.
+with ``--out``, write the body's report files and ``<command>.json``.
+The ``--resolution``, ``--truncation`` and ``--seed`` values are merged
+into the config object before it is validated, so they pass exactly the
+checks that the config keys pass.  ``curvature`` draws its candidates in
+rounds of at most ``DEFAULT_CHUNK`` points and makes one ``FRAME``
+geometry request per round.
 
 Exit codes: 0 success, 1 verification checks failed, 2 malformed config
 (a pole off the model too), 3 numeric pipeline failure.  Errors print one
@@ -49,8 +52,8 @@ from .catalog import CATALOG, catalog_build
 from .errors import (ConfigError, DomainError, ExtGeoError, GeometryError,
                      HypothesisViolatedError, ParseError)
 from .exprchart import parse_chart
-from .immersion import (DEFAULT_CHUNK, ambient_of, extrinsic_sphere_curvature,
-                        grid_geometry)
+from .immersion import (DEFAULT_CHUNK, FRAME, ambient_of,
+                        extrinsic_sphere_curvature, grid_geometry)
 from .invariants import (DeltaModel, default_tail_radii, invariant_tails,
                          pinching_functions, threshold_c_star)
 from .mesh import (EPSILON_CRIT, MIN_RESOLUTION, build_mesh,
@@ -347,8 +350,7 @@ def _curvature_rows(chart, pts, amb):
     there are none).  A block whose geometry fails is split in halves
     until each failure is one point."""
     try:
-        geom = grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True,
-                             amb=amb)
+        geom = grid_geometry(chart, pts, level=FRAME, amb=amb)
     except ExtGeoError:
         if len(pts) == 1:
             return np.zeros(1, dtype=bool), None

@@ -6,6 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_FRACTION = 0.25            # trailing share read by ``tail_min``
+TAIL_FRACTION = 1.0 / 3.0      # trailing share read by the other tail tests
+
 
 @dataclass
 class Curve:
@@ -27,29 +30,26 @@ class Curve:
     def last(self) -> float:
         return float(self.y[-1])
 
-    def tail_min(self, fraction=0.25) -> float:
-        """Minimum of y over the trailing fraction of the x range; the
+    def _tail(self, fraction, least) -> np.ndarray:
+        return self.y[-max(least, int(np.ceil(len(self) * fraction))):]
+
+    def tail_min(self) -> float:
+        """Minimum of y over the trailing quarter of the x range; the
         finite-sample stand-in for a liminf."""
-        k = max(1, int(np.ceil(len(self) * fraction)))
-        return float(np.min(self.y[-k:]))
+        return float(np.min(self._tail(MIN_FRACTION, 1)))
 
-    def tail_slope(self, fraction=1.0 / 3.0) -> float:
-        """Least-squares slope of y against x over the trailing fraction."""
-        k = max(2, int(np.ceil(len(self) * fraction)))
-        xs = self.x[-k:]
-        ys = self.y[-k:]
-        return float(np.polyfit(xs, ys, 1)[0])
+    def tail_slope(self) -> float:
+        """Least-squares slope of y against x over the trailing third."""
+        ys = self._tail(TAIL_FRACTION, 2)
+        return float(np.polyfit(self.x[-len(ys):], ys, 1)[0])
 
-    def tail_oscillation(self, fraction=1.0 / 3.0) -> float:
-        """(max - min) / mean over the trailing fraction; inf if mean is 0."""
-        k = max(1, int(np.ceil(len(self) * fraction)))
-        ys = self.y[-k:]
+    def tail_oscillation(self) -> float:
+        """(max - min) / mean over the trailing third; inf if mean is 0."""
+        ys = self._tail(TAIL_FRACTION, 1)
         mean = float(np.mean(ys))
         if mean == 0.0:
             return 0.0 if float(np.max(ys) - np.min(ys)) == 0.0 else float("inf")
         return float((np.max(ys) - np.min(ys)) / abs(mean))
 
-    def is_tail_increasing(self, fraction=1.0 / 3.0) -> bool:
-        k = max(2, int(np.ceil(len(self) * fraction)))
-        ys = self.y[-k:]
-        return bool(np.all(np.diff(ys) > 0.0))
+    def is_tail_increasing(self) -> bool:
+        return bool(np.all(np.diff(self._tail(TAIL_FRACTION, 2)) > 0.0))

@@ -275,14 +275,20 @@ def _fold_binary(op, a, b) -> float:
             raise EvaluationError("pow", "non-integer exponent needs a positive base")
         if a == 0.0 and b < 0.0:
             raise EvaluationError("pow", "zero base with negative exponent")
-        return a ** b
+        try:
+            return a ** b
+        except OverflowError:
+            raise EvaluationError(op, "non-finite result")
     raise TypeError(op)
 
 
 def _fold_call(fn, x) -> float:
     if fn in ("sqrt", "log") and x <= 0.0:
         raise EvaluationError(fn, "argument not strictly positive")
-    out = getattr(math, fn)(x)
+    try:
+        out = getattr(math, fn)(x)
+    except OverflowError:
+        out = math.inf
     if not math.isfinite(out):
         raise EvaluationError(fn, "non-finite result")
     return out

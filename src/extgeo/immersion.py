@@ -4,14 +4,15 @@ Everything here is derived from second-order jets of a chart: the induced
 metric, the second fundamental form and its norm, and the split of the
 ambient radial gradient into parts tangent and normal to the submanifold.
 The distance to the pole and its ambient gradient come from
-``spaceform.pole_field``; this module only splits the gradient.  A
-first-order geometry (``order=1``) stops after the metric, sqrt det g and
-r, with the same rank checks.
-Bulk evaluation over large point sets is chunked, and the chunks run on a
-thread pool; the result does not depend on the chunk size, and one point
-alone gets the same bits as in any batch.  The curvature
-functions take a geometry of any batch shape: a batch gets arrays and a
-mask of the points that failed, a single point a float or a typed error.
+``spaceform.pole_field``; this module only splits the gradient.  A request
+names one level, ``METRIC``, ``BENDING`` or ``FRAME``, each keeping the
+fields of the one before (see `PointGeometry`), and the record carries its
+``Ambient``.  Bulk evaluation is chunked, ``DEFAULT_CHUNK`` points at a
+time, and the chunks run on a thread pool; the result does not depend on
+the chunk size, and one point alone gets the same bits as in any batch.
+The curvature functions take a ``FRAME`` geometry of any batch shape: a
+batch gets arrays and a mask of the points that failed, a single point a
+float or a typed error.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from .errors import (CriticalPointError, DegeneratePlaneError, DomainError,
 from .exprchart import ChartBase, check_point
 from .spaceform import Ambient, c_kappa, pole_field, s_kappa
 
-__all__ = ["PointGeometry", "ambient_of", "point_geometry", "grid_geometry",
-           "sectional_curvature", "extrinsic_sphere_curvature",
-           "level_set_tangent_plane", "hypersurface_principal_curvatures"]
+__all__ = ["METRIC", "BENDING", "FRAME", "PointGeometry", "ambient_of",
+           "point_geometry", "grid_geometry", "sectional_curvature",
+           "extrinsic_sphere_curvature", "level_set_tangent_plane",
+           "hypersurface_principal_curvatures"]
 
 # immersion rank tolerance: reject charts whose metric is this close to singular
 RANK_TOL = 1e-10
@@ -41,20 +43,23 @@ CRITICAL_TOL = 1e-8
 PLANE_TOL = 1e-8
 
 DEFAULT_CHUNK = 32768
+# geometry request levels, each keeping the fields of the one before
+METRIC, BENDING, FRAME = 1, 2, 3
 
 
 @dataclass
 class PointGeometry:
     """Geometry of one chart point or a batch of them.
 
-    Arrays share the leading batch shape.  ``alpha`` and the radial
-    gradient vectors are kept only when requested.  A first-order geometry
-    (``order=1``) leaves the second-order fields None: ``grad_r_tan_norm``,
-    ``grad_r_perp_norm``, ``norm_alpha_sq``, ``alpha``, ``grad_M_r`` and
-    ``grad_perp_r``.
+    Arrays share the leading batch shape.  Fields above the requested
+    level are None: a ``METRIC`` geometry keeps ``points``, ``metric``,
+    ``sqrt_det_g``, ``r`` and ``at_pole``; ``BENDING`` adds
+    ``grad_r_tan_norm``, ``grad_r_perp_norm`` and ``norm_alpha_sq``;
+    ``FRAME`` adds ``position``, ``jacobian``, ``alpha``, ``grad_M_r`` and
+    ``grad_perp_r``.  ``amb`` is the ambient the geometry was computed in.
     """
 
-    kappa: float
+    amb: Ambient
     points: np.ndarray          # (..., m)
     metric: np.ndarray          # (..., m, m)
     sqrt_det_g: np.ndarray      # (...)
@@ -68,6 +73,10 @@ class PointGeometry:
     grad_M_r: np.ndarray = None         # (..., ncoords)
     grad_perp_r: np.ndarray = None      # (..., ncoords)
     at_pole: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def kappa(self) -> float:
+        return self.amb.kappa
 
     @property
     def m(self) -> int:
@@ -111,17 +120,15 @@ def ambient_of(chart: ChartBase, pole=None) -> Ambient:
 # ---------------------------------------------------------------------------
 # core jet -> geometry pipeline
 
-def _geometry_block(chart, amb, pts, keep_alpha, keep_vectors, keep_positions,
-                    order=2):
-    """All pointwise quantities for a flat (N, m) block of chart points;
-    ``order=1`` stops after the metric, sqrt det g and r."""
+def _geometry_block(chart, amb, pts, level):
+    """The geometry of a flat (N, m) block of chart points, up to
+    ``level``."""
     if len(pts) == 1:
         # einsum drops a batch axis of length one: it picks another path and
         # hands matmul other strides, which round differently.  One point
         # is computed as a batch of two, so it matches every batched call.
         return _geometry_block(chart, amb, np.repeat(pts, 2, axis=0),
-                               keep_alpha, keep_vectors, keep_positions,
-                               order).take(slice(0, 1))
+                               level).take(slice(0, 1))
     out_jets = chart.eval_jets(jets.seed_point(pts))
     eta = amb.signature()
     pos = np.stack([j.value for j in out_jets], axis=-1)          # (N, a)
@@ -142,13 +149,14 @@ def _geometry_block(chart, amb, pts, keep_alpha, keep_vectors, keep_positions,
         bad = _first_rank_defect(g, pts)
         raise GeometryError(
             f"chart '{chart.name}' is rank-deficient near {bad}")
-    first = dict(kappa=amb.kappa, points=pts, metric=g,
-                 sqrt_det_g=np.prod(diag, axis=-1),
-                 position=pos if keep_positions else None,
-                 jacobian=jac if (keep_alpha or keep_vectors) else None)
-    if order == 1:
-        r, _grad, at_pole = pole_field(amb, pos)
-        return PointGeometry(**first, r=r, at_pole=at_pole)
+    r, grad_amb, at_pole = pole_field(amb, pos)
+    frame = level == FRAME
+    geom = PointGeometry(amb=amb, points=pts, metric=g,
+                         sqrt_det_g=np.prod(diag, axis=-1), r=r,
+                         at_pole=at_pole, position=pos if frame else None,
+                         jacobian=jac if frame else None)
+    if level == METRIC:
+        return geom
     # one inverse metric, applied by matmul: a batched solve per
     # right-hand side would factor every metric again
     ginv = np.linalg.inv(g)
@@ -168,22 +176,12 @@ def _geometry_block(chart, amb, pts, keep_alpha, keep_vectors, keep_positions,
 
     w = ginv[..., None, :, :] @ alpha
     nasq = np.einsum("...aij,...aji,a->...", w, w, eta, optimize=True)
-    nasq = np.maximum(nasq, 0.0)
-
-    r, tan_norm, perp_norm, grad_M, grad_perp, at_pole = _radial_split(
-        amb, pos, jac, ginv, keep_vectors)
-
-    return PointGeometry(
-        **first,
-        r=r,
-        grad_r_tan_norm=tan_norm,
-        grad_r_perp_norm=perp_norm,
-        norm_alpha_sq=nasq,
-        alpha=alpha if keep_alpha else None,
-        grad_M_r=grad_M,
-        grad_perp_r=grad_perp,
-        at_pole=at_pole,
-    )
+    tan_norm, perp_norm, grad_M, grad_perp = _radial_split(
+        amb, jac, ginv, grad_amb, at_pole, frame)
+    return replace(geom, grad_r_tan_norm=tan_norm, grad_r_perp_norm=perp_norm,
+                   norm_alpha_sq=np.maximum(nasq, 0.0),
+                   alpha=alpha if frame else None, grad_M_r=grad_M,
+                   grad_perp_r=grad_perp)
 
 
 def _first_rank_defect(g, pts):
@@ -194,14 +192,13 @@ def _first_rank_defect(g, pts):
     return np.array2string(pts.reshape(-1, pts.shape[-1])[k], precision=6)
 
 
-def _radial_split(amb, pos, jac, ginv, keep_vectors):
-    """Distance to the pole (``spaceform.pole_field``) and the split of its
-    ambient gradient into parts tangent and normal to the submanifold.
+def _radial_split(amb, jac, ginv, grad_amb, at_pole, keep_vectors):
+    """The split of the ambient gradient of r (``spaceform.pole_field``)
+    into parts tangent and normal to the submanifold.
 
     At the pole itself the gradient has no limit, but its tangential norm
     tends to 1 and the normal norm to 0; those limits are substituted.
     """
-    r, grad_amb, at_pole = pole_field(amb, pos)
     eta = amb.signature()
     dr = np.einsum("...ai,a,...a->...i", jac, eta, grad_amb, optimize=True)
     coeffs = (ginv @ dr[..., None])[..., 0]
@@ -219,7 +216,7 @@ def _radial_split(amb, pos, jac, ginv, keep_vectors):
         mask = at_pole[..., None]
         grad_M = np.where(mask, 0.0, grad_M)
         grad_perp = np.where(mask, 0.0, grad_perp)
-    return r, tan_norm, perp_norm, grad_M, grad_perp, at_pole
+    return tan_norm, perp_norm, grad_M, grad_perp
 
 
 def point_geometry(chart: ChartBase, point, amb: Ambient = None) -> PointGeometry:
@@ -233,8 +230,7 @@ def point_geometry(chart: ChartBase, point, amb: Ambient = None) -> PointGeometr
         raise DomainError("point_geometry expects a single chart point")
     check_point(chart, point)
     amb = _resolve_ambient(chart, amb)
-    return _geometry_block(chart, amb, point[None, :], keep_alpha=True,
-                           keep_vectors=True, keep_positions=True).take(0)
+    return _geometry_block(chart, amb, point[None, :], FRAME).take(0)
 
 
 def _resolve_ambient(chart: ChartBase, amb) -> Ambient:
@@ -245,24 +241,23 @@ def _resolve_ambient(chart: ChartBase, amb) -> Ambient:
     return amb
 
 
-def grid_geometry(chart: ChartBase, points, keep_alpha=False,
-                  keep_vectors=False, keep_positions=True,
-                  chunk=DEFAULT_CHUNK, amb: Ambient = None,
-                  order=2) -> PointGeometry:
-    """Geometry over a batch of chart points, in chunks of at most ``chunk``
-    points (to bound memory) spread over one thread per CPU.  ``order=1``
-    gives the first-order fields only (see `PointGeometry`)."""
+def grid_geometry(chart: ChartBase, points, level=BENDING,
+                  amb: Ambient = None) -> PointGeometry:
+    """Geometry over a batch of chart points up to ``level`` (see
+    `PointGeometry`), in chunks of at most ``DEFAULT_CHUNK`` points (to
+    bound memory) spread over one thread per CPU."""
+    if level not in (METRIC, BENDING, FRAME):
+        raise DomainError(f"unknown geometry level {level!r}")
     amb = _resolve_ambient(chart, amb)
     points = np.asarray(points, dtype=float)
     batch = points.shape[:-1]
     flat = points.reshape(-1, points.shape[-1])
-    n_pts = flat.shape[0]
+    n_pts, chunk = flat.shape[0], DEFAULT_CHUNK
     if n_pts == 0:
         raise DomainError("grid_geometry needs at least one point")
 
     def run(lo):
-        return _geometry_block(chart, amb, flat[lo:lo + chunk], keep_alpha,
-                               keep_vectors, keep_positions, order)
+        return _geometry_block(chart, amb, flat[lo:lo + chunk], level)
 
     if n_pts <= chunk:
         # one block: a worker thread would only add its stack and malloc
@@ -319,23 +314,16 @@ def _alpha_on(geom: PointGeometry, x, y) -> np.ndarray:
     return np.einsum("...aij,...i,...j->...a", geom.alpha, x, y)
 
 
-def _eta(geom: PointGeometry) -> np.ndarray:
-    eta = np.ones(geom.alpha.shape[-3])
-    if geom.kappa != 0.0:
-        eta[-1] = -1.0
-    return eta
-
-
 def _gauss(geom: PointGeometry, axx, ayy, axy) -> np.ndarray:
     # sums over the last axis add in the order a one-point np.sum does
-    eta = _eta(geom)
+    eta = geom.amb.signature()
     return np.sum(eta * axx * ayy, axis=-1) - np.sum(eta * axy * axy, axis=-1)
 
 
 def _radial_covector(geom: PointGeometry) -> np.ndarray:
     """dr in chart coordinates."""
-    return np.einsum("...ai,a,...a->...i", geom.jacobian, _eta(geom),
-                     geom.grad_M_r)
+    return np.einsum("...ai,a,...a->...i", geom.jacobian,
+                     geom.amb.signature(), geom.grad_M_r)
 
 
 def _sectional(geom: PointGeometry, x, y):
@@ -420,7 +408,7 @@ def _sphere_curvature(geom: PointGeometry, plane, mode):
     if mode == "bounds":
         na = np.sqrt(geom.norm_alpha_sq)
         perp = geom.grad_r_perp_norm
-        upper = geom.kappa + na * na + (ratio + perp * na) ** 2 / tan_sq
+        upper = geom.kappa + na * na + np.square(ratio + perp * na) / tan_sq
         lower = (geom.kappa - 2.0 * na * na
                  + (ratio * ratio - 2.0 * perp * na * ratio) / tan_sq)
         return [lower, upper, ratio > perp * na], checks
@@ -442,7 +430,7 @@ def _sphere_curvature(geom: PointGeometry, plane, mode):
     axx = _alpha_on(geom, x, x)
     ayy = _alpha_on(geom, y, y)
     axy = _alpha_on(geom, x, y)
-    perp = _eta(geom) * geom.grad_perp_r
+    perp = geom.amb.signature() * geom.grad_perp_r
     pxx, pyy, pxy = (np.sum(perp * a, axis=-1) for a in (axx, ayy, axy))
     mixed = ((ratio + pxx) * (ratio + pyy) - pxy * pxy) / tan_sq
     return ([geom.kappa + _gauss(geom, axx, ayy, axy) + mixed],
@@ -484,13 +472,12 @@ def hypersurface_principal_curvatures(geom: PointGeometry):
         raise DomainError("hypersurface_principal_curvatures works on a "
                           "single-point geometry")
     _need_alpha(geom, "hypersurface_principal_curvatures")
-    ncoords = geom.alpha.shape[-3]
-    n = ncoords if geom.kappa == 0.0 else ncoords - 1
+    n = geom.amb.n
     if geom.m != n - 1:
         raise DomainError(
             f"principal curvatures need codimension one, got m = {geom.m} "
             f"in ambient dimension {n}")
-    eta = _eta(geom)
+    eta = geom.amb.signature()
     norms = np.einsum("aij,aij,a->ij", geom.alpha, geom.alpha, eta,
                       optimize=True)
     i0, j0 = np.unravel_index(int(np.argmax(norms)), norms.shape)

@@ -42,6 +42,8 @@ OSC_TOL = 0.10
 # scale factor of the "flat slope" tolerance
 SLOPE_FRACTION = 0.05
 C_STAR_AGREEMENT = 1e-10
+C_STAR_TOL = 1e-12          # bracket width that ends the c* bisection
+TAIL_RADII = 12             # radii in the default tail window
 
 PROFILE_KINDS = ("inverse-distance", "inverse-s", "inverse-sc")
 
@@ -196,12 +198,12 @@ def c_star_closed_form() -> float:
     return math.sqrt((23.0 - math.sqrt(337.0)) / 32.0)
 
 
-def c_star_bisection(tol: float = 1e-12) -> float:
+def c_star_bisection() -> float:
     """The same crossing located by bisection, no algebra involved.
 
     F falls from 1 at c = 0 to below 1/4 at c = 1/2."""
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > C_STAR_TOL:
         mid = 0.5 * (lo + hi)
         if pinching_functions(mid).F > 0.25:
             lo = mid
@@ -251,9 +253,9 @@ class InvariantReport:
         }
 
 
-def default_tail_radii(mesh: MeshGraph, n: int = 12) -> np.ndarray:
-    """Evenly spaced exhaustion radii strictly inside the reliable window,
-    from a quarter of its top upwards."""
+def default_tail_radii(mesh: MeshGraph) -> np.ndarray:
+    """``TAIL_RADII`` evenly spaced exhaustion radii strictly inside the
+    reliable window, from a quarter of its top upwards."""
     cap = mesh.r_truncation_min
     if math.isfinite(cap):
         hi = 0.99 * RADIUS_CAP_FRACTION * cap
@@ -262,7 +264,7 @@ def default_tail_radii(mesh: MeshGraph, n: int = 12) -> np.ndarray:
     lo = 0.25 * hi
     if not 0.0 < lo < hi:
         raise DomainError("mesh is too small for a tail radius window")
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, TAIL_RADII)
 
 
 def invariant_tails(mesh: MeshGraph, radii) -> InvariantReport:

@@ -21,9 +21,9 @@ the forward entries, slot by slot and in vertex order within a slot.
 The grid graph is connected; the components of {r > R}, which count the
 ends, come from the same table by pointer jumping.
 
-Only the vertices carry second-order geometry (the second fundamental
-form and the radial split that the invariants read); the refined lattice
-is evaluated at first order and keeps the metric, sqrt det g and r.
+Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
+split that the invariants read); the refined lattice is a ``METRIC``
+request and keeps the metric, sqrt det g and r.
 
 The refined lattice is also what the volume integrators consume: each of
 its nodes carries r and a volume weight, ``refined_r`` and
@@ -45,7 +45,7 @@ import numpy as np
 from .eikonal import stencil, upwind_distances
 from .errors import DomainError, GeometryError
 from .exprchart import ChartBase
-from .immersion import PointGeometry, ambient_of, grid_geometry
+from .immersion import METRIC, PointGeometry, ambient_of, grid_geometry
 from .reporting import write_csv
 from .spaceform import Ambient
 
@@ -327,13 +327,12 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
         for i in range(m)]
     refined_pts = np.stack(
         np.meshgrid(*refined_axes, indexing="ij"), axis=-1)
-    # the whole lattice first, so its checks fire as they would at order 2;
-    # only the vertices (every second node per axis) need the rest
-    refined = grid_geometry(chart, refined_pts, keep_positions=False, amb=amb,
-                            order=1)
+    # the whole lattice first, so its checks fire as they would at a higher
+    # level; only the vertices (every second node per axis) need the rest
+    refined = grid_geometry(chart, refined_pts, level=METRIC, amb=amb)
     vertex_pts = refined_pts[(slice(0, None, 2),) * m].reshape(-1, m)
     del refined_pts
-    vertices = grid_geometry(chart, vertex_pts, keep_positions=False, amb=amb)
+    vertices = grid_geometry(chart, vertex_pts, amb=amb)
 
     neighbours, lengths = _neighbour_table(
         shape, chart.periodic, spacing, vertices.metric, refined.metric)

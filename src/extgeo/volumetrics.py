@@ -8,7 +8,8 @@ One sort of the radii and one ``searchsorted`` of the node values give
 every radius at once.  Sphere volumes are central differences of the ball
 curve with a step of two cells in radial units (``MeshGraph.fd_step``),
 which keeps the estimate consistent with the coarea relation without
-assuming smoothness of the discretized boundary.
+assuming smoothness of the discretized boundary.  The curvature screen
+makes one ``FRAME`` geometry request, the level that keeps alpha.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .curves import Curve
 from .errors import (DegeneratePlaneError, DomainError, GeometryError,
                      HypothesisViolatedError, TruncationError)
-from .immersion import grid_geometry, sectional_curvature
+from .immersion import FRAME, grid_geometry, sectional_curvature
 from .invariants import InvariantReport
 from .mesh import RADIUS_CAP_FRACTION, MeshGraph, ends_stability
 from .spaceform import model_volumes
@@ -296,7 +297,7 @@ def _screen_curvature_hypothesis(mesh: MeshGraph, samples: int,
     pts = lows + (highs - lows) * rng.uniform(0.05, 0.95, size=(samples, m))
 
     # batch (samples, 1) against the planes (pairs, m): one row per point
-    geom = grid_geometry(chart, pts[:, None, :], keep_alpha=True, amb=mesh.amb)
+    geom = grid_geometry(chart, pts[:, None, :], level=FRAME, amb=mesh.amb)
     first, second = np.triu_indices(m, k=1)
     basis = np.eye(m)
     sec, degenerate = sectional_curvature(geom, basis[first], basis[second])

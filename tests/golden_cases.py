@@ -33,6 +33,9 @@ domain u1 in [-1, 1], u2 in [-1, 1];
 basepoint 0, 0
 """
 
+# a constant beyond the float range: a typed evaluation error, exit 3
+INLINE_OVERFLOW = "const C = 10^400;" + INLINE_PLANE
+
 # name -> (argv, config written to a file and passed as --config, or None)
 CASES = {
     **{f"{command}-{name}": ([command, "--immersion", name], None)
@@ -46,6 +49,8 @@ CASES = {
         "pole": [0.0, 0.0, 0.0, -1.0]}),
     "error-inline-truncation": (["volume", "--truncation", "3"], {
         "immersion": {"source": INLINE_PLANE}, "resolution": 9}),
+    "error-overflow-constant": (["invariants"], {
+        "immersion": {"source": INLINE_OVERFLOW}, "resolution": 9}),
 }
 
 

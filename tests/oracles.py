@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from extgeo.immersion import ambient_of, grid_geometry
+from extgeo.immersion import METRIC, ambient_of, grid_geometry
 from extgeo.mesh import MeshGraph, _axis_layout, _neighbour_table, _node_weights
 
 QUAD_TOL = 1e-13
@@ -130,7 +130,7 @@ def cell_fraction_ball_volumes(mesh, radii):
     axes = [o + h * (c + 0.5)
             for o, h, c in zip(mesh.origin, mesh.spacing, _cells(mesh))]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    density = grid_geometry(mesh.chart, centers, keep_positions=False,
+    density = grid_geometry(mesh.chart, centers, level=METRIC,
                             amb=mesh.amb).sqrt_det_g.reshape(-1)
     weight = density * mesh.cell_measure
     sub = _cell_sublattice_r(mesh)
@@ -146,14 +146,14 @@ def cell_r_spans(mesh):
 
 
 def full_order_mesh(chart, resolution, pole=None):
-    """``build_mesh`` from one second-order geometry of the refined
+    """``build_mesh`` from one ``BENDING`` geometry of the refined
     lattice, with the vertex geometry taken at every second node."""
     shape, origin, spacing = _axis_layout(chart, resolution)
     amb = ambient_of(chart, pole)
     axes = [o + 0.5 * h * np.arange(2 * k if p else 2 * k - 1)
             for o, h, k, p in zip(origin, spacing, shape, chart.periodic)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    refined = grid_geometry(chart, pts, keep_positions=False, amb=amb)
+    refined = grid_geometry(chart, pts, amb=amb)
     evens = tuple([slice(0, None, 2)] * chart.m)
     vertices = refined.map_arrays(lambda arr, k: np.ascontiguousarray(
         arr[evens].reshape((-1,) + arr.shape[arr.ndim - k:])))

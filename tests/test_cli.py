@@ -413,10 +413,8 @@ def test_curvature_rows_match_the_per_point_sampler(tmp_path):
     want, skipped, conds = reference_curvature_rows(chart, 500, 7)
     got = curvature_csv(out_dir / "curvature.csv")
     assert skipped == pay["skipped"] and len(got) == len(want)
-    for row, ref, cond in zip(got, want, conds):
-        assert row[:4] == ref[:4]            # u1, u2, u3 and r bit for bit
-        assert row[-1] == ref[-1]
-        np.testing.assert_allclose(row[4:7], ref[4:7], rtol=1e-10 * cond)
+    # u1, u2, u3, r, exact, lower, upper and valid bit for bit
+    assert got == want
     assert pay["metric_cond"]["max"] == pytest.approx(max(conds), rel=1e-6)
     assert pay["metric_cond"]["median"] == pytest.approx(
         float(np.median(conds)), rel=1e-6)
@@ -618,6 +616,22 @@ def test_parse_error_reports_line_and_col(tmp_path):
     assert body["error"] == "ParseError"
     assert body["line"] == 2
     assert body["col"] == 10
+
+
+@pytest.mark.parametrize("const,x2,message", [
+    ("const C = 10^400;", "0", "^: non-finite result"),
+    ("const C = exp(1000);", "0", "exp: non-finite result"),
+    ("", "exp(1000)*u1", "exp: non-finite result"),
+    ("", "(u1+2)^(10^400)", "^: non-finite result"),
+], ids=["const-power", "const-exp", "coefficient", "exponent"])
+def test_overflow_in_constant_folding_is_an_evaluation_error(
+        tmp_path, const, x2, message):
+    src = (f"m = 2; n = 3; ambient = euclidean; {const} x1 = u1; x2 = {x2}; "
+           "x3 = u2; domain u1 in [-1, 1], u2 in [-1, 1]")
+    cfg = write_config(tmp_path, {"immersion": {"source": src},
+                                  "resolution": 9})
+    body = error_of(["invariants", "--config", cfg], expect_code=3)
+    assert body == {"error": "EvaluationError", "message": message}
 
 
 # ---------------------------------------------------------------------------

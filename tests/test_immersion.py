@@ -232,15 +232,21 @@ def test_ambient_mismatch_rejected():
 # batching
 
 def _array_fields(geom):
-    return [f.name for f in dataclasses.fields(geom) if f.name != "kappa"]
+    return [f.name for f in dataclasses.fields(geom) if f.name != "amb"]
+
+
+def _assert_same_ambient(got, want):
+    assert (got.amb.n, got.amb.kappa) == (want.amb.n, want.amb.kappa)
+    np.testing.assert_array_equal(got.amb.pole, want.amb.pole)
 
 
 def test_grid_matches_pointwise():
     chart = xg.parse_chart(CATENOID)
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(5, 2))
-    grid = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
+    grid = xg.grid_geometry(chart, pts, level=xg.FRAME)
     for i, pt in enumerate(pts):
         single = xg.point_geometry(chart, pt)
+        _assert_same_ambient(grid, single)
         for name in _array_fields(single):
             want = getattr(single, name)
             got = getattr(grid, name)
@@ -249,12 +255,13 @@ def test_grid_matches_pointwise():
             np.testing.assert_array_equal(got[i], want, err_msg=name)
 
 
-def test_grid_chunk_size_does_not_change_output():
+def test_grid_chunk_size_does_not_change_output(monkeypatch):
     chart = xg.parse_chart(CATENOID)
     pts = np.random.default_rng(6).uniform(-1.2, 1.2, size=(10, 10, 2))
-    base = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
-    chunked = xg.grid_geometry(chart, pts, keep_alpha=True,
-                               keep_vectors=True, chunk=16)
+    base = xg.grid_geometry(chart, pts, level=xg.FRAME)
+    monkeypatch.setattr(xg.immersion, "DEFAULT_CHUNK", 16)
+    chunked = xg.grid_geometry(chart, pts, level=xg.FRAME)
+    _assert_same_ambient(chunked, base)
     for name in _array_fields(base):
         want = getattr(base, name)
         got = getattr(chunked, name)
@@ -276,10 +283,11 @@ def far_rotation_points():
 
 def test_point_geometry_is_the_batched_geometry():
     chart, pts = far_rotation_points()
-    grid = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
+    grid = xg.grid_geometry(chart, pts, level=xg.FRAME)
     assert np.max(np.linalg.cond(grid.metric)) >= 1e4
     for i, pt in enumerate(pts):
         single = xg.point_geometry(chart, pt)
+        _assert_same_ambient(grid, single)
         for name in _array_fields(single):
             np.testing.assert_array_equal(getattr(single, name),
                                           getattr(grid, name)[i],
@@ -287,28 +295,49 @@ def test_point_geometry_is_the_batched_geometry():
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 13])
-def test_short_trailing_chunks_match_the_default(chunk):
+def test_short_trailing_chunks_match_the_default(chunk, monkeypatch):
     chart, pts = far_rotation_points()
-    base = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
-    chunked = xg.grid_geometry(chart, pts, keep_alpha=True,
-                               keep_vectors=True, chunk=chunk)
+    base = xg.grid_geometry(chart, pts, level=xg.FRAME)
+    monkeypatch.setattr(xg.immersion, "DEFAULT_CHUNK", chunk)
+    chunked = xg.grid_geometry(chart, pts, level=xg.FRAME)
+    _assert_same_ambient(chunked, base)
     for name in _array_fields(base):
         np.testing.assert_array_equal(getattr(chunked, name),
                                       getattr(base, name), err_msg=name)
 
 
-def test_first_order_geometry_is_the_leading_part():
+METRIC_FIELDS = {"points", "metric", "sqrt_det_g", "r", "at_pole"}
+LEVEL_FIELDS = {
+    xg.METRIC: METRIC_FIELDS,
+    xg.BENDING: METRIC_FIELDS | {"grad_r_tan_norm", "grad_r_perp_norm",
+                                 "norm_alpha_sq"},
+}
+
+
+@pytest.mark.parametrize("level", [xg.METRIC, xg.BENDING],
+                         ids=["metric", "bending"])
+def test_each_level_is_a_part_of_the_frame(level):
     chart, pts = far_rotation_points()
-    full = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
-    first = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True,
-                             order=1)
-    for name in _array_fields(full):
-        if name in ("points", "metric", "sqrt_det_g", "r", "at_pole",
-                    "position", "jacobian"):
-            np.testing.assert_array_equal(getattr(first, name),
-                                          getattr(full, name), err_msg=name)
+    frame = xg.grid_geometry(chart, pts, level=xg.FRAME)
+    geom = xg.grid_geometry(chart, pts, level=level)
+    assert geom.amb is not None and geom.kappa == frame.kappa
+    for name in _array_fields(frame):
+        if name in LEVEL_FIELDS[level]:
+            np.testing.assert_array_equal(getattr(geom, name),
+                                          getattr(frame, name), err_msg=name)
         else:
-            assert getattr(first, name) is None, name
+            assert getattr(geom, name) is None, name
+    kept = "second fundamental form kept"
+    with pytest.raises(DomainError, match=kept):
+        xg.sectional_curvature(geom, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    with pytest.raises(DomainError, match=kept):
+        xg.extrinsic_sphere_curvature(geom, mode="bounds")
+
+
+def test_unknown_level_is_rejected():
+    chart, pts = far_rotation_points()
+    with pytest.raises(DomainError, match="unknown geometry level 4"):
+        xg.grid_geometry(chart, pts, level=4)
 
 
 def test_grid_preserves_batch_shape():
@@ -324,7 +353,7 @@ def test_grid_preserves_batch_shape():
 def test_single_point_functions_reject_batches():
     chart = xg.parse_chart(CATENOID)
     pts = np.array([[0.5, 0.5], [0.6, 0.6]])
-    geom = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
+    geom = xg.grid_geometry(chart, pts, level=xg.FRAME)
     ks, degenerate = xg.sectional_curvature(geom, [1.0, 0.0], [0.0, 1.0])
     assert not np.any(degenerate)
     for k, pt in zip(ks, pts):
@@ -350,9 +379,9 @@ def test_first_order_geometry_checks_the_rank(src, u2, message):
     chart = xg.parse_chart("m = 2; n = 3; ambient = euclidean; " + src
                            + "; domain u1 in [-1, 1], u2 in [-1, 1]")
     pts = np.array([[0.2, -0.5], [0.3, u2], [0.4, 0.5]])
-    for order in (1, 2):
+    for level in (xg.METRIC, xg.BENDING, xg.FRAME):
         with pytest.raises(GeometryError) as err:
-            xg.grid_geometry(chart, pts, order=order)
+            xg.grid_geometry(chart, pts, level=level)
         assert str(err.value) == f"chart 'chart' is {message}"
 
 
@@ -475,7 +504,7 @@ def _scalar_or_error(fn, *args, **kwargs):
 def test_batched_curvature_masks_exactly_the_failing_points():
     chart = xg.parse_chart(CIRCLE_CYLINDER)
     pts = np.array([[0.7, 0.3, -0.2], [0.0, 0.0, 0.0], [math.pi, 0.0, 0.0]])
-    geom = xg.grid_geometry(chart, pts, keep_alpha=True, keep_vectors=True)
+    geom = xg.grid_geometry(chart, pts, level=xg.FRAME)
     assert geom.at_pole[1]
     assert geom.grad_r_tan_norm[2] <= xg.immersion.CRITICAL_TOL
     singles = [xg.point_geometry(chart, pt) for pt in pts]

@@ -176,7 +176,7 @@ def test_curve_tail_helpers():
     line = Curve(np.arange(1.0, 7.0), 3.0 * np.arange(1.0, 7.0))
     assert line.tail_slope() == pytest.approx(3.0, rel=1e-12)
     assert line.is_tail_increasing()
-    assert line.tail_min(0.5) == pytest.approx(12.0)
+    assert line.tail_min() == pytest.approx(15.0)   # last quarter: 2 of 6
     with pytest.raises(ValueError):
         Curve(np.arange(3.0), np.arange(4.0))
 
@@ -275,7 +275,8 @@ def test_default_tail_radii_windows(flat2_mesh):
     # fully periodic meshes fall back to the sampled maximum
     chart, _ = xg.catalog_build("sphere", m=1, n=2, radius=1.0)
     mesh = xg.build_mesh(chart, 64, pole=[0.0, 0.0])
-    radii = xg.default_tail_radii(mesh, n=5)
+    radii = xg.default_tail_radii(mesh)
+    assert len(radii) == 12
     assert radii[-1] == pytest.approx(0.95 * mesh.r_max, rel=1e-12)
 
 

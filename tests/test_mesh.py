@@ -104,6 +104,10 @@ def test_mesh_equals_the_full_order_lattice(name, params, res):
     ref = full_order_mesh(chart, res)
     for f in dataclasses.fields(mesh.vertices):
         got, want = getattr(mesh.vertices, f.name), getattr(ref.vertices, f.name)
+        if f.name == "amb":
+            assert (got.n, got.kappa) == (want.n, want.kappa)
+            np.testing.assert_array_equal(got.pole, want.pole)
+            continue
         assert (got is None) == (want is None), f.name
         np.testing.assert_array_equal(got, want, err_msg=f.name)
     for attr in ("points", "neighbours", "neighbour_lengths", "refined_r",
@@ -115,19 +119,18 @@ def test_mesh_equals_the_full_order_lattice(name, params, res):
 
 
 def test_second_order_geometry_only_at_the_vertices(monkeypatch):
-    block, counted = extgeo.immersion._geometry_block, {1: 0, 2: 0}
+    block = extgeo.immersion._geometry_block
+    counted = {xg.METRIC: 0, xg.BENDING: 0}
 
-    def count(chart, amb, pts, keep_alpha, keep_vectors, keep_positions,
-              order):
-        counted[order] += len(pts)
-        return block(chart, amb, pts, keep_alpha, keep_vectors,
-                     keep_positions, order)
+    def count(chart, amb, pts, level):
+        counted[level] += len(pts)
+        return block(chart, amb, pts, level)
 
     monkeypatch.setattr(extgeo.immersion, "_geometry_block", count)
     chart, _ = xg.catalog_build("rotation-hypersurface", n=3)
     mesh = xg.build_mesh(chart, [5, 8, 21])
-    assert counted[2] == mesh.n_vertices
-    assert counted[1] == mesh.refined_r.size == 9 * 16 * 41
+    assert counted[xg.BENDING] == mesh.n_vertices
+    assert counted[xg.METRIC] == mesh.refined_r.size == 9 * 16 * 41
 
 
 @pytest.mark.parametrize("x1,upper,res,near", [

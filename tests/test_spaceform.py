@@ -120,8 +120,7 @@ def test_mesh_radial_field_is_the_model_formula(name, params, resolution):
     positions = chart.eval_positions(mesh.points)
     assert np.array_equal(xg.ambient_distance(mesh.amb, positions), mesh.r)
 
-    geom = xg.grid_geometry(chart, mesh.points, keep_vectors=True,
-                            amb=mesh.amb)
+    geom = xg.grid_geometry(chart, mesh.points, level=xg.FRAME, amb=mesh.amb)
     away = ~geom.at_pole
     split = (geom.grad_M_r + geom.grad_perp_r)[away]
     grad = radial_gradient(mesh.amb, positions[away])
