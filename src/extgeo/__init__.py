@@ -3,7 +3,7 @@ ambient spaces: bending invariants, volume growth, ends, and the curvature
 of extrinsic distance spheres.
 
 The pipeline runs chart source text (or a catalog entry) through exact
-second-order jets, assembles a weighted mesh graph, and evaluates the
+first- and second-order jets, assembles a weighted mesh graph, and evaluates the
 asymptotic invariants on it.  See the README for the command line front
 end.
 """

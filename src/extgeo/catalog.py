@@ -365,9 +365,9 @@ class RotationChart(ChartBase):
     def _scalar_jets(self, s: Jet2):
         x1 = jets.sqrt(jets.cosh(s * 2.0) * self.a - 0.5)
         w = jets.sqrt(jets.cosh(s * 2.0) * self.a + 0.5)
+        ddot = None if s.order == 1 else self.theta_ddot(s.value)
         th = jets.compose_scalar(s, self.theta_value(s.value),
-                                 self.theta_dot(s.value),
-                                 self.theta_ddot(s.value), op="theta")
+                                 self.theta_dot(s.value), ddot, op="theta")
         return x1, w * jets.sinh(th), w * jets.cosh(th)
 
     def eval_jets(self, us):

@@ -244,9 +244,15 @@ class _Update:
         # unit stretch, h_a / sqrt(g^aa)
         g = [[self.metric[:, a * m + b] for b in range(m)] for a in range(m)]
         det = _det(g)
-        self.facet_gap = np.asarray(spacing, dtype=float) * np.sqrt(np.stack(
+        facet_gap = np.asarray(spacing, dtype=float) * np.sqrt(np.stack(
             [det / _det([row[:a] + row[a + 1:] for row in g[:a] + g[a + 1:]])
              for a in range(m)], axis=1))
+        # per vertex once, not per visit: the local norm's stretch of each
+        # offset, lengths from the edges over lengths from the metric, and
+        # the least distance to each facet plane (see ``_open_facets``)
+        self.stretch = lengths / np.sqrt(self.metric @ self.norm_cols)
+        self.margin = (np.min(self.stretch[:, self.st.facet_slots], axis=2)
+                       * facet_gap[:, self.st.facet_axis])
         self._factoring(shape, periodic, spacing, source)
 
     def _factoring(self, shape, periodic, spacing, source):
@@ -296,7 +302,7 @@ class _Update:
         gf = self.metric[idx]
         # the local norm: squared lengths from the edges, angle cosines
         # from the metric
-        stretch = lx / np.sqrt(gf @ self.norm_cols)
+        stretch = self.stretch[idx]
         local = (stretch, gf @ self.pair_cols, lx * lx, w)
         one_step = w + lx
         near = np.argmin(one_step, axis=1)
@@ -348,12 +354,10 @@ class _Update:
         # whole; a nan bound certifies nothing
         rows = np.flatnonzero(~(np.fmin.reduce(bound, axis=1) >= top))
         fs = self.st.facet_slots
-        margin = (np.min(stretch[rows][:, fs], axis=2)
-                  * self.facet_gap[idx[rows]][:, self.st.facet_axis])
         below = (~(np.fmin.reduce(bound[rows][:, fs], axis=2)
                    >= top[rows, None])
                  & (np.min(w[rows][:, fs], axis=2)
-                    < best[rows, None] - margin))
+                    < best[rows, None] - self.margin[idx[rows]]))
         hit, facet = np.nonzero(below)
         return rows[hit], facet
 

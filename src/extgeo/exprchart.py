@@ -19,9 +19,9 @@ set supported by the jet layer.  ``const`` binds named constants, usable
 anywhere, declared in any order.  An optional ``basepoint`` statement
 marks a distinguished chart point (the domain midpoint otherwise).
 
-Parsed charts evaluate to second-order jets (positions are their values),
-and they pretty-print back to source that reparses to a structurally
-identical tree.
+Parsed charts evaluate to jets of the order they are seeded with
+(positions are their values), and they pretty-print back to source that
+reparses to a structurally identical tree.
 """
 
 from __future__ import annotations
@@ -236,6 +236,11 @@ def _is_constant(node) -> bool:
     raise TypeError(node)
 
 
+# the jet layer's name of each binary operator, so that a folded constant
+# and a jet report the same operation
+_OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
+
+
 def _fold(node, consts) -> float:
     """Evaluate a constant subtree to a float, with jet-layer domain rules."""
     if isinstance(node, Lit):
@@ -252,7 +257,7 @@ def _fold(node, consts) -> float:
         b = _fold(node.rhs, consts)
         out = _fold_binary(node.op, a, b)
         if not math.isfinite(out):
-            raise EvaluationError(node.op, "non-finite result")
+            raise EvaluationError(_OP_NAMES[node.op], "non-finite result")
         return out
     if isinstance(node, Call):
         return _fold_call(node.fn, _fold(node.arg, consts))
@@ -278,7 +283,7 @@ def _fold_binary(op, a, b) -> float:
         try:
             return a ** b
         except OverflowError:
-            raise EvaluationError(op, "non-finite result")
+            raise EvaluationError("pow", "non-finite result")
     raise TypeError(op)
 
 
@@ -426,7 +431,7 @@ class ChartSpec(ChartBase):
         for ast in self.coords:
             val = _eval_jet(ast, us, self.consts)
             if not isinstance(val, Jet2):
-                val = jets.constant(val, self.m, batch)
+                val = jets.constant(val, self.m, batch, us[0].order)
             out.append(val)
         return out
 

@@ -1,15 +1,19 @@
 """Pointwise geometry of an immersed submanifold.
 
-Everything here is derived from second-order jets of a chart: the induced
-metric, the second fundamental form and its norm, and the split of the
-ambient radial gradient into parts tangent and normal to the submanifold.
-The distance to the pole and its ambient gradient come from
-``spaceform.pole_field``; this module only splits the gradient.  A request
-names one level, ``METRIC``, ``BENDING`` or ``FRAME``, each keeping the
-fields of the one before (see `PointGeometry`), and the record carries its
-``Ambient``.  Bulk evaluation is chunked, ``DEFAULT_CHUNK`` points at a
-time, and the chunks run on a thread pool; the result does not depend on
-the chunk size, and one point alone gets the same bits as in any batch.
+Everything here is derived from jets of a chart: the induced metric, the
+second fundamental form and its norm, and the split of the ambient radial
+gradient into parts tangent and normal to the submanifold.  The distance
+to the pole and its ambient gradient come from ``spaceform.pole_field``;
+this module only splits the gradient.  A request names one level,
+``METRIC``, ``BENDING`` or ``FRAME``, each keeping the fields of the one
+before (see `PointGeometry`), and the record carries its ``Ambient``.
+``METRIC`` reads first derivatives only and runs on first-order jets, with
+no Hessian anywhere; ``BENDING`` and ``FRAME`` need the second fundamental
+form and run on second-order jets.  Values and first derivatives agree bit
+for bit across the levels.  Bulk evaluation is chunked, ``DEFAULT_CHUNK``
+points at a time, and the chunks run on a thread pool; the result does not
+depend on the chunk size, and one point alone gets the same bits as in any
+batch.
 The curvature functions take a ``FRAME`` geometry of any batch shape: a
 batch gets arrays and a mask of the points that failed, a single point a
 float or a typed error.
@@ -129,11 +133,13 @@ def _geometry_block(chart, amb, pts, level):
         # is computed as a batch of two, so it matches every batched call.
         return _geometry_block(chart, amb, np.repeat(pts, 2, axis=0),
                                level).take(slice(0, 1))
-    out_jets = chart.eval_jets(jets.seed_point(pts))
+    # a METRIC block reads first derivatives only: its jets carry no Hessian
+    out_jets = chart.eval_jets(jets.seed_point(pts, 1 if level == METRIC else 2))
     eta = amb.signature()
     pos = np.stack([j.value for j in out_jets], axis=-1)          # (N, a)
     jac = np.stack([j.grad for j in out_jets], axis=-2)           # (N, a, m)
-    hess = np.stack([j.hess for j in out_jets], axis=-3)          # (N, a, m, m)
+    if level != METRIC:
+        hess = np.stack([j.hess for j in out_jets], axis=-3)      # (N, a, m, m)
     del out_jets                      # the stacks above copied every part
 
     g = np.einsum("...ai,...aj,a->...ij", jac, jac, eta, optimize=True)

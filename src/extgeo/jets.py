@@ -1,10 +1,16 @@
-"""Second-order forward-mode automatic differentiation.
+"""Forward-mode automatic differentiation of first or second order.
 
 A Jet2 carries a value together with its gradient and Hessian with respect
 to m seed variables.  Values may be scalars or numpy arrays of any batch
 shape S; then grad has shape S + (m,) and hess has shape S + (m, m).
 Propagating a whole grid of points through one expression this way keeps
 the arithmetic in vectorized numpy.
+
+The order is set when the variables are seeded.  An order-1 jet has
+``hess`` None, and every rule then skips the Hessian: values and gradients
+come from the same expressions at either order, so they agree bit for bit.
+A rule whose operands differ in order returns order 1; constants are made
+at the order of the jets they meet, so a chart's outputs share one order.
 
 Hessians are kept exactly symmetric by construction: every rule that mixes
 two gradients writes the symmetrized outer product, whose (i, j) and (j, i)
@@ -31,15 +37,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value, gradient and Hessian with respect to m seed variables."""
+    """Value, gradient and Hessian with respect to m seed variables;
+    ``hess`` is None on a first-order jet."""
 
     value: np.ndarray
     grad: np.ndarray
-    hess: np.ndarray
+    hess: np.ndarray | None
 
     @property
     def m(self) -> int:
         return self.grad.shape[-1]
+
+    @property
+    def order(self) -> int:
+        return 1 if self.hess is None else 2
 
     @property
     def batch_shape(self):
@@ -51,7 +62,7 @@ class Jet2:
         if isinstance(other, Jet2):
             return _check("add", Jet2(self.value + other.value,
                                       self.grad + other.grad,
-                                      self.hess + other.hess))
+                                      _sum(self.hess, other.hess, np.add)))
         return _check("add", Jet2(self.value + other, self.grad, self.hess))
 
     __radd__ = __add__
@@ -60,26 +71,30 @@ class Jet2:
         if isinstance(other, Jet2):
             return _check("sub", Jet2(self.value - other.value,
                                       self.grad - other.grad,
-                                      self.hess - other.hess))
+                                      _sum(self.hess, other.hess, np.subtract)))
         return _check("sub", Jet2(self.value - other, self.grad, self.hess))
 
     def __rsub__(self, other):
-        return _check("sub", Jet2(other - self.value, -self.grad, -self.hess))
+        return _check("sub", Jet2(other - self.value, -self.grad,
+                                  _neg(self.hess)))
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return Jet2(-self.value, -self.grad, _neg(self.hess))
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
             v = self.value * other.value
             g = self.grad * other.value[..., None] + other.grad * self.value[..., None]
-            h = (self.hess * other.value[..., None, None]
-                 + other.hess * self.value[..., None, None]
-                 + _sym_outer(self.grad, other.grad))
+            h = None
+            if self.hess is not None and other.hess is not None:
+                h = (self.hess * other.value[..., None, None]
+                     + other.hess * self.value[..., None, None]
+                     + _sym_outer(self.grad, other.grad))
             return _check("mul", Jet2(v, g, h))
         return _check("mul", Jet2(self.value * other,
                                   self.grad * _scal(other),
-                                  self.hess * _scal2(other)))
+                                  None if self.hess is None
+                                  else self.hess * _scal2(other)))
 
     __rmul__ = __mul__
 
@@ -104,6 +119,16 @@ class Jet2:
         return powc(self, float(p))
 
 
+def _sum(ha, hb, op):
+    """Sum or difference of two Hessians; None when either jet is first
+    order."""
+    return None if ha is None or hb is None else op(ha, hb)
+
+
+def _neg(h):
+    return None if h is None else -h
+
+
 def _scal(c):
     return np.asarray(c)[..., None] if np.ndim(c) else c
 
@@ -120,27 +145,32 @@ def _sym_outer(ga, gb):
 
 def _check(op, jet):
     if (np.isfinite(jet.value).all() and np.isfinite(jet.grad).all()
-            and np.isfinite(jet.hess).all()):
+            and (jet.hess is None or np.isfinite(jet.hess).all())):
         return jet
     raise EvaluationError(op, "non-finite result")
 
 
 def _chain(op, x, f, f1, f2):
-    """Apply a scalar function with derivatives f1, f2 through a jet."""
+    """Apply a scalar function with derivatives f1, f2 through a jet;
+    ``f2`` is a function returning f'' and is called only at order 2."""
     g = f1[..., None] * x.grad
-    h = f1[..., None, None] * x.hess + f2[..., None, None] * _sym_outer(x.grad, 0.5 * x.grad)
+    h = None
+    if x.hess is not None:
+        h = (f1[..., None, None] * x.hess
+             + f2()[..., None, None] * _sym_outer(x.grad, 0.5 * x.grad))
     return _check(op, Jet2(f, g, h))
 
 
 def _reciprocal(x):
     v = 1.0 / x.value
-    return _chain("div", x, v, -v * v, 2.0 * v * v * v)
+    return _chain("div", x, v, -v * v, lambda: 2.0 * v * v * v)
 
 
-def seed_variable(index: int, point) -> Jet2:
+def seed_variable(index: int, point, order: int = 2) -> Jet2:
     """Jet of the coordinate function u_index at the given point(s).
 
     ``point`` has shape (..., m); the result carries batch shape (...).
+    ``order`` is 1 (no Hessian) or 2.
     """
     point = np.asarray(point, dtype=float)
     m = point.shape[-1]
@@ -149,68 +179,76 @@ def seed_variable(index: int, point) -> Jet2:
     batch = point.shape[:-1]
     grad = np.zeros(batch + (m,))
     grad[..., index] = 1.0
-    return Jet2(point[..., index].copy(), grad, np.zeros(batch + (m, m)))
+    return Jet2(point[..., index].copy(), grad, _zero_hess(batch, m, order))
 
 
-def seed_point(point) -> list[Jet2]:
+def seed_point(point, order: int = 2) -> list[Jet2]:
     """All m coordinate jets at once."""
     point = np.asarray(point, dtype=float)
-    return [seed_variable(i, point) for i in range(point.shape[-1])]
+    return [seed_variable(i, point, order) for i in range(point.shape[-1])]
 
 
-def constant(value, m: int, batch_shape=()) -> Jet2:
+def constant(value, m: int, batch_shape=(), order: int = 2) -> Jet2:
     value = np.broadcast_to(np.asarray(value, dtype=float), batch_shape).copy()
-    return Jet2(value, np.zeros(batch_shape + (m,)), np.zeros(batch_shape + (m, m)))
+    return Jet2(value, np.zeros(batch_shape + (m,)),
+                _zero_hess(batch_shape, m, order))
+
+
+def _zero_hess(batch, m, order):
+    if order not in (1, 2):
+        raise DomainError(f"jet order must be 1 or 2, got {order!r}")
+    return np.zeros(batch + (m, m)) if order == 2 else None
 
 
 def sqrt(x: Jet2) -> Jet2:
     if np.any(x.value <= 0.0):
         raise EvaluationError("sqrt", "argument not strictly positive")
     v = np.sqrt(x.value)
-    return _chain("sqrt", x, v, 0.5 / v, -0.25 / (v * x.value))
+    return _chain("sqrt", x, v, 0.5 / v, lambda: -0.25 / (v * x.value))
 
 
 def exp(x: Jet2) -> Jet2:
     v = np.exp(x.value)
-    return _chain("exp", x, v, v, v)
+    return _chain("exp", x, v, v, lambda: v)
 
 
 def log(x: Jet2) -> Jet2:
     if np.any(x.value <= 0.0):
         raise EvaluationError("log", "argument not strictly positive")
-    return _chain("log", x, np.log(x.value), 1.0 / x.value, -1.0 / (x.value * x.value))
+    return _chain("log", x, np.log(x.value), 1.0 / x.value,
+                  lambda: -1.0 / (x.value * x.value))
 
 
 def sin(x: Jet2) -> Jet2:
     s, c = np.sin(x.value), np.cos(x.value)
-    return _chain("sin", x, s, c, -s)
+    return _chain("sin", x, s, c, lambda: -s)
 
 
 def cos(x: Jet2) -> Jet2:
     s, c = np.sin(x.value), np.cos(x.value)
-    return _chain("cos", x, c, -s, -c)
+    return _chain("cos", x, c, -s, lambda: -c)
 
 
 def sinh(x: Jet2) -> Jet2:
     s, c = np.sinh(x.value), np.cosh(x.value)
-    return _chain("sinh", x, s, c, s)
+    return _chain("sinh", x, s, c, lambda: s)
 
 
 def cosh(x: Jet2) -> Jet2:
     s, c = np.sinh(x.value), np.cosh(x.value)
-    return _chain("cosh", x, c, s, c)
+    return _chain("cosh", x, c, s, lambda: c)
 
 
 def tanh(x: Jet2) -> Jet2:
     t = np.tanh(x.value)
     sech2 = 1.0 - t * t
-    return _chain("tanh", x, t, sech2, -2.0 * t * sech2)
+    return _chain("tanh", x, t, sech2, lambda: -2.0 * t * sech2)
 
 
 def powc(x: Jet2, p: float) -> Jet2:
     """x**p for a constant real exponent p."""
     if p == 0.0:
-        return constant(1.0, x.m, x.batch_shape)
+        return constant(1.0, x.m, x.batch_shape, x.order)
     if p == 1.0:
         return x
     integral = p == int(p)
@@ -220,16 +258,16 @@ def powc(x: Jet2, p: float) -> Jet2:
         raise EvaluationError("pow", f"exponent {p} is singular at zero base")
     v = x.value ** p
     return _chain("pow", x, v, p * x.value ** (p - 1.0),
-                  p * (p - 1.0) * x.value ** (p - 2.0))
+                  lambda: p * (p - 1.0) * x.value ** (p - 2.0))
 
 
 def compose_scalar(x: Jet2, f, f1, f2, op="compose") -> Jet2:
     """Push the jet x through a scalar map given pointwise f, f', f''.
 
     All three are arrays over x's batch shape (a table-backed profile
-    function, say).  The usual univariate chain rule applies.
+    function, say); ``f2`` may be None on a first-order jet.  The usual
+    univariate chain rule applies.
     """
     f = np.asarray(f, dtype=float)
     f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
-    return _chain(op, x, f, f1, f2)
+    return _chain(op, x, f, f1, lambda: np.asarray(f2, dtype=float))

@@ -469,4 +469,5 @@ def mesh_dump(mesh: MeshGraph, path) -> None:
             yield from zip(range(lo, hi),
                            *[c[lo:hi].tolist() for c in columns])
 
-    write_csv(path, header, rows())
+    # an int index and then floats: one format for the row, not one per cell
+    write_csv(path, header, rows(), "%d" + ",%.17g" * len(columns))

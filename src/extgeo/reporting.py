@@ -33,10 +33,15 @@ def _format_cell(x) -> str:
     return format_float(x)
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, header, rows, row_format=None) -> None:
+    """Write a CSV file.  ``row_format``, a ``%`` format for a whole row,
+    replaces the per-cell formatting when every row has the same types
+    (``%d`` for ints, ``%.17g`` for floats)."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
+    if row_format is None:
+        lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
+    else:
+        lines += [row_format % row for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

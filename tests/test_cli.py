@@ -618,20 +618,33 @@ def test_parse_error_reports_line_and_col(tmp_path):
     assert body["col"] == 10
 
 
-@pytest.mark.parametrize("const,x2,message", [
-    ("const C = 10^400;", "0", "^: non-finite result"),
-    ("const C = exp(1000);", "0", "exp: non-finite result"),
-    ("", "exp(1000)*u1", "exp: non-finite result"),
-    ("", "(u1+2)^(10^400)", "^: non-finite result"),
-], ids=["const-power", "const-exp", "coefficient", "exponent"])
-def test_overflow_in_constant_folding_is_an_evaluation_error(
-        tmp_path, const, x2, message):
+def overflow_error(tmp_path, const, x2):
     src = (f"m = 2; n = 3; ambient = euclidean; {const} x1 = u1; x2 = {x2}; "
            "x3 = u2; domain u1 in [-1, 1], u2 in [-1, 1]")
     cfg = write_config(tmp_path, {"immersion": {"source": src},
                                   "resolution": 9})
-    body = error_of(["invariants", "--config", cfg], expect_code=3)
+    return error_of(["invariants", "--config", cfg], expect_code=3)
+
+
+@pytest.mark.parametrize("const,x2,message", [
+    ("const C = 10^400;", "0", "pow: non-finite result"),
+    ("const C = exp(1000);", "0", "exp: non-finite result"),
+    ("", "exp(1000)*u1", "exp: non-finite result"),
+    ("", "(u1+2)^(10^400)", "pow: non-finite result"),
+], ids=["const-power", "const-exp", "coefficient", "exponent"])
+def test_overflow_in_constant_folding_is_an_evaluation_error(
+        tmp_path, const, x2, message):
+    body = overflow_error(tmp_path, const, x2)
     assert body == {"error": "EvaluationError", "message": message}
+
+
+def test_folded_and_jet_powers_name_the_overflow_alike(tmp_path):
+    # the first overflows while folding 10^400, the second in the jet of a
+    # power with a variable base
+    folded = overflow_error(tmp_path, "", "(u1+2)^(10^400)")
+    jet = overflow_error(tmp_path, "", "u1^(10^300)")
+    assert folded == jet == {"error": "EvaluationError",
+                             "message": "pow: non-finite result"}
 
 
 # ---------------------------------------------------------------------------

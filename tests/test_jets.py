@@ -1,10 +1,12 @@
-"""Second-order jet arithmetic against central finite differences."""
+"""Second-order jet arithmetic against central finite differences, and
+first-order jets against the leading part of second-order ones."""
 
 import math
 
 import numpy as np
 import pytest
 
+import extgeo as xg
 from extgeo import jets
 from extgeo.errors import DomainError, EvaluationError
 
@@ -162,3 +164,62 @@ def test_powc_small_integer_cases():
         assert j.value == pytest.approx(1.7 ** p, rel=1e-14)
         assert j.grad[0] == pytest.approx(p * 1.7 ** (p - 1) if p else 0.0,
                                           rel=1e-12)
+
+
+# every operator and function of the chart language, a named constant,
+# powers ^0, ^1, a negative and a variable exponent, and two constant
+# coordinates (x6 through powc, x7 folded)
+EVERY_RULE = """
+m = 2; n = 7; ambient = euclidean; const C = 0.5;
+x1 = -u1 + u2 * 3 - u1 / (u2 + 3) - C + 2 * u2 - u1 / 4;
+x2 = sqrt(u1 + 2) * exp(u2) + log(u2 + 2) + 1 / (u1 + 3) + (2 - u1);
+x3 = sin(u1) * cos(u2) + sinh(u1) / cosh(u2) - tanh(u1 * u2);
+x4 = (u1 + 2)^1.5 + u2^2 + u1^1 + (u2 + 2)^(-1);
+x5 = (u1 + 2)^u2 + 2^u1;
+x6 = u1^0;
+x7 = C * 4;
+domain u1 in [-1, 1], u2 in [-1, 1]
+"""
+
+
+def first_order_charts():
+    return {"parsed": xg.parse_chart(EVERY_RULE),
+            **{f"rotation-{n}": xg.catalog_build("rotation-hypersurface",
+                                                 n=n)[0] for n in (2, 3)}}
+
+
+def sample_points(chart, batch):
+    lo, hi = np.array(chart.domain).T
+    return lo + (hi - lo) * RNG.uniform(0.05, 0.95, size=batch + (chart.m,))
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (31,)], ids=["point", "batch"])
+@pytest.mark.parametrize("name", ["parsed", "rotation-2", "rotation-3"])
+def test_first_order_jets_are_the_leading_part(name, batch):
+    chart = first_order_charts()[name]
+    pts = sample_points(chart, batch)
+    second = chart.eval_jets(jets.seed_point(pts))
+    first = chart.eval_jets(jets.seed_point(pts, order=1))
+    assert len(first) == len(second) == chart.n + (chart.kappa != 0.0)
+    for lo, hi in zip(first, second):
+        assert lo.order == 1 and lo.hess is None
+        assert hi.order == 2 and hi.hess.shape == batch + (chart.m,) * 2
+        assert bits(lo.value) == bits(hi.value)
+        assert bits(lo.grad) == bits(hi.grad)
+
+
+def test_jet_orders_do_not_mix_upward():
+    pt = np.array([0.3, 1.1])
+    u1, u2 = jets.seed_point(pt, order=1)
+    v1, v2 = jets.seed_point(pt)
+    for jet in (u1 + v2, v1 - u2, u1 * v2, v1 / u2, jets.powc(u1, 0)):
+        assert jet.hess is None
+    assert jets.constant(2.0, 2, (3,), order=1).hess is None
+    for order in (0, 3):
+        with pytest.raises(DomainError):
+            jets.seed_point(pt, order=order)

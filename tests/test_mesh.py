@@ -8,10 +8,12 @@ import pytest
 
 import extgeo as xg
 import extgeo.immersion
-from extgeo import eikonal
+import extgeo.mesh
+from extgeo import eikonal, jets
 from extgeo.errors import DomainError, GeometryError
 from extgeo.catalog import CATALOG
 from extgeo.mesh import _components
+from extgeo.reporting import write_csv
 from oracles import (antipodal_distance, full_order_mesh, graph_components,
                      graph_distances)
 
@@ -131,6 +133,23 @@ def test_second_order_geometry_only_at_the_vertices(monkeypatch):
     mesh = xg.build_mesh(chart, [5, 8, 21])
     assert counted[xg.BENDING] == mesh.n_vertices
     assert counted[xg.METRIC] == mesh.refined_r.size == 9 * 16 * 41
+
+
+def test_first_order_jets_only_off_the_vertices(monkeypatch):
+    seed = jets.seed_point
+    seeded = {1: 0, 2: 0}
+
+    def count(points, order=2):
+        seeded[order] += len(points)
+        return seed(points, order)
+
+    chart, _ = xg.catalog_build("rotation-hypersurface", n=3)
+    # the pole given, so the basepoint is not evaluated inside build_mesh
+    pole = chart.eval_positions(chart.basepoint)
+    monkeypatch.setattr(jets, "seed_point", count)
+    mesh = xg.build_mesh(chart, [5, 8, 21], pole=pole)
+    assert seeded[2] == mesh.n_vertices
+    assert seeded[1] == mesh.refined_r.size == 9 * 16 * 41
 
 
 @pytest.mark.parametrize("x1,upper,res,near", [
@@ -540,3 +559,19 @@ def test_mesh_dump_columns_and_determinism(tmp_path):
     assert lines[0] == "index,u1,u2,r,rho,alpha_norm,grad_r_tan"
     assert len(lines) == mesh.n_vertices + 1
     assert text == p2.read_text()
+
+
+def test_mesh_dump_matches_the_generic_writer(tmp_path, monkeypatch):
+    mesh = xg.build_mesh(flat_chart(), 5)
+    # a vertex the solve did not reach keeps inf
+    mesh._rho = np.where(np.arange(mesh.n_vertices) == 7, np.inf, mesh.rho)
+    xg.mesh_dump(mesh, tmp_path / "row.csv")
+
+    def cell_by_cell(path, header, rows, row_format=None):
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(extgeo.mesh, "write_csv", cell_by_cell)
+    xg.mesh_dump(mesh, tmp_path / "cell.csv")
+    text = (tmp_path / "row.csv").read_text()
+    assert text == (tmp_path / "cell.csv").read_text()
+    assert text.split("\n")[8].split(",")[4] == "inf"
