@@ -26,13 +26,13 @@ from .invariants import (DecayProfile, DeltaModel, InvariantReport,
                          default_tail_radii, invariant_tails, kasue_bound,
                          kasue_closed_form, pinching_functions,
                          threshold_c_star)
-from .mesh import (EndsReport, MeshGraph, build_mesh, count_ends,
-                   critical_free_radius, ends_stability, mesh_dump)
+from .mesh import (EndsReport, MeshGraph, build_mesh, critical_free_radius,
+                   ends_stability, mesh_dump)
 from .spaceform import (Ambient, ambient_distance, c_kappa, euclidean,
                         geodesic, hyperbolic, lorentz_inner, model_volumes,
                         omega_m, s_kappa)
-from .volumetrics import (GapReport, GrowthVerdict, VolumeCurve, ball_volume,
-                          default_volume_radii, gap_ratio, sphere_volume,
+from .volumetrics import (GapReport, GrowthVerdict, VolumeCurve,
+                          default_volume_radii, gap_ratio,
                           verify_growth_bounds, volume_curve)
 
 __version__ = "0.1.0"

@@ -57,8 +57,7 @@ from .immersion import (DEFAULT_CHUNK, FRAME, ambient_of,
 from .invariants import (DeltaModel, default_tail_radii, invariant_tails,
                          pinching_functions, threshold_c_star)
 from .mesh import (EPSILON_CRIT, MIN_RESOLUTION, build_mesh,
-                   critical_free_radius, ends_stability, ends_window,
-                   mesh_dump)
+                   critical_free_radius, ends_stability, mesh_dump)
 from .reporting import dumps_json, write_csv, write_json
 from .spaceform import c_kappa, s_kappa
 from .volumetrics import (GrowthVerdict, gap_ratio, verify_growth_bounds,
@@ -283,7 +282,8 @@ def run_invariants(cfg: RunConfig, mesh, gt):
     return sections, {
         "tails.csv": partial(
             write_csv, header=["t", "a_tail", "b_tail"],
-            rows=zip(report.a_tail.x, report.a_tail.y, report.b_tail.y)),
+            rows=zip(report.a_tail.x, report.a_tail.y, report.b_tail.y),
+            row_format=",".join(["%.17g"] * 3)),
         "mesh.csv": partial(mesh_dump, mesh),
     }
 
@@ -293,20 +293,16 @@ def run_volume(cfg: RunConfig, mesh, gt):
     report = _tails(cfg, mesh)
 
     try:
-        stab = ends_stability(mesh, epsilon_crit=cfg.epsilon_crit)
-        ends = stab["n_ends"]
+        ends = ends_stability(mesh, epsilon_crit=cfg.epsilon_crit)
     except ExtGeoError as exc:
         stab = {"error": str(exc)}
-        ends = None
-
-    if ends is None:
         growth = GrowthVerdict(
-            verdict="inconclusive",
-            reason=f"end count unavailable: {stab.get('error', 'unknown')}",
+            verdict="inconclusive", reason=f"end count unavailable: {exc}",
             rows=[], exploratory=mesh.m < 3, ends=-1,
             a_estimate=report.a_estimate)
     else:
-        growth = verify_growth_bounds(mesh, report, ends=ends, curve=curve)
+        stab = ends.window()
+        growth = verify_growth_bounds(mesh, report, ends.n_ends, curve)
 
     try:
         gap = gap_ratio(mesh, radii=cfg.volume_radii, samples=cfg.samples,
@@ -327,21 +323,22 @@ def run_volume(cfg: RunConfig, mesh, gt):
         write_csv,
         header=["t", "ball_vol", "sphere_vol", "ball_ratio", "sphere_ratio"],
         rows=zip(curve.radii, curve.ball, curve.sphere,
-                 curve.ball_ratio, curve.sphere_ratio))}
+                 curve.ball_ratio, curve.sphere_ratio),
+        row_format=",".join(["%.17g"] * 5))}
 
 
 def run_ends(cfg: RunConfig, mesh, gt):
-    stab, final = ends_window(mesh, epsilon_crit=cfg.epsilon_crit)
+    ends = ends_stability(mesh, epsilon_crit=cfg.epsilon_crit)
     sections = {"ends": {
-        "count": final.n_ends,
-        "bounded_components": final.n_bounded,
-        "components": final.component_sizes,
-        "critical_free_radius": final.critical_free_radius,
-        "stability": stab,
+        "count": ends.n_ends,
+        "bounded_components": ends.n_bounded,
+        "components": ends.component_sizes,
+        "critical_free_radius": ends.critical_free_radius,
+        "stability": ends.window(),
     }}
     return sections, {"ends.csv": partial(
-        write_csv, header=["R", "n_ends"],
-        rows=zip(stab["radii"], stab["counts"]))}
+        write_csv, header=["R", "n_ends"], rows=zip(ends.radii, ends.counts),
+        row_format="%.17g,%d")}
 
 
 def _curvature_rows(chart, pts, amb):
@@ -406,10 +403,12 @@ def run_curvature(cfg: RunConfig, chart, gt):
         "metric_cond": {"max": float(cond[-1]), "median": float(
             0.5 * (cond[(kept - 1) // 2] + cond[kept // 2]))},
     }
-    columns = [*pts.T, r, exact, lower, upper, valid]
+    columns = [*pts.T, r, exact, lower, upper]
     return sections, {"curvature.csv": partial(
         write_csv, header=sections["header"],
-        rows=zip(*(col.tolist() for col in columns)))}
+        rows=zip(*(col.tolist() for col in columns),
+                 np.where(valid, "true", "false").tolist()),
+        row_format="%.17g," * len(columns) + "%s")}
 
 
 def run_verify(cfg: RunConfig, mesh, gt):
@@ -460,11 +459,10 @@ def run_verify(cfg: RunConfig, mesh, gt):
               {"expected": gt.expected_class, "got": report.classification})
     if gt is not None and gt.ends is not None:
         try:
-            stab = ends_stability(mesh, epsilon_crit=cfg.epsilon_crit)
-            check("ends-expected",
-                  stab["stable"] and stab["n_ends"] == gt.ends,
-                  {"expected": gt.ends, "got": stab["n_ends"],
-                   "stable": stab["stable"]})
+            ends = ends_stability(mesh, epsilon_crit=cfg.epsilon_crit)
+            check("ends-expected", ends.stable and ends.n_ends == gt.ends,
+                  {"expected": gt.ends, "got": ends.n_ends,
+                   "stable": ends.stable})
         except DomainError as exc:
             check("ends-expected", False, {"error": str(exc)})
 

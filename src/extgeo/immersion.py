@@ -31,7 +31,7 @@ import numpy as np
 
 from . import jets
 from .errors import (CriticalPointError, DegeneratePlaneError, DomainError,
-                     GeometryError)
+                     EvaluationError, GeometryError)
 from .exprchart import ChartBase, check_point
 from .spaceform import Ambient, c_kappa, pole_field, s_kappa
 
@@ -144,6 +144,11 @@ def _geometry_block(chart, amb, pts, level):
 
     g = np.einsum("...ai,...aj,a->...ij", jac, jac, eta, optimize=True)
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    if not np.isfinite(g).all():
+        # finite jets can still overflow in the metric's products and sums
+        bad = np.argmin(np.isfinite(g).all(axis=(-2, -1)))
+        raise EvaluationError("metric", "non-finite result near "
+                              + np.array2string(pts[bad], precision=6))
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:

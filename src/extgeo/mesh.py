@@ -19,7 +19,9 @@ measured once, along its forward offset (first nonzero entry positive),
 and mirrored into the opposite slot.  ``edges`` and ``edge_lengths`` list
 the forward entries, slot by slot and in vertex order within a slot.
 The grid graph is connected; the components of {r > R}, which count the
-ends, come from the same table by pointer jumping.
+ends, come from the same table by pointer jumping.  ``ends_stability`` is
+the one end counter: it labels them at each radius of one window and
+returns an ``EndsReport`` of the counts and the outermost components.
 
 Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
 split that the invariants read); the refined lattice is a ``METRIC``
@@ -50,7 +52,7 @@ from .reporting import write_csv
 from .spaceform import Ambient
 
 __all__ = ["MeshGraph", "EndsReport", "build_mesh", "critical_free_radius",
-           "count_ends", "ends_window", "ends_stability", "mesh_dump"]
+           "ends_stability", "mesh_dump"]
 
 MIN_RESOLUTION = 3
 # default threshold on |grad_M r| below which a vertex counts as critical
@@ -211,11 +213,27 @@ class MeshGraph:
 
 @dataclass
 class EndsReport:
-    R: float
-    n_ends: int
+    """End counts over the probe window of ``ends_stability``; the
+    components are those of {r > R} at its outermost radius."""
+
+    radii: list
+    counts: list                  # ends at each radius
+    critical_free_radius: float
     n_bounded: int                # far components not reaching the boundary
     component_sizes: list
-    critical_free_radius: float
+
+    @property
+    def n_ends(self) -> int:
+        return self.counts[-1]
+
+    @property
+    def stable(self) -> bool:
+        """Every radius of the window sees the same number of ends."""
+        return len(set(self.counts)) == 1
+
+    def window(self) -> dict:
+        return {"radii": self.radii, "counts": self.counts,
+                "stable": self.stable, "n_ends": self.n_ends}
 
 
 # ---------------------------------------------------------------------------
@@ -391,42 +409,16 @@ def _components(neighbours, keep) -> np.ndarray:
         label[idx] = new
 
 
-def _ends_at(mesh: MeshGraph, R: float, r0: float) -> EndsReport:
-    """``count_ends`` at a radius already checked against ``r0``."""
-    far = mesh.vertices.r > R
-    labels = _components(mesh.neighbours, far)
-    touching = set(labels[far & mesh.boundary_vertex_mask()].tolist())
-    uniq, counts = np.unique(labels[far], return_counts=True)
-    sizes = [{"vertices": cnt, "end": lab in touching}
-             for lab, cnt in zip(uniq.tolist(), counts.tolist())]
-    n_ends = sum(s["end"] for s in sizes)
-    sizes.sort(key=lambda s: (-s["vertices"], not s["end"]))
-    return EndsReport(R=float(R), n_ends=n_ends,
-                      n_bounded=len(sizes) - n_ends,
-                      component_sizes=sizes, critical_free_radius=r0)
+def ends_stability(mesh: MeshGraph,
+                   epsilon_crit: float = EPSILON_CRIT) -> EndsReport:
+    """End counts across a window of radii clear of both the critical
+    region and the truncation faces.
 
-
-def count_ends(mesh: MeshGraph, R: float,
-               epsilon_crit: float = EPSILON_CRIT) -> EndsReport:
-    """Number of unbounded components of {r > R}.
-
-    A component counts as an end when it reaches a truncation face (the
-    discrete stand-in for being unbounded); components that stay interior
-    are bounded pockets and are reported separately, not counted.
+    At each radius R an end is a component of {r > R} that reaches a
+    truncation face (the discrete stand-in for being unbounded);
+    components that stay interior are bounded pockets, reported at the
+    outermost radius and not counted.
     """
-    r0 = critical_free_radius(mesh, epsilon_crit)
-    if not R > r0:
-        raise DomainError(
-            f"end counting needs R > critical-free radius estimate "
-            f"{r0:g}, got R={R:g}")
-    if R >= mesh.r_max:
-        raise DomainError(
-            f"R={R:g} is not below the largest sampled radius {mesh.r_max:g}")
-    return _ends_at(mesh, R, r0)
-
-
-def ends_window(mesh: MeshGraph, epsilon_crit: float = EPSILON_CRIT):
-    """``ends_stability`` and the ``EndsReport`` at its outermost radius."""
     r0 = critical_free_radius(mesh, epsilon_crit)
     r_hi = ENDS_WINDOW_FRACTION * mesh.r_reliable
     r_lo = r0 + ENDS_MARGIN_FRACTION * (r_hi - r0)
@@ -434,22 +426,22 @@ def ends_window(mesh: MeshGraph, epsilon_crit: float = EPSILON_CRIT):
         raise DomainError(
             f"no radius window clear of the critical region: estimate "
             f"{r0:g} against usable maximum {r_hi:g}")
-    radii = np.linspace(r_lo, r_hi, ENDS_RADII)
-    reports = [_ends_at(mesh, float(t), r0) for t in radii]
-    counts = [rep.n_ends for rep in reports]
-    return {
-        "radii": [float(t) for t in radii],
-        "counts": counts,
-        "stable": len(set(counts)) == 1,
-        "n_ends": counts[-1],
-    }, reports[-1]
-
-
-def ends_stability(mesh: MeshGraph,
-                   epsilon_crit: float = EPSILON_CRIT) -> dict:
-    """End counts across a window of radii clear of both the critical
-    region and the truncation faces; stable means all counts agree."""
-    return ends_window(mesh, epsilon_crit)[0]
+    radii = [float(t) for t in np.linspace(r_lo, r_hi, ENDS_RADII)]
+    boundary = mesh.boundary_vertex_mask()
+    counts = []
+    for t in radii:
+        far = mesh.vertices.r > t
+        labels = _components(mesh.neighbours, far)
+        touching = set(labels[far & boundary].tolist())
+        counts.append(len(touching))
+    # the last pass labelled the outermost radius
+    uniq, sizes = np.unique(labels[far], return_counts=True)
+    components = [{"vertices": cnt, "end": lab in touching}
+                  for lab, cnt in zip(uniq.tolist(), sizes.tolist())]
+    components.sort(key=lambda s: (-s["vertices"], not s["end"]))
+    return EndsReport(radii=radii, counts=counts, critical_free_radius=r0,
+                      n_bounded=len(components) - counts[-1],
+                      component_sizes=components)
 
 
 def mesh_dump(mesh: MeshGraph, path) -> None:

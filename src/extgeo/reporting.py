@@ -1,9 +1,11 @@
 """Deterministic serialization of results.
 
 Floats are rendered with %.17g so round-tripping is exact and two runs of
-the same pipeline produce byte-identical files.  JSON output is sorted and
-newline-terminated; non-finite values become the strings "inf", "-inf",
-"nan" since JSON has no spelling for them.
+the same pipeline produce byte-identical files; %g spells the non-finite
+values nan, inf and -inf.  A CSV file takes one ``%`` format for every
+row, given by its writer along with the header.  JSON output is sorted
+and newline-terminated; non-finite values become the strings "inf",
+"-inf", "nan" since JSON has no spelling for them.
 """
 
 from __future__ import annotations
@@ -13,35 +15,14 @@ import math
 
 import numpy as np
 
-__all__ = ["format_float", "sanitize", "write_csv", "write_json", "dumps_json"]
+__all__ = ["sanitize", "write_csv", "write_json", "dumps_json"]
 
 
-def format_float(x) -> str:
-    # %g spells the non-finite values nan, inf and -inf
-    return "%.17g" % float(x)
-
-
-def _format_cell(x) -> str:
-    if type(x) is float:
-        return format_float(x)
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format_float(x)
-
-
-def write_csv(path, header, rows, row_format=None) -> None:
-    """Write a CSV file.  ``row_format``, a ``%`` format for a whole row,
-    replaces the per-cell formatting when every row has the same types
-    (``%d`` for ints, ``%.17g`` for floats)."""
-    lines = [",".join(header)]
-    if row_format is None:
-        lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
-    else:
-        lines += [row_format % row for row in rows]
+def write_csv(path, header, rows, row_format) -> None:
+    """Write a CSV file: the header, then each row (a tuple) through
+    ``row_format``, one ``%`` format for the whole row: ``%.17g`` for
+    floats, ``%d`` for ints, ``%s`` for text."""
+    lines = [",".join(header)] + [row_format % row for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -8,7 +8,9 @@ One sort of the radii and one ``searchsorted`` of the node values give
 every radius at once.  Sphere volumes are central differences of the ball
 curve with a step of two cells in radial units (``MeshGraph.fd_step``),
 which keeps the estimate consistent with the coarea relation without
-assuming smoothness of the discretized boundary.  The curvature screen
+assuming smoothness of the discretized boundary.  ``volume_curve`` is the
+one entry point for both; the growth verdict takes its curve and an end
+count from ``mesh.ends_stability`` as inputs.  The curvature screen
 makes one ``FRAME`` geometry request, the level that keeps alpha.
 """
 
@@ -25,12 +27,11 @@ from .errors import (DegeneratePlaneError, DomainError, GeometryError,
                      HypothesisViolatedError, TruncationError)
 from .immersion import FRAME, grid_geometry, sectional_curvature
 from .invariants import InvariantReport
-from .mesh import RADIUS_CAP_FRACTION, MeshGraph, ends_stability
+from .mesh import RADIUS_CAP_FRACTION, MeshGraph
 from .spaceform import model_volumes
 
-__all__ = ["VolumeCurve", "GapReport", "GrowthVerdict", "ball_volume",
-           "sphere_volume", "volume_curve", "default_volume_radii",
-           "verify_growth_bounds", "gap_ratio"]
+__all__ = ["VolumeCurve", "GapReport", "GrowthVerdict", "volume_curve",
+           "default_volume_radii", "verify_growth_bounds", "gap_ratio"]
 
 # relative slack when comparing a finite-mesh ratio against a sharp bound
 GROWTH_SLACK = 0.05
@@ -54,34 +55,6 @@ def _ball_values(mesh: MeshGraph, radii) -> np.ndarray:
     out = np.empty(radii.size)
     out[order] = np.cumsum(mass[:-1])
     return out
-
-
-def ball_volume(mesh: MeshGraph, t: float) -> float:
-    """Volume of the extrinsic ball {r < t} on the mesh."""
-    if not t > 0.0:
-        raise DomainError(f"ball radius must be positive, got {t:g}")
-    cap = _radius_cap(mesh)
-    if t >= cap:
-        raise TruncationError(
-            f"ball radius {t:g} is outside the reliable window "
-            f"(below {cap:g}); the region would be cut by the parameter box")
-    return float(_ball_values(mesh, [t])[0])
-
-
-def sphere_volume(mesh: MeshGraph, t: float) -> float:
-    """Boundary volume of the extrinsic ball, as a central difference of
-    the ball curve over two grid cells of radius."""
-    dr = mesh.fd_step
-    if not t - dr > 0.0:
-        raise DomainError(
-            f"sphere radius {t:g} is too small for the difference step {dr:g}")
-    cap = _radius_cap(mesh)
-    if t + dr >= cap:
-        raise TruncationError(
-            f"sphere radius {t:g} plus step {dr:g} leaves the reliable "
-            f"window (below {cap:g})")
-    lo, hi = _ball_values(mesh, [t - dr, t + dr])
-    return float((hi - lo) / (2.0 * dr))
 
 
 @dataclass
@@ -137,6 +110,10 @@ def default_volume_radii(mesh: MeshGraph, n: int = 16) -> np.ndarray:
 
 
 def volume_curve(mesh: MeshGraph, radii=None) -> VolumeCurve:
+    """Ball and sphere volumes at ``radii`` (by default
+    ``default_volume_radii``) against the space-form models.  The radii
+    must increase strictly and keep the sphere step inside the reliable
+    window."""
     if radii is None:
         radii = default_volume_radii(mesh)
     radii = np.asarray(radii, dtype=float)
@@ -193,10 +170,11 @@ class GrowthVerdict:
         }
 
 
-def verify_growth_bounds(mesh: MeshGraph, report: InvariantReport,
-                         ends: int = None,
-                         curve: VolumeCurve = None) -> GrowthVerdict:
-    """Check the asymptotic volume growth bounds against mesh data.
+def verify_growth_bounds(mesh: MeshGraph, report: InvariantReport, ends: int,
+                         curve: VolumeCurve) -> GrowthVerdict:
+    """Check the asymptotic volume growth bounds against mesh data: the
+    end count ``ends`` (from ``mesh.ends_stability``) and the ``curve``
+    of ``volume_curve``, both computed by the caller.
 
     The left side of each bound is a liminf, estimated here by the minimum
     of the ratio curve over its final quarter.  The right side combines the
@@ -216,27 +194,17 @@ def verify_growth_bounds(mesh: MeshGraph, report: InvariantReport,
             "exploratory mode", RuntimeWarning, stacklevel=2)
 
     a = report.a_estimate
+    ends = int(ends)
 
     def inconclusive(reason):
         return GrowthVerdict(verdict="inconclusive", reason=reason, rows=[],
-                             exploratory=exploratory,
-                             ends=-1 if ends is None else int(ends),
+                             exploratory=exploratory, ends=ends,
                              a_estimate=float(a))
 
     if kappa == 0.0 and not (report.flags["tamed"] and a < 0.5):
         return inconclusive("hypothesis a(M) < 1/2 fails")
     if kappa != 0.0 and not report.flags["strongly_tamed"]:
         return inconclusive("hypothesis b(M) < infinity fails")
-
-    if ends is None:
-        stab = ends_stability(mesh)
-        if not stab["stable"]:
-            warnings.warn("end count varies across the probe window; using "
-                          "the outermost value", RuntimeWarning, stacklevel=2)
-        ends = stab["n_ends"]
-    ends = int(ends)
-    if curve is None:
-        curve = volume_curve(mesh)
 
     if kappa == 0.0:
         factor = (1.0 - 4.0 * a * a) ** ((m - 1) / 2.0)

@@ -35,6 +35,13 @@ basepoint 0, 0
 
 # a constant beyond the float range: a typed evaluation error, exit 3
 INLINE_OVERFLOW = "const C = 10^400;" + INLINE_PLANE
+# finite jets whose metric overflows (g11 = 1 + 1e400): also exit 3
+INLINE_OVERFLOW_METRIC = """
+m = 2; n = 3; ambient = euclidean;
+x1 = u1; x2 = 1e200 * u1; x3 = u2;
+domain u1 in [-1, 1], u2 in [-1, 1];
+basepoint 0, 0
+"""
 
 # name -> (argv, config written to a file and passed as --config, or None)
 CASES = {
@@ -51,6 +58,8 @@ CASES = {
         "immersion": {"source": INLINE_PLANE}, "resolution": 9}),
     "error-overflow-constant": (["invariants"], {
         "immersion": {"source": INLINE_OVERFLOW}, "resolution": 9}),
+    "error-overflow-metric": (["invariants"], {
+        "immersion": {"source": INLINE_OVERFLOW_METRIC}, "resolution": 9}),
 }
 
 

@@ -27,6 +27,9 @@ sliced out of it.
 grid cell contributes its center density times its parameter measure,
 scaled by the fraction of its 3^m sub-lattice of refined r values inside
 the ball.  ``cell_r_spans`` gives the r-span of each such sub-lattice.
+
+``csv_text`` is a CSV file spelled cell by cell, the reference for the
+one-format-per-row writer ``reporting.write_csv``.
 """
 
 import itertools
@@ -166,3 +169,22 @@ def full_order_mesh(chart, resolution, pole=None):
         refined_r=np.ascontiguousarray(refined.r),
         refined_weight=_node_weights(shape, chart.periodic, refined.sqrt_det_g,
                                      float(np.prod(spacing))))
+
+
+def csv_cell(x) -> str:
+    """One CSV cell: text as it is, true/false for a bool, an int in
+    decimal and anything else as a float with %.17g (nan, inf, -inf)."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return "%.17g" % float(x)
+
+
+def csv_text(header, rows) -> str:
+    """The text of a CSV file with these rows, formatted cell by cell."""
+    lines = [",".join(header)] + [",".join(csv_cell(c) for c in row)
+                                  for row in rows]
+    return "\n".join(lines) + "\n"

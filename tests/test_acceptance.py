@@ -297,12 +297,12 @@ def test_criterion_06(capsys, cylinder_mesh, catenoid_mesh):
     detail = []
     ok = True
     for name, want, lo, hi in cases:
-        stab_lo = ends_stability(lo)
-        stab_hi = ends_stability(hi)
-        good = (stab_lo["n_ends"] == want == stab_hi["n_ends"]
-                and stab_lo["stable"] and stab_hi["stable"])
+        ends_lo = ends_stability(lo)
+        ends_hi = ends_stability(hi)
+        good = (ends_lo.n_ends == want == ends_hi.n_ends
+                and ends_lo.stable and ends_hi.stable)
         ok = ok and good
-        detail.append(f"{name} {stab_lo['n_ends']}/{stab_hi['n_ends']} "
+        detail.append(f"{name} {ends_lo.n_ends}/{ends_hi.n_ends} "
                       f"(want {want})")
     elapsed = report(capsys, 6, ok, t0, ", ".join(detail))
     assert ok, detail
@@ -316,8 +316,8 @@ def test_criterion_06(capsys, cylinder_mesh, catenoid_mesh):
 def growth_rows(mesh):
     rep = invariant_tails(mesh, default_tail_radii(mesh))
     curve = volume_curve(mesh)
-    ends = ends_stability(mesh)["n_ends"]
-    verdict = verify_growth_bounds(mesh, rep, ends=ends, curve=curve)
+    ends = ends_stability(mesh).n_ends
+    verdict = verify_growth_bounds(mesh, rep, ends, curve)
     return verdict
 
 

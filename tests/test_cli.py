@@ -476,6 +476,28 @@ def test_volume_warning_goes_to_the_payload():
         "growth bounds are stated for dimension >= 3")
 
 
+def test_benchmark_trace_covers_the_ends_command(tmp_path):
+    # the benchmark's traced child on the ends command: the mesh span with
+    # its counts and one span of the end counter
+    spec = {"argv": ["ends", "--immersion", "cylinder", "--resolution", "17"],
+            "result": str(tmp_path / "result.json"), "capture": None,
+            "spans": str(tmp_path / "spans.jsonl"), "run_id": "test"}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    child = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "child.py")
+    proc = subprocess.run([sys.executable, child, str(tmp_path / "spec.json")],
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "result.json").read_text())["rc"] == 0
+    spans = [json.loads(line) for line in
+             (tmp_path / "spans.jsonl").read_text().splitlines()]
+    names = [sp["name"] for sp in spans]
+    build = [sp for sp in spans if sp["name"] == "mesh.build_mesh"]
+    assert len(build) == 1 and build[0]["vertices"] == 17 * 17
+    assert build[0]["edges"] > 0
+    assert names.count("mesh.ends_stability") == 1
+
+
 # ---------------------------------------------------------------------------
 # configuration errors (exit code 2)
 

@@ -8,7 +8,7 @@ import pytest
 
 import extgeo as xg
 from extgeo.errors import (CriticalPointError, DegeneratePlaneError,
-                           DomainError, GeometryError)
+                           DomainError, EvaluationError, GeometryError)
 
 TWO_PI = 6.283185307179586
 
@@ -332,6 +332,22 @@ def test_each_level_is_a_part_of_the_frame(level):
         xg.sectional_curvature(geom, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     with pytest.raises(DomainError, match=kept):
         xg.extrinsic_sphere_curvature(geom, mode="bounds")
+
+
+@pytest.mark.parametrize("level", [xg.METRIC, xg.BENDING, xg.FRAME],
+                         ids=["metric", "bending", "frame"])
+def test_overflowing_metric_is_an_evaluation_error(level):
+    # values and gradients are finite; g11 = 1 + 1e400 is not
+    chart = xg.parse_chart("m = 2; n = 3; ambient = euclidean; x1 = u1; "
+                           "x2 = 1e200 * u1; x3 = u2; "
+                           "domain u1 in [-1, 1], u2 in [-1, 1]")
+    pts = np.array([[0.0, 0.5], [0.25, -0.5], [0.5, 0.0]])
+    message = r"metric: non-finite result near \[0\.  0\.5\]"
+    with pytest.raises(EvaluationError, match=message):
+        xg.grid_geometry(chart, pts, level=level)
+    if level == xg.FRAME:
+        with pytest.raises(EvaluationError, match=message):
+            xg.point_geometry(chart, pts[0])
 
 
 def test_unknown_level_is_rejected():

@@ -1,12 +1,17 @@
 """Lattice construction, graph distances, balls and end counting."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import extgeo as xg
+import extgeo.cli
 import extgeo.immersion
 import extgeo.mesh
 from extgeo import eikonal, jets
@@ -14,8 +19,8 @@ from extgeo.errors import DomainError, GeometryError
 from extgeo.catalog import CATALOG
 from extgeo.mesh import _components
 from extgeo.reporting import write_csv
-from oracles import (antipodal_distance, full_order_mesh, graph_components,
-                     graph_distances)
+from oracles import (antipodal_distance, csv_text, full_order_mesh,
+                     graph_components, graph_distances)
 
 LINE = """
 m = 1; n = 2; ambient = euclidean;
@@ -92,7 +97,7 @@ def test_cylinder_wrap_edges():
 
 ORDER_CASES = [
     ("catenoid", {}, [33, 32]),
-    ("cylinder", {}, [33, 32]),
+    ("cylinder", {}, 33),
     ("rotation-hypersurface", {"n": 3}, [9, 24, 101]),
     ("flat-subspace", {"m": 3, "n": 4}, 17),
 ]
@@ -489,13 +494,11 @@ def test_circle_with_central_pole_is_all_critical():
     assert xg.critical_free_radius(mesh) == pytest.approx(1.0, abs=1e-12)
     assert mesh.r_max == pytest.approx(1.0)
     with pytest.raises(DomainError):
-        xg.count_ends(mesh, 0.5)
-    with pytest.raises(DomainError):
         xg.ends_stability(mesh)
 
 
 def test_count_ends_plane(flat2_mesh):
-    report = xg.count_ends(flat2_mesh, 1.0)
+    report = xg.ends_stability(flat2_mesh)
     assert report.n_ends == 1
     assert report.n_bounded == 0
     assert report.critical_free_radius == 0.0
@@ -503,23 +506,45 @@ def test_count_ends_plane(flat2_mesh):
 
 
 def test_count_ends_cylinder(cylinder_mesh):
-    assert xg.count_ends(cylinder_mesh, 4.0).n_ends == 2
-    stab = xg.ends_stability(cylinder_mesh)
-    assert stab["stable"] and stab["n_ends"] == 2
+    ends = xg.ends_stability(cylinder_mesh)
+    assert ends.stable and ends.n_ends == 2
 
 
 def test_count_ends_catenoid(catenoid_mesh):
-    assert xg.count_ends(catenoid_mesh, 10.0).n_ends == 2
-    stab = xg.ends_stability(catenoid_mesh)
-    assert stab["stable"] and stab["n_ends"] == 2
-    assert len(stab["radii"]) == len(stab["counts"]) == 5
+    ends = xg.ends_stability(catenoid_mesh)
+    assert ends.stable and ends.n_ends == 2
+    assert len(ends.radii) == len(ends.counts) == 5
+    assert ends.window() == {"radii": ends.radii, "counts": ends.counts,
+                             "stable": True, "n_ends": 2}
 
 
-def test_count_ends_validates_radius(catenoid_mesh):
-    with pytest.raises(DomainError, match="critical-free"):
-        xg.count_ends(catenoid_mesh, 1.0)
-    with pytest.raises(DomainError, match="largest sampled"):
-        xg.count_ends(catenoid_mesh, catenoid_mesh.r_max + 1.0)
+@pytest.mark.parametrize("name,params,res", [
+    ("cylinder", {}, 33),
+    ("rotation-hypersurface", {"n": 3}, [9, 24, 101]),
+    ("catenoid", {}, [81, 24]),
+    ("flat-subspace", {"m": 3, "n": 4}, 17),
+], ids=["cylinder", "rotation3", "catenoid", "flat3"])
+def test_ends_match_the_component_oracle(name, params, res):
+    # at every window radius, the ends are the oracle's components of
+    # {r > R} that reach a truncation face
+    mesh = xg.build_mesh(xg.catalog_build(name, **params)[0], res)
+    ends = xg.ends_stability(mesh)
+    boundary = mesh.boundary_vertex_mask()
+    for R, count in zip(ends.radii, ends.counts):
+        far = mesh.r > R
+        labels = graph_components(mesh, far)
+        touching = set(labels[far & boundary].tolist())
+        assert count == len(touching), R
+    uniq, sizes = np.unique(labels[far], return_counts=True)
+    want = sorted(((int(k), lab in touching)
+                   for lab, k in zip(uniq.tolist(), sizes.tolist())),
+                  key=lambda c: (-c[0], not c[1]))
+    assert [(c["vertices"], c["end"]) for c in ends.component_sizes] == want
+    assert ends.n_bounded == len(want) - ends.n_ends
+    if name == "cylinder":
+        # no vertex sits on the saddle at r = 2 (33 angles), so the window
+        # straddles it
+        assert ends.counts == [1, 1, 2, 2, 2] and not ends.stable
 
 
 # ---------------------------------------------------------------------------
@@ -562,16 +587,41 @@ def test_mesh_dump_columns_and_determinism(tmp_path):
 
 
 def test_mesh_dump_matches_the_generic_writer(tmp_path, monkeypatch):
+    # every CSV the CLI writes, each row through its one format, against
+    # the same rows spelled cell by cell
+    expected = {}
+
+    def recording(path, header, rows, row_format):
+        rows = list(rows)
+        write_csv(path, header, rows, row_format)
+        expected[path] = csv_text(header, rows)
+
+    monkeypatch.setattr(extgeo.mesh, "write_csv", recording)
+    monkeypatch.setattr(extgeo.cli, "write_csv", recording)
+
     mesh = xg.build_mesh(flat_chart(), 5)
     # a vertex the solve did not reach keeps inf
     mesh._rho = np.where(np.arange(mesh.n_vertices) == 7, np.inf, mesh.rho)
-    xg.mesh_dump(mesh, tmp_path / "row.csv")
+    xg.mesh_dump(mesh, str(tmp_path / "mesh.csv"))
+    assert (tmp_path / "mesh.csv").read_text().split("\n")[8].split(",")[4] \
+        == "inf"
 
-    def cell_by_cell(path, header, rows, row_format=None):
-        write_csv(path, header, rows)
-
-    monkeypatch.setattr(extgeo.mesh, "write_csv", cell_by_cell)
-    xg.mesh_dump(mesh, tmp_path / "cell.csv")
-    text = (tmp_path / "row.csv").read_text()
-    assert text == (tmp_path / "cell.csv").read_text()
-    assert text.split("\n")[8].split(",")[4] == "inf"
+    config = tmp_path / "rot3.json"
+    config.write_text(json.dumps({
+        "immersion": {"catalog": "rotation-hypersurface", "params": {"n": 3}},
+        "resolution": 5, "samples": 12}))
+    runs = [[cmd, "--immersion", "flat-subspace"]
+            for cmd in ("invariants", "volume", "ends")]
+    runs.append(["curvature", "--config", str(config)])
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in runs:
+            assert extgeo.cli.main(argv + ["--out", str(tmp_path)]) == 0
+    names = {os.path.basename(path) for path in expected}
+    assert names == {"mesh.csv", "tails.csv", "volume.csv", "ends.csv",
+                     "curvature.csv"}
+    for path, text in expected.items():
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == text, path
+    valid = {line.rsplit(",", 1)[1] for line in
+             expected[str(tmp_path / "curvature.csv")].split("\n")[1:-1]}
+    assert valid <= {"true", "false"} and valid

@@ -18,18 +18,17 @@ from oracles import cell_fraction_ball_volumes, cell_r_spans
 # ball and sphere volumes
 
 def test_flat_ball_and_sphere_volume(flat2_mesh):
-    ball = xg.ball_volume(flat2_mesh, 1.0)
-    assert ball == pytest.approx(math.pi, rel=0.01)
-    sphere = xg.sphere_volume(flat2_mesh, 1.0)
-    assert sphere == pytest.approx(2.0 * math.pi, rel=0.02)
+    curve = xg.volume_curve(flat2_mesh, [1.0, 1.5])
+    assert curve.ball[0] == pytest.approx(math.pi, rel=0.01)
+    assert curve.sphere[0] == pytest.approx(2.0 * math.pi, rel=0.02)
 
 
 def test_hyperbolic_ball_and_sphere_volume(tg2_mesh):
-    ball = xg.ball_volume(tg2_mesh, 1.0)
-    assert ball == pytest.approx(2.0 * math.pi * (math.cosh(1.0) - 1.0),
-                                 rel=0.01)
-    sphere = xg.sphere_volume(tg2_mesh, 1.0)
-    assert sphere == pytest.approx(2.0 * math.pi * math.sinh(1.0), rel=0.02)
+    curve = xg.volume_curve(tg2_mesh, [1.0, 1.5])
+    assert curve.ball[0] == pytest.approx(
+        2.0 * math.pi * (math.cosh(1.0) - 1.0), rel=0.01)
+    assert curve.sphere[0] == pytest.approx(2.0 * math.pi * math.sinh(1.0),
+                                            rel=0.02)
 
 
 @pytest.mark.parametrize("name,params,resolution", [
@@ -63,17 +62,6 @@ def test_coarea_deviation_is_inf_without_a_warning():
         assert curve.coarea_max_dev() == math.inf
 
 
-def test_volume_radius_guards(flat2_mesh):
-    with pytest.raises(DomainError):
-        xg.ball_volume(flat2_mesh, -1.0)
-    with pytest.raises(TruncationError):
-        xg.ball_volume(flat2_mesh, 1.9)   # past 0.9 of the face radius
-    with pytest.raises(DomainError):
-        xg.sphere_volume(flat2_mesh, 0.01)
-    with pytest.raises(TruncationError):
-        xg.sphere_volume(flat2_mesh, 1.79)
-
-
 def test_volume_curve_tracks_models(flat2_mesh, tg2_mesh):
     for mesh, ball_tol, sphere_tol in [(flat2_mesh, 0.02, 0.04),
                                        (tg2_mesh, 0.02, 0.04)]:
@@ -91,9 +79,9 @@ def test_coarea_integral_consistency(flat2_mesh, tg2_mesh):
     # volume difference
     for mesh in (flat2_mesh, tg2_mesh):
         radii = np.linspace(0.5, 1.6, 23)
-        sphere = np.array([xg.sphere_volume(mesh, float(t)) for t in radii])
-        integral = float(np.trapezoid(sphere, radii))
-        diff = xg.ball_volume(mesh, 1.6) - xg.ball_volume(mesh, 0.5)
+        curve = xg.volume_curve(mesh, radii)
+        integral = float(np.trapezoid(curve.sphere, radii))
+        diff = curve.ball[-1] - curve.ball[0]
         assert integral == pytest.approx(diff, rel=0.02)
 
 
@@ -129,10 +117,16 @@ def tails_for(mesh):
     return xg.invariant_tails(mesh, xg.default_tail_radii(mesh))
 
 
+def growth_inputs(mesh):
+    """The end count and volume curve that the verdict takes."""
+    return xg.ends_stability(mesh).n_ends, xg.volume_curve(mesh)
+
+
 def test_growth_bounds_flat_plane(flat2_mesh):
     report = tails_for(flat2_mesh)
     with pytest.warns(RuntimeWarning, match="exploratory"):
-        verdict = xg.verify_growth_bounds(flat2_mesh, report)
+        verdict = xg.verify_growth_bounds(flat2_mesh, report,
+                                          *growth_inputs(flat2_mesh))
     assert verdict.verdict == "satisfied"
     assert verdict.exploratory
     assert verdict.ends == 1
@@ -145,7 +139,8 @@ def test_growth_bounds_flat_plane(flat2_mesh):
 
 def test_growth_bounds_flat_3d(flat3_mesh):
     report = tails_for(flat3_mesh)
-    verdict = xg.verify_growth_bounds(flat3_mesh, report)
+    verdict = xg.verify_growth_bounds(flat3_mesh, report,
+                                      *growth_inputs(flat3_mesh))
     assert verdict.verdict == "satisfied"
     assert not verdict.exploratory
     assert verdict.summary()["ends"] == 1
@@ -154,17 +149,19 @@ def test_growth_bounds_flat_3d(flat3_mesh):
 def test_growth_bounds_cylinder_hypothesis_fails(cylinder_mesh):
     report = tails_for(cylinder_mesh)
     with pytest.warns(RuntimeWarning, match="exploratory"):
-        verdict = xg.verify_growth_bounds(cylinder_mesh, report)
+        verdict = xg.verify_growth_bounds(cylinder_mesh, report,
+                                          *growth_inputs(cylinder_mesh))
     assert verdict.verdict == "inconclusive"
     assert verdict.reason == "hypothesis a(M) < 1/2 fails"
     assert verdict.rows == []
-    assert verdict.ends == -1
+    assert verdict.ends == 2
 
 
 def test_growth_bounds_hyperbolic_gate(tg2_mesh):
     report = tails_for(tg2_mesh)
     with pytest.warns(RuntimeWarning, match="exploratory"):
-        verdict = xg.verify_growth_bounds(tg2_mesh, report)
+        verdict = xg.verify_growth_bounds(tg2_mesh, report,
+                                          *growth_inputs(tg2_mesh))
     assert verdict.verdict == "satisfied"
     assert verdict.ends == 1
     for row in verdict.rows:
@@ -178,7 +175,8 @@ def test_growth_bounds_hyperbolic_gate_requires_certificate(tg2_mesh):
     # must bail out with the stated reason
     report.flags = dict(report.flags, strongly_tamed=False)
     with pytest.warns(RuntimeWarning, match="exploratory"):
-        verdict = xg.verify_growth_bounds(tg2_mesh, report)
+        verdict = xg.verify_growth_bounds(tg2_mesh, report,
+                                          *growth_inputs(tg2_mesh))
     assert verdict.verdict == "inconclusive"
     assert verdict.reason == "hypothesis b(M) < infinity fails"
 
@@ -186,7 +184,8 @@ def test_growth_bounds_hyperbolic_gate_requires_certificate(tg2_mesh):
 def test_growth_bounds_catenoid_counts_both_ends(catenoid_mesh):
     report = tails_for(catenoid_mesh)
     with pytest.warns(RuntimeWarning, match="exploratory"):
-        verdict = xg.verify_growth_bounds(catenoid_mesh, report)
+        verdict = xg.verify_growth_bounds(catenoid_mesh, report,
+                                          *growth_inputs(catenoid_mesh))
     assert verdict.verdict == "satisfied"
     assert verdict.ends == 2
     rows = {row["quantity"]: row for row in verdict.rows}
@@ -204,7 +203,9 @@ def test_growth_bounds_refuse_a_vanishing_ratio():
     curve = xg.volume_curve(mesh)
     assert xg.Curve(curve.radii, curve.sphere_ratio).tail_min() == 0.0
     with pytest.warns(RuntimeWarning, match="exploratory"):
-        verdict = xg.verify_growth_bounds(mesh, tails_for(mesh), curve=curve)
+        verdict = xg.verify_growth_bounds(mesh, tails_for(mesh),
+                                          xg.ends_stability(mesh).n_ends,
+                                          curve)
     assert verdict.verdict == "inconclusive"
     assert "sphere_ratio" in verdict.reason
     assert verdict.rows == []
@@ -214,8 +215,7 @@ def test_growth_bounds_accept_precomputed_pieces(flat2_mesh):
     report = tails_for(flat2_mesh)
     curve = xg.volume_curve(flat2_mesh)
     with pytest.warns(RuntimeWarning, match="exploratory"):
-        verdict = xg.verify_growth_bounds(flat2_mesh, report, ends=1,
-                                          curve=curve)
+        verdict = xg.verify_growth_bounds(flat2_mesh, report, 1, curve)
     assert verdict.verdict == "satisfied"
 
 
