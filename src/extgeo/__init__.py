@@ -15,7 +15,7 @@ from .errors import (ConfigError, CriticalPointError, DegeneratePlaneError,
                      DomainError, EvaluationError, ExtGeoError, GeometryError,
                      HypothesisViolatedError, ParseError, SingularityError,
                      TruncationError)
-from .exprchart import ChartBase, ChartSpec, eval_chart, parse_chart
+from .exprchart import ChartBase, ChartSpec, parse_chart
 from .immersion import (BENDING, FRAME, METRIC, PointGeometry, ambient_of,
                         extrinsic_sphere_curvature, grid_geometry,
                         hypersurface_principal_curvatures,

@@ -12,6 +12,7 @@ here).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +71,20 @@ class CatalogEntry:
                 raise DomainError(
                     f"'{self.name}' has no parameter '{key}' "
                     f"(accepts {sorted(self.defaults)})")
+            if not _like(val, self.defaults[key]):
+                kind = "an integer" if isinstance(self.defaults[key], int) else "a number"
+                raise DomainError(f"'{self.name}' parameter '{key}' must be "
+                                  f"{kind}, got {val!r}")
             merged[key] = val
         return self.builder(**merged)
+
+
+def _like(val, default) -> bool:
+    """A number, and integral where the default is an int; never a bool."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        return False
+    return (not isinstance(default, int) or isinstance(val, numbers.Integral)
+            or float(val).is_integer())
 
 
 def _fmt(x: float) -> str:

@@ -19,16 +19,19 @@ set supported by the jet layer.  ``const`` binds named constants, usable
 anywhere, declared in any order.  An optional ``basepoint`` statement
 marks a distinguished chart point (the domain midpoint otherwise).
 
-Parsed charts evaluate to jets of the order they are seeded with
-(positions are their values), and they pretty-print back to source that
-reparses to a structurally identical tree.
+Parsing folds every constant subtree into a literal, and computes the
+declarations, domain bounds and basepoint, by the jet rules of ``jets``
+on gradient-free jets.  The same rules then evaluate the chart: one walk
+over jets of the order the variables are seeded with (positions are
+their values).  A variable exponent reads a^b = exp(b * log(a)).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,8 +40,7 @@ from .errors import DomainError, EvaluationError, GeometryError, ParseError
 from .jets import Jet2
 from .spaceform import Ambient
 
-__all__ = ["parse_chart", "ChartSpec", "ChartBase", "check_point",
-           "eval_chart", "Lit", "Var", "ConstRef", "Unary", "Binary", "Call"]
+__all__ = ["parse_chart", "ChartSpec", "ChartBase", "check_point"]
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "sinh", "cosh", "tanh")
 
@@ -220,125 +222,73 @@ def _parse_prefix(ts: _Stream):
 
 
 # ---------------------------------------------------------------------------
-# constant folding and evaluation
+# constant folding and evaluation: one walk, the jet rules
 
-def _is_constant(node) -> bool:
-    if isinstance(node, (Lit, ConstRef)):
-        return True
-    if isinstance(node, Var):
-        return False
-    if isinstance(node, Unary):
-        return _is_constant(node.child)
-    if isinstance(node, Binary):
-        return _is_constant(node.lhs) and _is_constant(node.rhs)
-    if isinstance(node, Call):
-        return _is_constant(node.arg)
-    raise TypeError(node)
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+_OPERANDS = {Unary: ("child",), Binary: ("lhs", "rhs"), Call: ("arg",)}
 
 
-# the jet layer's name of each binary operator, so that a folded constant
-# and a jet report the same operation
-_OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
-
-
-def _fold(node, consts) -> float:
-    """Evaluate a constant subtree to a float, with jet-layer domain rules."""
+def _eval_jet(node, varjets, lift=None):
+    """Walk a folded AST over jets.  A literal is its float, or
+    ``lift(value)`` when ``_reduce`` folds one operator."""
     if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, ConstRef):
-        try:
-            return consts[node.name]
-        except KeyError:
-            raise ParseError(f"unknown identifier '{node.name}'", node.line, node.col)
-    if isinstance(node, Unary):
-        return -_fold(node.child, consts)
-    if isinstance(node, Binary):
-        a = _fold(node.lhs, consts)
-        b = _fold(node.rhs, consts)
-        out = _fold_binary(node.op, a, b)
-        if not math.isfinite(out):
-            raise EvaluationError(_OP_NAMES[node.op], "non-finite result")
-        return out
-    if isinstance(node, Call):
-        return _fold_call(node.fn, _fold(node.arg, consts))
-    raise TypeError(node)
-
-
-def _fold_binary(op, a, b) -> float:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0.0:
-            raise EvaluationError("div", "division by zero")
-        return a / b
-    if op == "^":
-        if a < 0.0 and b != int(b):
-            raise EvaluationError("pow", "non-integer exponent needs a positive base")
-        if a == 0.0 and b < 0.0:
-            raise EvaluationError("pow", "zero base with negative exponent")
-        try:
-            return a ** b
-        except OverflowError:
-            raise EvaluationError("pow", "non-finite result")
-    raise TypeError(op)
-
-
-def _fold_call(fn, x) -> float:
-    if fn in ("sqrt", "log") and x <= 0.0:
-        raise EvaluationError(fn, "argument not strictly positive")
-    try:
-        out = getattr(math, fn)(x)
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise EvaluationError(fn, "non-finite result")
-    return out
-
-
-def _eval_jet(node, varjets, consts):
-    """Walk an AST over jets; constant subtrees stay plain floats."""
-    if isinstance(node, (Lit, ConstRef)):
-        return _fold(node, consts)
+        return node.value if lift is None else lift(node.value)
     if isinstance(node, Var):
         return varjets[node.index]
     if isinstance(node, Unary):
-        child = _eval_jet(node.child, varjets, consts)
-        return -child
+        return -_eval_jet(node.child, varjets, lift)
     if isinstance(node, Call):
-        arg = _eval_jet(node.arg, varjets, consts)
-        if isinstance(arg, Jet2):
-            return getattr(jets, node.fn)(arg)
-        return _fold_call(node.fn, arg)
-    if isinstance(node, Binary):
-        if node.op == "^" and _is_constant(node.rhs):
-            p = _fold(node.rhs, consts)
-            base = _eval_jet(node.lhs, varjets, consts)
-            if isinstance(base, Jet2):
-                return jets.powc(base, p)
-            return _fold_binary("^", base, p)
-        a = _eval_jet(node.lhs, varjets, consts)
-        b = _eval_jet(node.rhs, varjets, consts)
-        if node.op == "^":
-            # variable exponent: route through exp(b * log(a))
-            if isinstance(a, Jet2):
-                return jets.exp(b * jets.log(a))
-            if a <= 0.0:
-                raise EvaluationError("pow", "variable exponent needs a positive base")
-            return jets.exp(b * math.log(a))
-        if not isinstance(a, Jet2) and not isinstance(b, Jet2):
-            return _fold_binary(node.op, a, b)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    raise TypeError(node)
+        return getattr(jets, node.fn)(_eval_jet(node.arg, varjets, lift))
+    base = _eval_jet(node.lhs, varjets, lift)
+    if node.op == "^":
+        # folding leaves only literal exponents
+        return jets.powc(base, node.rhs.value)
+    return _ARITH[node.op](base, _eval_jet(node.rhs, varjets, lift))
+
+
+def _gradient_free(value):
+    return jets.constant(value, 0, (), 1)
+
+
+def _fold(node, consts):
+    """``node`` with every constant subtree replaced by a Lit of its value."""
+    if isinstance(node, ConstRef):
+        try:
+            return Lit(consts[node.name], node.line, node.col)
+        except KeyError:
+            raise ParseError(f"unknown identifier '{node.name}'", node.line, node.col)
+    names = _OPERANDS.get(type(node))
+    if names is None:
+        return node
+    return _reduce(replace(node, **{k: _fold(getattr(node, k), consts)
+                                    for k in names}))
+
+
+def _reduce(node):
+    """Fold one operator whose operands are folded: by the jet rules on
+    gradient-free jets when all of them are literals.  A derivative those
+    rules compute and drop may overflow where the value does not, so numpy
+    stays quiet; a non-finite value still raises."""
+    if isinstance(node, Binary) and node.op == "^" and not isinstance(node.rhs, Lit):
+        # variable exponent: a^b = exp(b * log(a))
+        log_a = _reduce(Call("log", node.lhs, node.line, node.col))
+        return Call("exp", Binary("*", node.rhs, log_a, node.line, node.col),
+                    node.line, node.col)
+    if not all(isinstance(getattr(node, k), Lit) for k in _OPERANDS[type(node)]):
+        return node
+    with np.errstate(all="ignore"):
+        value = _eval_jet(node, (), _gradient_free).value
+    return Lit(float(value), node.line, node.col)
+
+
+def _constant(node, consts) -> float:
+    """The value of an expression that must not hold a chart variable."""
+    var = next((nd for nd in _walk(node) if isinstance(nd, Var)), None)
+    if var is not None:
+        raise ParseError(f"'u{var.index + 1}' cannot appear in a constant expression",
+                         var.line, var.col)
+    return _fold(node, consts).value
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +355,6 @@ def check_point(chart: ChartBase, point) -> np.ndarray:
     return point
 
 
-def eval_chart(chart: ChartBase, point) -> list:
-    """Evaluate a chart at one point (or a batch) as second-order jets."""
-    return chart.eval_jets(jets.seed_point(check_point(chart, point)))
-
-
 class ChartSpec(ChartBase):
     """A chart parsed from source text."""
 
@@ -429,64 +374,11 @@ class ChartSpec(ChartBase):
         out = []
         batch = us[0].batch_shape
         for ast in self.coords:
-            val = _eval_jet(ast, us, self.consts)
+            val = _eval_jet(ast, us)
             if not isinstance(val, Jet2):
                 val = jets.constant(val, self.m, batch, us[0].order)
             out.append(val)
         return out
-
-    def to_source(self) -> str:
-        parts = [f"m = {self.m}", f"n = {self.n}"]
-        if self.kappa == 0.0:
-            parts.append("ambient = euclidean")
-        else:
-            parts.append(f"ambient = hyperbolic({_fmt(self.kappa)})")
-        for cname, cval in self.consts.items():
-            parts.append(f"const {cname} = {_fmt(cval)}")
-        for k, ast in enumerate(self.coords):
-            parts.append(f"x{k + 1} = {expr_source(ast)}")
-        axes = []
-        for i, (lo, hi) in enumerate(self.domain):
-            decl = f"u{i + 1} in [{_fmt(lo)}, {_fmt(hi)}]"
-            if self.periodic[i]:
-                decl += " periodic"
-            axes.append(decl)
-        parts.append("domain " + ", ".join(axes))
-        parts.append("basepoint " + ", ".join(_fmt(b) for b in self.basepoint))
-        return ";\n".join(parts) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def expr_source(node, parent_prec=0, rhs_of=None) -> str:
-    """Render an AST back to text with the fewest parentheses that preserve
-    structure under reparsing."""
-    if isinstance(node, Lit):
-        text = _fmt(node.value)
-        return text
-    if isinstance(node, Var):
-        return f"u{node.index + 1}"
-    if isinstance(node, ConstRef):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({expr_source(node.arg)})"
-    if isinstance(node, Unary):
-        inner = expr_source(node.child, _UNARY_PREC)
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > _UNARY_PREC else text
-    if isinstance(node, Binary):
-        prec = _BIN_PREC[node.op]
-        if node.op == "^":
-            left = expr_source(node.lhs, prec + 1)
-            right = expr_source(node.rhs, prec)
-        else:
-            left = expr_source(node.lhs, prec)
-            right = expr_source(node.rhs, prec + 1)
-        text = f"{left} {node.op} {right}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(node)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +532,7 @@ def _finalize(decl, coords, domains, const_order, const_asts, basepoint_asts, na
                 raise ParseError(f"unknown identifier '{bad.name}'",
                                  bad.line, bad.col)
             if all(d.name in consts for d in deps):
-                consts[cname] = _fold(const_asts[cname], consts)
+                consts[cname] = _constant(const_asts[cname], consts)
             else:
                 remaining.append(cname)
         if len(remaining) == len(pending):
@@ -650,8 +542,8 @@ def _finalize(decl, coords, domains, const_order, const_asts, basepoint_asts, na
 
     def _int_decl(key):
         node, tok = decl[key]
-        val = _fold(node, consts)
-        if val != int(val) or val < 1:
+        val = _constant(node, consts)
+        if not val.is_integer() or val < 1:
             raise ParseError(f"'{key}' must be a positive integer", tok.line, tok.col)
         return int(val)
 
@@ -661,7 +553,7 @@ def _finalize(decl, coords, domains, const_order, const_asts, basepoint_asts, na
         raise ParseError(f"need m <= n, got m={m}, n={n}")
 
     kappa_node, kappa_tok = decl["kappa"]
-    kappa = _fold(kappa_node, consts)
+    kappa = _constant(kappa_node, consts)
     if decl["euclidean"] is False and kappa >= 0.0:
         raise ParseError("hyperbolic ambient needs kappa < 0",
                          kappa_tok.line, kappa_tok.col)
@@ -685,6 +577,7 @@ def _finalize(decl, coords, domains, const_order, const_asts, basepoint_asts, na
             if isinstance(node, ConstRef) and node.name not in consts:
                 raise ParseError(f"unknown identifier '{node.name}'",
                                  node.line, node.col)
+    coord_list = [_fold(ast, consts) for ast in coord_list]
 
     domain = []
     periodic = []
@@ -692,8 +585,8 @@ def _finalize(decl, coords, domains, const_order, const_asts, basepoint_asts, na
         if i not in domains:
             raise ParseError(f"missing domain declaration for u{i + 1}")
         lo_ast, hi_ast, per, tok = domains[i]
-        lo = _fold(lo_ast, consts)
-        hi = _fold(hi_ast, consts)
+        lo = _constant(lo_ast, consts)
+        hi = _constant(hi_ast, consts)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
             raise ParseError(f"axis u{i + 1} needs a non-degenerate interval",
                              tok.line, tok.col)
@@ -706,7 +599,7 @@ def _finalize(decl, coords, domains, const_order, const_asts, basepoint_asts, na
     if basepoint_asts is not None:
         if len(basepoint_asts) != m:
             raise ParseError(f"basepoint needs {m} coordinates, got {len(basepoint_asts)}")
-        basepoint = [_fold(ast, consts) for ast in basepoint_asts]
+        basepoint = [_constant(ast, consts) for ast in basepoint_asts]
     else:
         basepoint = [lo if periodic[i] else 0.5 * (lo + hi)
                      for i, (lo, hi) in enumerate(domain)]

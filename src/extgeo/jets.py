@@ -82,19 +82,7 @@ class Jet2:
         return Jet2(-self.value, -self.grad, _neg(self.hess))
 
     def __mul__(self, other):
-        if isinstance(other, Jet2):
-            v = self.value * other.value
-            g = self.grad * other.value[..., None] + other.grad * self.value[..., None]
-            h = None
-            if self.hess is not None and other.hess is not None:
-                h = (self.hess * other.value[..., None, None]
-                     + other.hess * self.value[..., None, None]
-                     + _sym_outer(self.grad, other.grad))
-            return _check("mul", Jet2(v, g, h))
-        return _check("mul", Jet2(self.value * other,
-                                  self.grad * _scal(other),
-                                  None if self.hess is None
-                                  else self.hess * _scal2(other)))
+        return _check("mul", _product(self, other))
 
     __rmul__ = __mul__
 
@@ -102,21 +90,37 @@ class Jet2:
         if isinstance(other, Jet2):
             if np.any(other.value == 0.0):
                 raise EvaluationError("div", "division by zero")
-            return _check("div", self * _reciprocal(other))
+            return _check("div", _product(self, _reciprocal(other)))
         if np.any(np.asarray(other) == 0.0):
             raise EvaluationError("div", "division by zero")
-        return _check("div", self * (1.0 / other))
+        return _check("div", _product(self, 1.0 / other))
 
     def __rtruediv__(self, other):
         if np.any(self.value == 0.0):
             raise EvaluationError("div", "division by zero")
-        return _check("div", _reciprocal(self) * other)
+        return _check("div", _product(_reciprocal(self), other))
 
     def __pow__(self, p):
         if isinstance(p, Jet2):
             raise DomainError("jet exponents are not supported; "
                               "use exp(q * log(b)) for variable exponents")
         return powc(self, float(p))
+
+
+def _product(a, b):
+    """The unchecked product of a jet with a jet or a scalar, so that a
+    quotient's overflow is named ``div``, not ``mul``."""
+    if isinstance(b, Jet2):
+        v = a.value * b.value
+        g = a.grad * b.value[..., None] + b.grad * a.value[..., None]
+        h = None
+        if a.hess is not None and b.hess is not None:
+            h = (a.hess * b.value[..., None, None]
+                 + b.hess * a.value[..., None, None]
+                 + _sym_outer(a.grad, b.grad))
+        return Jet2(v, g, h)
+    return Jet2(a.value * b, a.grad * _scal(b),
+                None if a.hess is None else a.hess * _scal2(b))
 
 
 def _sum(ha, hb, op):

@@ -42,6 +42,12 @@ x1 = u1; x2 = 1e200 * u1; x3 = u2;
 domain u1 in [-1, 1], u2 in [-1, 1];
 basepoint 0, 0
 """
+# a chart variable where a constant is due: a parse error, exit 2
+INLINE_VARIABLE_CONSTANT = "const A = u1;" + INLINE_PLANE
+
+# catalog parameters of the wrong JSON type: config errors, exit 2
+BAD_PARAMS = {"catenoid": {"truncation": None}, "cylinder": {"radius": []},
+              "sphere": {"n": None}, "rotation-hypersurface": {"a": "catenoid"}}
 
 # name -> (argv, config written to a file and passed as --config, or None)
 CASES = {
@@ -60,6 +66,13 @@ CASES = {
         "immersion": {"source": INLINE_OVERFLOW}, "resolution": 9}),
     "error-overflow-metric": (["invariants"], {
         "immersion": {"source": INLINE_OVERFLOW_METRIC}, "resolution": 9}),
+    "error-variable-in-constant": (["invariants"], {
+        "immersion": {"source": INLINE_VARIABLE_CONSTANT}, "resolution": 9}),
+    **{f"error-param-{name}-{key}": (["invariants"], {
+        "immersion": {"catalog": name, "params": {key: value}},
+        "resolution": 9})
+       for name, params in BAD_PARAMS.items()
+       for key, value in params.items()},
 }
 
 

@@ -203,3 +203,24 @@ def test_unknown_entry():
 def test_unknown_parameter():
     with pytest.raises(DomainError, match="accepts"):
         xg.catalog_build("catenoid", radius=2.0)
+
+
+@pytest.mark.parametrize("value,kind", [
+    (2.5, "an integer"), (True, "an integer"), (None, "an integer"),
+    ("2", "an integer")], ids=["fraction", "bool", "null", "string"])
+def test_integer_parameter_needs_an_integral_number(value, kind):
+    with pytest.raises(DomainError) as err:
+        xg.catalog_build("flat-subspace", m=value)
+    assert str(err.value) == (f"'flat-subspace' parameter 'm' must be {kind}, "
+                              f"got {value!r}")
+
+
+def test_integral_float_and_int_for_a_float_parameter_are_accepted():
+    chart, _ = xg.catalog_build("flat-subspace", m=2.0, truncation=3)
+    assert chart.m == 2 and chart.domain[0] == (-3.0, 3.0)
+
+
+@pytest.mark.parametrize("value", [False, [], "1.0", None])
+def test_float_parameter_needs_a_number(value):
+    with pytest.raises(DomainError, match="'radius' must be a number"):
+        xg.catalog_build("cylinder", radius=value)

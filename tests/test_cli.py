@@ -660,6 +660,31 @@ def test_overflow_in_constant_folding_is_an_evaluation_error(
     assert body == {"error": "EvaluationError", "message": message}
 
 
+def test_folded_constant_leaves_no_warning(tmp_path):
+    # the value is finite, the derivative of the power overflows; the fold
+    # keeps no gradient, so it neither fails nor warns
+    src = ("const C = (1e-300)^(-1.001);" + INLINE_PLANE).replace(
+        "x3 = 0", "x3 = C * 1e-300")
+    cfg = write_config(tmp_path, {"immersion": {"source": src},
+                                  "resolution": 9})
+    pay = payload_of(["invariants", "--config", cfg])
+    assert pay["warnings"] == []
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"m": 2.5}, "'m' must be an integer, got 2.5"),
+    ({"m": True}, "'m' must be an integer, got True"),
+])
+def test_catalog_parameter_of_the_wrong_type_is_a_config_error(
+        tmp_path, params, message):
+    cfg = write_config(tmp_path, {
+        "immersion": {"catalog": "flat-subspace", "params": params},
+        "resolution": 9})
+    body = error_of(["invariants", "--config", cfg], expect_code=2)
+    assert body == {"error": "ConfigError", "message":
+                    f"immersion: 'flat-subspace' parameter {message}"}
+
+
 def test_folded_and_jet_powers_name_the_overflow_alike(tmp_path):
     # the first overflows while folding 10^400, the second in the jet of a
     # power with a variable base
