@@ -27,8 +27,10 @@ with ``--out``, write the body's report files and ``<command>.json``.
 The ``--resolution``, ``--truncation`` and ``--seed`` values are merged
 into the config object before it is validated, so they pass exactly the
 checks that the config keys pass.  ``curvature`` draws its candidates in
-rounds of at most ``DEFAULT_CHUNK`` points and makes one ``FRAME``
-geometry request per round.
+rounds of at most one geometry block of ``FRAME`` points
+(``immersion.BLOCK_BYTES``) and makes one ``FRAME`` geometry request per
+round.  A mesh whose estimated memory exceeds ``mesh.MEMORY_BUDGET`` is
+refused before the chart is evaluated.
 
 Exit codes: 0 success, 1 verification checks failed, 2 malformed config
 (a pole off the model too), 3 numeric pipeline failure.  Errors print one
@@ -52,11 +54,11 @@ from .catalog import CATALOG, catalog_build
 from .errors import (ConfigError, DomainError, ExtGeoError, GeometryError,
                      HypothesisViolatedError, ParseError)
 from .exprchart import parse_chart
-from .immersion import (DEFAULT_CHUNK, FRAME, ambient_of,
-                        extrinsic_sphere_curvature, grid_geometry)
+from .immersion import (BLOCK_BYTES, FRAME, ambient_of, block_len,
+                        extrinsic_sphere_curvature, grid_geometry, point_bytes)
 from .invariants import (DeltaModel, default_tail_radii, invariant_tails,
                          pinching_functions, threshold_c_star)
-from .mesh import (EPSILON_CRIT, MIN_RESOLUTION, build_mesh,
+from .mesh import (EPSILON_CRIT, MIN_RESOLUTION, build_mesh, check_budget,
                    critical_free_radius, ends_stability, mesh_dump)
 from .reporting import dumps_json, write_csv, write_json
 from .spaceform import c_kappa, s_kappa
@@ -374,11 +376,12 @@ def run_curvature(cfg: RunConfig, chart, gt):
     lows, highs = np.array(chart.domain).T
     budget = 20 * cfg.samples
     rounds, kept, attempts = [], 0, 0
-    # each round draws the shortfall, at most DEFAULT_CHUNK points, so
-    # memory stays bounded and the candidates are those one draw per
-    # attempt would give
+    # each round draws the shortfall, at most one geometry block, so memory
+    # stays bounded and the candidates are those one draw per attempt would
+    # give
+    block = block_len(point_bytes(FRAME, chart.m, len(amb.pole)))
     while kept < cfg.samples and attempts < budget:
-        k = min(cfg.samples - kept, DEFAULT_CHUNK, budget - attempts)
+        k = min(cfg.samples - kept, block, budget - attempts)
         attempts += k
         pts = lows + (highs - lows) * rng.uniform(0.02, 0.98,
                                                   size=(k, chart.m))
@@ -478,6 +481,33 @@ _COMMANDS = {
 }
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+
+
+def _keep_block_memory() -> None:
+    """Keep freed block temporaries mapped for the next block (glibc only).
+
+    The blocks of a run free and allocate megabytes of temporaries over
+    and over.  glibc's adaptive thresholds stay low while nothing large has
+    been freed, which the streamed build and rho solve never do, so it
+    gives that memory back after each block and the next one faults it in
+    again: 75,000 page faults and 40% more time in the rho solve of the
+    rotation hypersurface at [9, 24, 101] (2-core x86-64 host, glibc).
+    Pinned, an array of up to one block budget comes from the heap, the
+    heap is trimmed only past four, and one arena keeps the worker threads
+    from holding heaps of their own.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_ARENA_MAX, 1)
+    mallopt(_M_MMAP_THRESHOLD, BLOCK_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 4 * BLOCK_BYTES)
+
+
 def _run(args) -> dict:
     """One analysis command, from the command line to its payload and,
     with ``--out``, its report files."""
@@ -486,6 +516,10 @@ def _run(args) -> dict:
     # filters stay as they are, so a repeated warning is recorded once
     with warnings.catch_warnings(record=True) as caught:
         chart, gt, desc = _build_immersion(cfg)
+        if args.command != "curvature":
+            # before the chart is evaluated anywhere, the pole included
+            check_budget(chart, cfg.resolution)
+            _keep_block_memory()
         try:
             pole = ambient_of(chart, cfg.pole).pole
         except (DomainError, GeometryError) as exc:

@@ -42,6 +42,12 @@ open vertex within its shortest edge of the smallest open value and
 updates the neighbours that lie above that value.  A vertex reopens when a
 later round lowers it.  The number of rounds follows the number of grid
 steps from the source, not the spread of the edge lengths.
+
+The solve holds per vertex the stretch of each of the 3^m - 1 offsets, a
+margin per facet and the factoring fields, built once.  A round computes
+its updates in blocks of rows of ``immersion.BLOCK_BYTES`` working memory
+(``row_bytes`` a row); rows are independent and the values read-only
+within a round, so rho does not depend on the block length.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Stencil", "stencil", "upwind_distances"]
+from .immersion import block_len
+
+__all__ = ["Stencil", "stencil", "row_bytes", "upwind_distances"]
 
 # a value is lowered only by more than this relative amount
 LOWER_TOL = 1e-12
@@ -249,11 +257,18 @@ class _Update:
              for a in range(m)], axis=1))
         # per vertex once, not per visit: the local norm's stretch of each
         # offset, lengths from the edges over lengths from the metric, and
-        # the least distance to each facet plane (see ``_open_facets``)
-        self.stretch = lengths / np.sqrt(self.metric @ self.norm_cols)
-        self.margin = (np.min(self.stretch[:, self.st.facet_slots], axis=2)
-                       * facet_gap[:, self.st.facet_axis])
+        # the least distance to each facet plane (see ``_open_facets``),
+        # built in place and one facet at a time
+        self.stretch = self.metric @ self.norm_cols
+        np.sqrt(self.stretch, out=self.stretch)
+        np.divide(lengths, self.stretch, out=self.stretch)
+        self.margin = np.empty(facet_gap.shape[:1] + self.st.facet_axis.shape)
+        for f, (slots, axis) in enumerate(zip(self.st.facet_slots,
+                                              self.st.facet_axis)):
+            np.min(self.stretch[:, slots], axis=1, out=self.margin[:, f])
+            self.margin[:, f] *= facet_gap[:, axis]
         self._factoring(shape, periodic, spacing, source)
+        self.rows = max(2, block_len(row_bytes(m)))
 
     def _factoring(self, shape, periodic, spacing, source):
         """Distance rho0 of the source metric and the ball it is used in."""
@@ -286,16 +301,36 @@ class _Update:
         self.disp_g0 = disp @ g0
 
     def __call__(self, idx, u):
-        """Semi-Lagrangian values at the vertices ``idx`` from ``u``."""
+        """Semi-Lagrangian values at the vertices ``idx`` from ``u``, in
+        blocks of ``self.rows`` rows.
+
+        A matrix product of one row takes another BLAS path than one of
+        several, with other last bits.  So no block holds a lone row unless
+        ``idx`` does, and the factoring slopes of all of ``idx`` come from
+        one product, as if it were one block.
+        """
+        fac = self.factored[idx]
+        rows = idx[fac]
+        slope = (self.disp_g0[rows] @ self.step.T) / self.rho0[rows][:, None]
+        # slope rows of the factored vertices before each position
+        at = np.concatenate(([0], np.cumsum(fac)))
+        out = np.empty(idx.size)
+        lo = 0
+        while lo < idx.size:
+            hi = idx.size if idx.size - lo <= self.rows + 1 else lo + self.rows
+            out[lo:hi] = self._values(idx[lo:hi], u, fac[lo:hi],
+                                      slope[at[lo]:at[hi]])
+            lo = hi
+        return out
+
+    def _values(self, idx, u, fac, slope):
         nb = self.neighbours[idx]
         w = u[nb]
-        fac = self.factored[idx]
         if fac.any():
             # interpolate rho - rho0: lower each neighbour by the Taylor
             # remainder of rho0 along its offset
             rows = idx[fac]
             r0 = self.rho0[rows][:, None]
-            slope = (self.disp_g0[rows] @ self.step.T) / r0
             w[fac] -= (self.weight[rows][:, None]
                        * (self.rho0[nb[fac]] - r0 - slope))
         lx = self.lengths[idx]
@@ -388,6 +423,16 @@ class _Update:
         at = slots[:, better, f]
         q = np.einsum("kn,kna->na", lam * stretch[better, at], self.step[at])
         point[better] = q / lam.sum(axis=0)[:, None]
+
+
+def row_bytes(m: int) -> int:
+    """Working bytes of one vertex in an update: the neighbour values and
+    stretches, the face pairs and the faces of its star (fitted to
+    tracemalloc peaks, m = 1 to 4, within 30% above them)."""
+    st = stencil(m)
+    star = sum(slots.shape[0] * slots.shape[2] + pids.shape[0] * pids.shape[2]
+               for slots, pids in st.star)
+    return 8 * (10 * len(st.offsets) + 4 * len(st.pairs) + 3 * star)
 
 
 def upwind_distances(shape, periodic, spacing, metric, neighbours, lengths,

@@ -10,10 +10,14 @@ before (see `PointGeometry`), and the record carries its ``Ambient``.
 ``METRIC`` reads first derivatives only and runs on first-order jets, with
 no Hessian anywhere; ``BENDING`` and ``FRAME`` need the second fundamental
 form and run on second-order jets.  Values and first derivatives agree bit
-for bit across the levels.  Bulk evaluation is chunked, ``DEFAULT_CHUNK``
-points at a time, and the chunks run on a thread pool; the result does not
-depend on the chunk size, and one point alone gets the same bits as in any
-batch.
+for bit across the levels.  Bulk evaluation runs in blocks on a thread pool
+(``stream_geometry``), each block writing its part of preallocated outputs,
+so nothing is concatenated.  A block takes ``BLOCK_BYTES`` of working
+memory at most: its length follows the level, the chart dimension and the
+coordinate count (about 2 KB a point for ``BENDING`` at m = 3, a fifth of
+that for ``METRIC``).  The same budget sizes the streamed mesh passes and
+the rows of a rho round.  The result does not depend on the block length,
+and one point alone gets the same bits as in any batch.
 The curvature functions take a ``FRAME`` geometry of any batch shape: a
 batch gets arrays and a mask of the points that failed, a single point a
 float or a typed error.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
@@ -35,10 +40,10 @@ from .errors import (CriticalPointError, DegeneratePlaneError, DomainError,
 from .exprchart import ChartBase, check_point
 from .spaceform import Ambient, c_kappa, pole_field, s_kappa
 
-__all__ = ["METRIC", "BENDING", "FRAME", "PointGeometry", "ambient_of",
-           "point_geometry", "grid_geometry", "sectional_curvature",
-           "extrinsic_sphere_curvature", "level_set_tangent_plane",
-           "hypersurface_principal_curvatures"]
+__all__ = ["METRIC", "BENDING", "FRAME", "BLOCK_BYTES", "PointGeometry",
+           "ambient_of", "point_geometry", "grid_geometry", "stream_geometry",
+           "sectional_curvature", "extrinsic_sphere_curvature",
+           "level_set_tangent_plane", "hypersurface_principal_curvatures"]
 
 # immersion rank tolerance: reject charts whose metric is this close to singular
 RANK_TOL = 1e-10
@@ -46,9 +51,26 @@ RANK_TOL = 1e-10
 CRITICAL_TOL = 1e-8
 PLANE_TOL = 1e-8
 
-DEFAULT_CHUNK = 32768
+# working memory of one block of bulk work: geometry blocks on the pool,
+# the streamed mesh passes and the rows of a rho round
+BLOCK_BYTES = 8 * 2**20
 # geometry request levels, each keeping the fields of the one before
 METRIC, BENDING, FRAME = 1, 2, 3
+
+
+def block_len(item_bytes: int) -> int:
+    """Items per block when each needs ``item_bytes`` of working memory."""
+    return max(1, BLOCK_BYTES // item_bytes)
+
+
+def point_bytes(level: int, m: int, ncoords: int) -> int:
+    """Working bytes of one point of a geometry block at ``level``, for a
+    chart of dimension m with ``ncoords`` ambient coordinates: the jets and
+    the arrays derived from them (fitted to tracemalloc peaks of the
+    catalog charts, m = 2 to 5, within 20% above them)."""
+    if level == METRIC:
+        return 8 * (2 * ncoords * (1 + m) + m * m + 8)
+    return 8 * (5 * ncoords * (1 + m + m * m) + m ** 3)
 
 
 @dataclass
@@ -252,35 +274,72 @@ def _resolve_ambient(chart: ChartBase, amb) -> Ambient:
     return amb
 
 
+def stream_geometry(chart: ChartBase, amb: Ambient, points_of, n_pts: int,
+                    level, put) -> None:
+    """Geometry of ``n_pts`` chart points, block by block.
+
+    ``points_of(lo, hi)`` gives the (hi - lo, m) points of a block and
+    ``put(lo, geometry)`` consumes its geometry.  Blocks of ``BLOCK_BYTES``
+    or less, as many as the threads (one per CPU) or a multiple of that
+    and of equal length, so that no thread idles at the end; ``put`` thus
+    writes disjoint parts of its outputs from several threads at once.
+    A stream of one block runs in the calling thread.  An error is that of
+    the first failing block in order.
+    """
+    def run(lo, hi):
+        put(lo, _geometry_block(chart, amb, points_of(lo, hi), level))
+
+    size = block_len(point_bytes(level, chart.m, len(amb.pole)))
+    if n_pts <= size:
+        # one block: a worker thread would only add its stack and malloc
+        # arena to the peak memory
+        run(0, n_pts)
+        return
+    workers = os.cpu_count() or 1
+    count = -(-n_pts // (size * workers)) * workers
+    bounds = [n_pts * i // count for i in range(count + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, lo, hi)
+                   for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        try:
+            for fut in futures:
+                fut.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
 def grid_geometry(chart: ChartBase, points, level=BENDING,
                   amb: Ambient = None) -> PointGeometry:
     """Geometry over a batch of chart points up to ``level`` (see
-    `PointGeometry`), in chunks of at most ``DEFAULT_CHUNK`` points (to
-    bound memory) spread over one thread per CPU."""
+    `PointGeometry`), in blocks of ``BLOCK_BYTES`` of working memory
+    spread over one thread per CPU, each written into the result."""
     if level not in (METRIC, BENDING, FRAME):
         raise DomainError(f"unknown geometry level {level!r}")
     amb = _resolve_ambient(chart, amb)
     points = np.asarray(points, dtype=float)
     batch = points.shape[:-1]
     flat = points.reshape(-1, points.shape[-1])
-    n_pts, chunk = flat.shape[0], DEFAULT_CHUNK
+    n_pts = flat.shape[0]
     if n_pts == 0:
         raise DomainError("grid_geometry needs at least one point")
+    out, lock = [], threading.Lock()
 
-    def run(lo):
-        return _geometry_block(chart, amb, flat[lo:lo + chunk], level)
+    def put(lo, block):
+        with lock:
+            # the first block done sets the layout the others write into
+            if not out:
+                out.append(block if len(block.points) == n_pts else
+                           block.map_arrays(lambda arr, k: np.empty(
+                               (n_pts,) + arr.shape[1:], arr.dtype)))
+        geom, hi = out[0], lo + len(block.points)
+        if geom is not block:
+            for f in fields(block):
+                arr = getattr(block, f.name)
+                if isinstance(arr, np.ndarray) and f.name != "points":
+                    getattr(geom, f.name)[lo:hi] = arr
 
-    if n_pts <= chunk:
-        # one block: a worker thread would only add its stack and malloc
-        # arena to the peak memory
-        blocks = [run(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-            blocks = list(pool.map(run, range(0, n_pts, chunk)))
-    geom = blocks[0]
-    if len(blocks) > 1:
-        geom = geom.map_arrays(
-            lambda arr, k, *rest: np.concatenate((arr,) + rest), *blocks[1:])
+    stream_geometry(chart, amb, lambda lo, hi: flat[lo:hi], n_pts, level, put)
+    geom = replace(out[0], points=flat)
     if batch != (n_pts,):
         geom = geom.map_arrays(
             lambda arr, k: arr.reshape(batch + arr.shape[arr.ndim - k:]))

@@ -260,9 +260,12 @@ def powc(x: Jet2, p: float) -> Jet2:
         raise EvaluationError("pow", f"non-integer exponent {p} needs a positive base")
     if p < 2.0 and np.any(x.value == 0.0):
         raise EvaluationError("pow", f"exponent {p} is singular at zero base")
-    v = x.value ** p
-    return _chain("pow", x, v, p * x.value ** (p - 1.0),
-                  lambda: p * (p - 1.0) * x.value ** (p - 2.0))
+    # a 0-d value as an array: a numpy scalar's ** is C pow, not the ufunc
+    # (or its square, sqrt and reciprocal shortcuts) that a batch takes
+    base = np.asarray(x.value)
+    v = base ** p
+    return _chain("pow", x, v, p * base ** (p - 1.0),
+                  lambda: p * (p - 1.0) * base ** (p - 2.0))
 
 
 def compose_scalar(x: Jet2, f, f1, f2, op="compose") -> Jet2:

@@ -24,8 +24,17 @@ the one end counter: it labels them at each radius of one window and
 returns an ``EndsReport`` of the counts and the outermost components.
 
 Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
-split that the invariants read); the refined lattice is a ``METRIC``
-request and keeps the metric, sqrt det g and r.
+split that the invariants read).  The refined lattice is a ``METRIC``
+request, streamed in blocks of ``immersion.BLOCK_BYTES`` one parity class
+at a time (``_refined_pass``): each block writes r in place, and the cell
+centres their sqrt det g.  A class holds the midpoints of the edges along
+the offsets with its odd axes, so its metric gives their midpoint speeds
+and is dropped; no refined metric is stored.  A mesh holds per vertex its
+``BENDING`` fields, 3^m - 1 neighbours and lengths, and rho, and per
+refined node r and a volume weight.  ``mesh_bytes`` estimates that and
+the peak of the build and rho solve from the shape alone, and
+``build_mesh`` (and the CLI, before the pole) refuses a mesh over
+``MEMORY_BUDGET`` with a ``ConfigError``.
 
 The refined lattice is also what the volume integrators consume: each of
 its nodes carries r and a volume weight, ``refined_r`` and
@@ -40,19 +49,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .eikonal import stencil, upwind_distances
-from .errors import DomainError, GeometryError
+from .errors import ConfigError, DomainError, GeometryError
 from .exprchart import ChartBase
-from .immersion import METRIC, PointGeometry, ambient_of, grid_geometry
+from .immersion import (BLOCK_BYTES, METRIC, PointGeometry, ambient_of,
+                        grid_geometry, stream_geometry)
 from .reporting import write_csv
 from .spaceform import Ambient
 
-__all__ = ["MeshGraph", "EndsReport", "build_mesh", "critical_free_radius",
-           "ends_stability", "mesh_dump"]
+__all__ = ["MeshGraph", "EndsReport", "build_mesh", "check_budget",
+           "critical_free_radius", "ends_stability", "mesh_bytes", "mesh_dump"]
 
 MIN_RESOLUTION = 3
 # default threshold on |grad_M r| below which a vertex counts as critical
@@ -68,6 +80,9 @@ ENDS_MARGIN_FRACTION = 0.2
 RADIUS_CAP_FRACTION = 0.9
 # rows converted to Python numbers at once when dumping a mesh
 DUMP_BLOCK = 4096
+# the largest estimated peak (``mesh_bytes``) of a mesh build and its rho
+# solve; a larger mesh is refused before any chart evaluation
+MEMORY_BUDGET = 2 * 2**30
 
 
 @dataclass
@@ -260,40 +275,49 @@ def _axis_layout(chart: ChartBase, resolution):
     return tuple(res), origin, spacing
 
 
-def _neighbour_table(shape, periodic, spacing, metric, refined_metric):
+def _speed(metric, d) -> np.ndarray:
+    """Speed |d|_g of the offset d under each (m, m) metric of a stack.
+    Its bits follow the stack's length, so every caller contracts one
+    slot's whole stack at once."""
+    q = np.einsum("...ij,i,j->...", metric, d, d, optimize=True)
+    return np.sqrt(np.maximum(q, 0.0))
+
+
+def _slot_span(delta, shape, periodic):
+    """Slices of the vertex grid for the edges along ``delta``: where they
+    start, and where they end on the open axes (a periodic axis wraps and
+    keeps the whole range)."""
+    here, there = [], []
+    for d, k, p in zip(delta, shape, periodic):
+        lo, hi = (0, k) if p else (max(0, -d), k - max(0, d))
+        here.append(slice(lo, hi))
+        there.append(slice(None) if p else slice(lo + d, hi + d))
+    return tuple(here), tuple(there)
+
+
+def _neighbour_table(shape, periodic, spacing, metric, mid_speed):
     """(N, S) neighbour indices and Simpson edge lengths over the slots of
     ``stencil(m)``; index N and length inf where an offset leaves the grid.
 
     The arc length of each edge weighs the speed at both endpoints, from
-    the vertex metric, and at the midpoint, from the refined lattice.
+    the vertex metric, and at the midpoint: ``mid_speed`` (F, N) holds it
+    per forward slot at the edge's start vertex.
     """
     st = stencil(len(shape))
     n = int(np.prod(shape, dtype=int))
     neighbours = np.full((n, len(st.offsets)), n, dtype=np.intp)
     lengths = np.full((n, len(st.offsets)), np.inf)
-    grid = np.indices(shape).reshape(len(shape), -1)
-    for fwd in np.flatnonzero(st.forward):
+    grid = np.arange(n).reshape(shape)
+    for row, fwd in enumerate(np.flatnonzero(st.forward)):
         delta = st.offsets[fwd]
-        ahead = grid + delta[:, None]
-        mid = 2 * grid + delta[:, None]
-        inside = np.ones(n, dtype=bool)
-        for axis, (k, p) in enumerate(zip(shape, periodic)):
-            if p:
-                ahead[axis] %= k
-                mid[axis] %= 2 * k
-            else:
-                inside &= (ahead[axis] >= 0) & (ahead[axis] < k)
-        u = np.flatnonzero(inside)
-        v = np.ravel_multi_index(tuple(ahead[:, u]), shape)
-        d = delta * spacing
-
-        def speed(gblock):
-            q = np.einsum("...ij,i,j->...", gblock, d, d, optimize=True)
-            return np.sqrt(np.maximum(q, 0.0))
-
+        here, there = _slot_span(delta, shape, periodic)
+        wrap = [a for a, (d, p) in enumerate(zip(delta, periodic)) if p and d]
+        ahead = np.roll(grid, -delta[wrap], axis=wrap) if wrap else grid
+        u = grid[here].reshape(-1)
+        v = ahead[there].reshape(-1)
         # endpoint speeds at every vertex, midpoint speeds per edge
-        q = speed(metric)
-        q_mid = speed(refined_metric[tuple(mid[:, u])])
+        q = _speed(metric, delta * spacing)
+        q_mid = mid_speed[row].reshape(shape)[here].reshape(-1)
         edge = (q[u] + 4.0 * q_mid + q[v]) / 6.0
         if np.any(edge <= 0.0):
             bad = int(np.argmax(edge <= 0.0))
@@ -315,17 +339,113 @@ def _cell_nodes(shape, periodic):
                        for c, d, k in zip(cells, delta, shape)])
 
 
-def _node_weights(shape, periodic, sqrt_det_g, measure) -> np.ndarray:
-    """Volume weight of every refined node: each cell's center density
-    times its measure, split evenly over the 3^m nodes of its sub-lattice
-    and summed where cells share a node."""
+def _refined_shape(shape, periodic):
+    return tuple(2 * k if p else 2 * k - 1 for k, p in zip(shape, periodic))
+
+
+def _node_weights(shape, periodic, centre_density, measure) -> np.ndarray:
+    """Volume weight of every refined node: each cell's centre density
+    (``centre_density``, in cell order) times its measure, split evenly
+    over the 3^m nodes of its sub-lattice and summed where cells share a
+    node."""
     nodes = list(_cell_nodes(shape, periodic))
-    center = nodes[len(nodes) // 2]          # the offset (1, ..., 1)
-    share = sqrt_det_g[center] * measure / len(nodes)
-    weight = np.zeros_like(sqrt_det_g)
+    share = centre_density * measure / len(nodes)
+    weight = np.zeros(_refined_shape(shape, periodic))
     for ix in nodes:
         weight[ix] += share
     return weight
+
+
+def mesh_bytes(shape, periodic) -> tuple:
+    """``(held, peak)`` estimated bytes of a mesh of this shape: what the
+    built mesh holds once rho is solved, and that plus the most its build
+    or its rho solve holds on top at once.  It reads the shape alone; no
+    chart is evaluated and no stencil built."""
+    m, n = len(shape), math.prod(shape)
+    n_refined = math.prod(_refined_shape(shape, periodic))
+    slots = 3 ** m - 1
+    workers = os.cpu_count() or 1
+    # per vertex the BENDING fields (at_pole a bool) and rho, the neighbour
+    # table and, per refined node, r and the volume weight
+    held = n * (8 * (m * m + m + 6) + 1 + 16 * slots) + 16 * n_refined
+    # the build: midpoint speeds per forward slot, one parity class's metric
+    # with its rolled copy and the contraction's own, the vertex points and
+    # the index arithmetic of one slot, and a block per worker
+    build = 8 * n * (slots // 2 + 3 * m * m + 3 * m + 8) + workers * BLOCK_BYTES
+    # the rho solve: stretch and facet margins per slot and facet, the
+    # factoring fields and the values, and one block of rows
+    solve = 8 * n * (slots + 4 * m + 8) + BLOCK_BYTES
+    return held, held + max(build, solve)
+
+
+def check_budget(chart: ChartBase, resolution) -> None:
+    """Refuse a mesh whose estimated peak (``mesh_bytes``) is over
+    ``MEMORY_BUDGET``, from the resolution alone."""
+    shape = _axis_layout(chart, resolution)[0]
+    held, peak = mesh_bytes(shape, chart.periodic)
+    if peak > MEMORY_BUDGET:
+        # the held part only: the peak counts a block per CPU
+        raise ConfigError(
+            f"mesh: resolution {list(shape)} holds an estimated "
+            f"{held / 2**30:.1f} GiB once built, and more while it is built, "
+            f"over the memory budget of {MEMORY_BUDGET / 2**30:g} GiB")
+
+
+def _lattice_points(axes, lo, hi) -> np.ndarray:
+    """(hi - lo, m) points of the lattice ``axes`` with flat indices
+    lo..hi-1 in C order."""
+    idx = np.unravel_index(np.arange(lo, hi), [len(ax) for ax in axes])
+    return np.stack([ax[i] for ax, i in zip(axes, idx)], axis=-1)
+
+
+def _refined_pass(chart, amb, shape, spacing, refined_axes):
+    """The ``METRIC`` geometry of the refined lattice, streamed: refined r,
+    the cell-centre sqrt det g (in cell order) and the midpoint speeds
+    (F, N), per forward slot at each edge's start vertex.
+
+    It runs one parity class at a time.  The nodes with odd indices on the
+    axes that a slot's offset moves along are the midpoints of its edges,
+    so a class holds every midpoint of its slots, and each slot gets one
+    contraction over all of them (see ``_speed``).  Only the current
+    class's metric is kept.
+    """
+    m, periodic = chart.m, chart.periodic
+    st = stencil(m)
+    forward = np.flatnonzero(st.forward)
+    refined_r = np.empty([len(ax) for ax in refined_axes])
+    mid_speed = np.empty((len(forward), math.prod(shape)))
+    for parity in itertools.product((0, 1), repeat=m):
+        axes = [ax[p::2] for ax, p in zip(refined_axes, parity)]
+        lattice = [len(ax) for ax in axes]
+        slots = [(row, st.offsets[fwd]) for row, fwd in enumerate(forward)
+                 if np.array_equal(st.offsets[fwd] != 0, parity)]
+        r = np.empty(lattice)
+        metric = np.empty(lattice + [m, m]) if slots else None
+        density = np.empty(lattice) if all(parity) else None
+
+        def put(lo, geom, r=r.reshape(-1), metric=metric, density=density):
+            hi = lo + len(geom.r)
+            r[lo:hi] = geom.r
+            if metric is not None:
+                metric.reshape(-1, m, m)[lo:hi] = geom.metric
+            if density is not None:
+                density.reshape(-1)[lo:hi] = geom.sqrt_det_g
+
+        stream_geometry(chart, amb, partial(_lattice_points, axes), r.size,
+                        METRIC, put)
+        refined_r[tuple(slice(p, None, 2) for p in parity)] = r
+        if density is not None:
+            centre_density = density
+        for row, delta in slots:
+            # in edge order: a periodic axis stepped back starts its edges
+            # at the midpoint that closes the seam
+            back = [a for a, (d, p) in enumerate(zip(delta, periodic))
+                    if p and d < 0]
+            g = np.roll(metric, 1, axis=back) if back else metric
+            here = _slot_span(delta, shape, periodic)[0]
+            mid_speed[row].reshape(shape)[here] = _speed(
+                g.reshape(-1, m, m), delta * spacing).reshape(lattice)
+    return refined_r, centre_density, mid_speed
 
 
 def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
@@ -334,26 +454,22 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
     ``resolution`` is the vertex count per axis (one int broadcasts).
     ``pole`` overrides the radial center, which otherwise sits at the image
     of the chart basepoint.  Periodic axes wrap; the others contribute
-    truncation faces.
+    truncation faces.  A mesh over ``MEMORY_BUDGET`` is refused first.
     """
+    check_budget(chart, resolution)
     shape, origin, spacing = _axis_layout(chart, resolution)
-    m = chart.m
     amb = ambient_of(chart, pole)
-
-    refined_axes = [origin[i] + 0.5 * spacing[i] * np.arange(
-        2 * shape[i] if chart.periodic[i] else 2 * shape[i] - 1)
-        for i in range(m)]
-    refined_pts = np.stack(
-        np.meshgrid(*refined_axes, indexing="ij"), axis=-1)
-    # the whole lattice first, so its checks fire as they would at a higher
-    # level; only the vertices (every second node per axis) need the rest
-    refined = grid_geometry(chart, refined_pts, level=METRIC, amb=amb)
-    vertex_pts = refined_pts[(slice(0, None, 2),) * m].reshape(-1, m)
-    del refined_pts
-    vertices = grid_geometry(chart, vertex_pts, amb=amb)
-
+    refined_axes = [o + 0.5 * h * np.arange(2 * k if p else 2 * k - 1)
+                    for o, h, k, p in zip(origin, spacing, shape,
+                                          chart.periodic)]
+    # the whole lattice first, so its checks fire before the vertices'
+    refined_r, centre_density, mid_speed = _refined_pass(
+        chart, amb, shape, spacing, refined_axes)
+    vertices = grid_geometry(chart, _lattice_points(
+        [ax[::2] for ax in refined_axes], 0, math.prod(shape)), amb=amb)
     neighbours, lengths = _neighbour_table(
-        shape, chart.periodic, spacing, vertices.metric, refined.metric)
+        shape, chart.periodic, spacing, vertices.metric, mid_speed)
+    del mid_speed
 
     return MeshGraph(
         chart=chart,
@@ -366,8 +482,8 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
         neighbours=neighbours,
         neighbour_lengths=lengths,
         basepoint=int(np.argmin(vertices.r)),
-        refined_r=np.ascontiguousarray(refined.r),
-        refined_weight=_node_weights(shape, chart.periodic, refined.sqrt_det_g,
+        refined_r=refined_r,
+        refined_weight=_node_weights(shape, chart.periodic, centre_density,
                                      float(np.prod(spacing))),
     )
 

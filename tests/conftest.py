@@ -18,6 +18,17 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
+@pytest.fixture
+def block_points(monkeypatch):
+    """``block_points(chart, level, count)`` shrinks the block budget so
+    that geometry blocks of ``level`` on ``chart`` hold ``count`` points."""
+    def set_budget(chart, level, count):
+        ncoords = len(xg.ambient_of(chart).pole)
+        monkeypatch.setattr(xg.immersion, "BLOCK_BYTES", count
+                            * xg.immersion.point_bytes(level, chart.m, ncoords))
+    return set_budget
+
+
 @pytest.fixture(scope="session")
 def flat2_mesh():
     chart, _gt = xg.catalog_build("flat-subspace", m=2, n=3, truncation=2.0)

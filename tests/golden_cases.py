@@ -68,6 +68,10 @@ CASES = {
         "immersion": {"source": INLINE_OVERFLOW_METRIC}, "resolution": 9}),
     "error-variable-in-constant": (["invariants"], {
         "immersion": {"source": INLINE_VARIABLE_CONSTANT}, "resolution": 9}),
+    # a mesh over the memory budget: refused from its shape, exit 2
+    "error-mesh-over-budget": (["invariants"], {
+        "immersion": {"catalog": "flat-subspace", "params": {"m": 8, "n": 9}},
+        "resolution": 7}),
     **{f"error-param-{name}-{key}": (["invariants"], {
         "immersion": {"catalog": name, "params": {key: value}},
         "resolution": 9})

@@ -21,7 +21,8 @@ labels the components of the mesh graph restricted to a vertex mask.
 
 ``full_order_mesh`` is ``build_mesh`` the way it first worked:
 second-order geometry over the whole refined lattice, its vertices
-sliced out of it.
+sliced out of it, and the neighbour table gathered from that lattice's
+stored metric (``full_lattice_table``).
 
 ``cell_fraction_ball_volumes`` integrates ball volumes cell by cell: each
 grid cell contributes its center density times its parameter measure,
@@ -41,8 +42,10 @@ from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+from extgeo.eikonal import stencil
+from extgeo.errors import GeometryError
 from extgeo.immersion import METRIC, ambient_of, grid_geometry
-from extgeo.mesh import MeshGraph, _axis_layout, _neighbour_table, _node_weights
+from extgeo.mesh import MeshGraph, _axis_layout, _cell_nodes, _node_weights
 
 QUAD_TOL = 1e-13
 # integrands decay like 1/(k sinh v)^2; past this the tail is below 1e-34
@@ -148,6 +151,48 @@ def cell_r_spans(mesh):
     return sub.max(axis=1) - sub.min(axis=1)
 
 
+def full_lattice_table(shape, periodic, spacing, metric, refined_metric):
+    """(N, S) neighbour indices and Simpson edge lengths over the slots of
+    ``stencil(m)``, the midpoint speeds gathered edge by edge from the
+    metric of the whole refined lattice."""
+    st = stencil(len(shape))
+    n = int(np.prod(shape, dtype=int))
+    neighbours = np.full((n, len(st.offsets)), n, dtype=np.intp)
+    lengths = np.full((n, len(st.offsets)), np.inf)
+    grid = np.indices(shape).reshape(len(shape), -1)
+    for fwd in np.flatnonzero(st.forward):
+        delta = st.offsets[fwd]
+        ahead = grid + delta[:, None]
+        mid = 2 * grid + delta[:, None]
+        inside = np.ones(n, dtype=bool)
+        for axis, (k, p) in enumerate(zip(shape, periodic)):
+            if p:
+                ahead[axis] %= k
+                mid[axis] %= 2 * k
+            else:
+                inside &= (ahead[axis] >= 0) & (ahead[axis] < k)
+        u = np.flatnonzero(inside)
+        v = np.ravel_multi_index(tuple(ahead[:, u]), shape)
+        d = delta * spacing
+
+        def speed(gblock):
+            q = np.einsum("...ij,i,j->...", gblock, d, d, optimize=True)
+            return np.sqrt(np.maximum(q, 0.0))
+
+        # endpoint speeds at every vertex, midpoint speeds per edge
+        q = speed(metric)
+        q_mid = speed(refined_metric[tuple(mid[:, u])])
+        edge = (q[u] + 4.0 * q_mid + q[v]) / 6.0
+        if np.any(edge <= 0.0):
+            bad = int(np.argmax(edge <= 0.0))
+            raise GeometryError(
+                f"degenerate edge of zero length at vertex index {int(u[bad])}")
+        back = st.opposite[fwd]
+        neighbours[u, fwd], lengths[u, fwd] = v, edge
+        neighbours[v, back], lengths[v, back] = u, edge
+    return neighbours, lengths
+
+
 def full_order_mesh(chart, resolution, pole=None):
     """``build_mesh`` from one ``BENDING`` geometry of the refined
     lattice, with the vertex geometry taken at every second node."""
@@ -160,14 +205,17 @@ def full_order_mesh(chart, resolution, pole=None):
     evens = tuple([slice(0, None, 2)] * chart.m)
     vertices = refined.map_arrays(lambda arr, k: np.ascontiguousarray(
         arr[evens].reshape((-1,) + arr.shape[arr.ndim - k:])))
-    neighbours, lengths = _neighbour_table(
+    neighbours, lengths = full_lattice_table(
         shape, chart.periodic, spacing, vertices.metric, refined.metric)
+    nodes = list(_cell_nodes(shape, chart.periodic))
+    centre = nodes[len(nodes) // 2]          # the offset (1, ..., 1)
     return MeshGraph(
         chart=chart, amb=amb, shape=shape, origin=origin, spacing=spacing,
         points=vertices.points, vertices=vertices, neighbours=neighbours,
         neighbour_lengths=lengths, basepoint=int(np.argmin(vertices.r)),
         refined_r=np.ascontiguousarray(refined.r),
-        refined_weight=_node_weights(shape, chart.periodic, refined.sqrt_det_g,
+        refined_weight=_node_weights(shape, chart.periodic,
+                                     refined.sqrt_det_g[centre],
                                      float(np.prod(spacing))))
 
 

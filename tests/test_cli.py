@@ -420,7 +420,8 @@ def test_curvature_rows_match_the_per_point_sampler(tmp_path):
         float(np.median(conds)), rel=1e-6)
 
 
-def test_curvature_rounds_stay_within_a_chunk(tmp_path, monkeypatch):
+def test_curvature_rounds_stay_within_a_chunk(tmp_path, monkeypatch,
+                                              block_points):
     cfg = write_config(tmp_path, {"immersion": ROT3, "resolution": 9,
                                   "samples": 40, "seed": 3})
     whole = payload_of(["curvature", "--config", cfg])
@@ -431,7 +432,8 @@ def test_curvature_rounds_stay_within_a_chunk(tmp_path, monkeypatch):
         return grid(chart, points, **kwargs)
 
     monkeypatch.setattr(extgeo.cli, "grid_geometry", record)
-    monkeypatch.setattr(extgeo.cli, "DEFAULT_CHUNK", 7)
+    block_points(xg.catalog_build(ROT3["catalog"], **ROT3["params"])[0],
+                 xg.FRAME, 7)
     assert payload_of(["curvature", "--config", cfg]) == whole
     assert sizes and max(sizes) <= 7
     assert sum(sizes) == whole["samples"] + whole["skipped"]

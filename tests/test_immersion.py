@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -255,11 +257,11 @@ def test_grid_matches_pointwise():
             np.testing.assert_array_equal(got[i], want, err_msg=name)
 
 
-def test_grid_chunk_size_does_not_change_output(monkeypatch):
+def test_grid_chunk_size_does_not_change_output(block_points):
     chart = xg.parse_chart(CATENOID)
     pts = np.random.default_rng(6).uniform(-1.2, 1.2, size=(10, 10, 2))
     base = xg.grid_geometry(chart, pts, level=xg.FRAME)
-    monkeypatch.setattr(xg.immersion, "DEFAULT_CHUNK", 16)
+    block_points(chart, xg.FRAME, 16)
     chunked = xg.grid_geometry(chart, pts, level=xg.FRAME)
     _assert_same_ambient(chunked, base)
     for name in _array_fields(base):
@@ -295,15 +297,42 @@ def test_point_geometry_is_the_batched_geometry():
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 13])
-def test_short_trailing_chunks_match_the_default(chunk, monkeypatch):
+def test_short_trailing_chunks_match_the_default(chunk, block_points):
     chart, pts = far_rotation_points()
     base = xg.grid_geometry(chart, pts, level=xg.FRAME)
-    monkeypatch.setattr(xg.immersion, "DEFAULT_CHUNK", chunk)
+    block_points(chart, xg.FRAME, chunk)
     chunked = xg.grid_geometry(chart, pts, level=xg.FRAME)
     _assert_same_ambient(chunked, base)
     for name in _array_fields(base):
         np.testing.assert_array_equal(getattr(chunked, name),
                                       getattr(base, name), err_msg=name)
+
+
+def test_blocks_from_more_threads_than_cores_fill_every_row(block_points,
+                                                            monkeypatch):
+    """Eight threads write one-point blocks into the shared outputs while
+    the interpreter switches threads every microsecond; a lost or torn
+    write would leave a row different from the one-block result."""
+    chart, pts = far_rotation_points()
+    base = xg.grid_geometry(chart, pts, level=xg.FRAME)
+    flat3, _ = xg.catalog_build("flat-subspace", m=3, n=4)
+    mesh = xg.build_mesh(flat3, 5)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        block_points(chart, xg.FRAME, 1)
+        chunked = xg.grid_geometry(chart, pts, level=xg.FRAME)
+        block_points(flat3, xg.METRIC, 1)
+        streamed = xg.build_mesh(flat3, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in _array_fields(base):
+        np.testing.assert_array_equal(getattr(chunked, name),
+                                      getattr(base, name), err_msg=name)
+    for name in ("refined_r", "refined_weight", "neighbour_lengths"):
+        np.testing.assert_array_equal(getattr(streamed, name),
+                                      getattr(mesh, name), err_msg=name)
 
 
 METRIC_FIELDS = {"points", "metric", "sqrt_det_g", "r", "at_pole"}

@@ -100,6 +100,32 @@ def test_batched_equals_pointwise():
         np.testing.assert_array_equal(batch.hess[k], single.hess)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.5, -0.5, 3.0, 2.0, 0.5, -1.0])
+def test_one_point_power_is_the_batched_power(p):
+    """A one-point jet takes the same power as a batch: a numpy scalar's
+    ``**`` (C pow) would miss the batch in the last bit for most of
+    these points."""
+    pts = RNG.uniform(0.1, 20.0, size=(200, 1))
+    batch = jets.powc(jets.seed_point(pts)[0] + 7.0, p)
+    for k in range(pts.shape[0]):
+        single = jets.powc(jets.seed_point(pts[k])[0] + 7.0, p)
+        assert batch.value[k].hex() == float(single.value).hex()
+        np.testing.assert_array_equal(batch.grad[k], single.grad)
+        np.testing.assert_array_equal(batch.hess[k], single.hess)
+
+
+def test_one_point_chart_is_the_batched_chart():
+    chart = xg.parse_chart("""
+m = 1; n = 2; ambient = euclidean;
+x1 = (u1 + 7)^1.5; x2 = u1;
+domain u1 in [-1, 1];
+basepoint 0
+""")
+    # 0x1.2852fb49899cdp+4 from C pow, 0x1.2852fb49899ccp+4 from the ufunc
+    assert (chart.eval_positions([0.0])[0].hex()
+            == chart.eval_positions(np.zeros((3, 1)))[0, 0].hex())
+
+
 def test_constant_shapes():
     c = jets.constant(4.0, 3, (5,))
     assert c.value.shape == (5,)

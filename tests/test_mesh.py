@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import extgeo.cli
 import extgeo.immersion
 import extgeo.mesh
 from extgeo import eikonal, jets
-from extgeo.errors import DomainError, GeometryError
+from extgeo.errors import ConfigError, DomainError, GeometryError
 from extgeo.catalog import CATALOG
 from extgeo.mesh import _components
 from extgeo.reporting import write_csv
@@ -175,6 +176,139 @@ basepoint 0.5, 0
     with pytest.raises(GeometryError) as got:
         xg.build_mesh(chart, res)
     assert str(got.value) == str(want.value) == f"chart 'chart' is {near}"
+
+
+def mesh_arrays(mesh):
+    """Every array a mesh holds, rho solved, by name."""
+    out = {name: getattr(mesh, name) for name in (
+        "points", "neighbours", "neighbour_lengths", "refined_r",
+        "refined_weight", "rho")}
+    for f in dataclasses.fields(mesh.vertices):
+        arr = getattr(mesh.vertices, f.name)
+        if isinstance(arr, np.ndarray):
+            out[f"vertices.{f.name}"] = arr
+    return out
+
+
+BLOCK_CASES = [
+    ("catenoid", {}, [33, 32]),
+    ("cylinder", {}, 17),
+    ("rotation-hypersurface", {"n": 3}, [5, 8, 21]),
+    ("flat-subspace", {"m": 3, "n": 4}, 9),
+]
+
+
+@pytest.mark.parametrize("blocks", ["build-7", "rows-7"])
+@pytest.mark.parametrize("name,params,res", BLOCK_CASES,
+                         ids=[c[0] for c in BLOCK_CASES])
+def test_block_size_does_not_change_the_mesh(name, params, res, blocks,
+                                             block_points, monkeypatch):
+    chart, _ = xg.catalog_build(name, **params)
+    want = mesh_arrays(xg.build_mesh(chart, res))
+    seen = {"points": [], "rows": []}
+    block, values = extgeo.immersion._geometry_block, eikonal._Update._values
+
+    def geometry(chart, amb, pts, level):
+        if level == xg.METRIC:
+            seen["points"].append(len(pts))
+        return block(chart, amb, pts, level)
+
+    def rows(self, idx, *args):
+        seen["rows"].append(len(idx))
+        return values(self, idx, *args)
+
+    monkeypatch.setattr(extgeo.immersion, "_geometry_block", geometry)
+    monkeypatch.setattr(eikonal._Update, "_values", rows)
+    if blocks == "build-7":
+        block_points(chart, xg.METRIC, 7)
+    else:
+        monkeypatch.setattr(extgeo.immersion, "BLOCK_BYTES",
+                            7 * eikonal.row_bytes(chart.m))
+    got = mesh_arrays(xg.build_mesh(chart, res))
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    if blocks == "build-7":
+        assert max(seen["points"]) <= 7
+        assert sum(seen["points"]) == got["refined_r"].size
+    else:
+        # a lone trailing row joins the block before it
+        assert 7 in seen["rows"] and max(seen["rows"]) <= 8
+
+
+def test_streamed_build_and_rho_memory_at_flat3_res41():
+    """The build peaks at most at twice what the mesh keeps, and the rho
+    solve below 45 MB (4.1 times and 82 MB when the build held the refined
+    metric and rho took each round whole)."""
+    chart, _ = xg.catalog_build("flat-subspace", m=3, n=4)
+    xg.build_mesh(chart, 5).rho          # stencil and other caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mesh = xg.build_mesh(chart, 41)
+        held, build_peak = (x - start for x in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        mesh.rho
+        rho_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 2.0 * held
+    assert rho_peak <= 45e6
+
+
+@pytest.mark.parametrize("name,params,res", [
+    ("catenoid", {}, [33, 32]),
+    ("rotation-hypersurface", {"n": 3}, [5, 8, 21]),
+    ("flat-subspace", {"m": 3, "n": 4}, 17),
+], ids=["catenoid", "rotation-hypersurface", "flat-subspace"])
+def test_mesh_bytes_estimate_the_traced_bytes(name, params, res):
+    chart, _ = xg.catalog_build(name, **params)
+    xg.build_mesh(chart, res).rho        # stencil and other caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mesh = xg.build_mesh(chart, res)
+        mesh.rho
+        retained, peak = (x - start for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    held, most = xg.mesh.mesh_bytes(mesh.shape, mesh.periodic)
+    assert held == pytest.approx(retained, rel=0.05)
+    assert peak <= most
+
+
+OVER_BUDGET = {"catalog": "flat-subspace", "params": {"m": 8, "n": 9}}
+
+
+def test_oversized_mesh_is_refused_before_any_evaluation(tmp_path,
+                                                         monkeypatch):
+    """flat m=8 at resolution 7 would ask for a 6 GiB refined lattice and a
+    560 GiB neighbour table; it is refused from its shape alone."""
+    chart, _ = xg.catalog_build(OVER_BUDGET["catalog"],
+                                **OVER_BUDGET["params"])
+
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated before the budget check")
+
+    for module, name in [(extgeo.mesh, "grid_geometry"),
+                         (extgeo.mesh, "stream_geometry"),
+                         (extgeo.mesh, "stencil"), (extgeo.mesh, "ambient_of"),
+                         (extgeo.cli, "ambient_of"), (jets, "seed_point")]:
+        monkeypatch.setattr(module, name, never)
+    with pytest.raises(ConfigError, match="over the memory budget of 2 GiB"):
+        xg.build_mesh(chart, 7)
+    monkeypatch.setattr(extgeo.cli, "_build_immersion",
+                        lambda cfg: (chart, None, {}))
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"immersion": OVER_BUDGET, "resolution": 7}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = extgeo.cli.main(["invariants", "--config", str(config)])
+    assert code == 2
+    body = json.loads(err.getvalue())
+    assert body["error"] == "ConfigError"
+    assert body["message"].startswith("mesh: resolution [7, 7, 7, 7, 7, 7, 7, 7]")
 
 
 def test_resolution_validation():
