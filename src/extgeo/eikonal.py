@@ -43,11 +43,13 @@ updates the neighbours that lie above that value.  A vertex reopens when a
 later round lowers it.  The number of rounds follows the number of grid
 steps from the source, not the spread of the edge lengths.
 
-The solve holds per vertex the stretch of each of the 3^m - 1 offsets, a
-margin per facet and the factoring fields, built once.  A round computes
-its updates in blocks of rows of ``immersion.BLOCK_BYTES`` working memory
-(``row_bytes`` a row); rows are independent and the values read-only
-within a round, so rho does not depend on the block length.
+The solve holds per vertex only the values and the factoring fields.  A
+round computes its updates in blocks of rows of ``immersion.BLOCK_BYTES``
+working memory (``row_bytes`` a row), and each block computes the stretch
+of its rows' offsets from the metric and edge lengths it gathers, and the
+facet margins of the rows that ``_open_facets`` keeps.  Rows are
+independent and the values read-only within a round, so rho does not
+depend on the block length.
 """
 
 from __future__ import annotations
@@ -241,34 +243,30 @@ class _Update:
         self.neighbours = neighbours
         self.lengths = lengths
         self.metric = metric.reshape(-1, m * m)
-        self.step = self.st.offsets * np.asarray(spacing, dtype=float)
+        self.spacing = np.asarray(spacing, dtype=float)
+        self.step = self.st.offsets * self.spacing
         d = self.step
         p, q = self.st.pairs.T
         # squared norms of the offsets and inner products of the face
         # pairs, both linear in the metric entries
         self.norm_cols = np.einsum("sa,sb->abs", d, d).reshape(m * m, -1)
         self.pair_cols = np.einsum("ea,eb->abe", d[p], d[q]).reshape(m * m, -1)
-        # local norm distance from x to each facet plane x_a = +-h_a per
-        # unit stretch, h_a / sqrt(g^aa)
-        g = [[self.metric[:, a * m + b] for b in range(m)] for a in range(m)]
-        det = _det(g)
-        facet_gap = np.asarray(spacing, dtype=float) * np.sqrt(np.stack(
-            [det / _det([row[:a] + row[a + 1:] for row in g[:a] + g[a + 1:]])
-             for a in range(m)], axis=1))
-        # per vertex once, not per visit: the local norm's stretch of each
-        # offset, lengths from the edges over lengths from the metric, and
-        # the least distance to each facet plane (see ``_open_facets``),
-        # built in place and one facet at a time
-        self.stretch = self.metric @ self.norm_cols
-        np.sqrt(self.stretch, out=self.stretch)
-        np.divide(lengths, self.stretch, out=self.stretch)
-        self.margin = np.empty(facet_gap.shape[:1] + self.st.facet_axis.shape)
-        for f, (slots, axis) in enumerate(zip(self.st.facet_slots,
-                                              self.st.facet_axis)):
-            np.min(self.stretch[:, slots], axis=1, out=self.margin[:, f])
-            self.margin[:, f] *= facet_gap[:, axis]
         self._factoring(shape, periodic, spacing, source)
         self.rows = max(2, block_len(row_bytes(m)))
+
+    def _stretch(self, gf, lx):
+        """The local norm's stretch of each offset at the rows ``gf`` of the
+        metric with edge lengths ``lx``: lengths from the edges over lengths
+        from the metric.  A row's bits do not depend on the rows beside it,
+        but a product of one row takes another BLAS path than one of
+        several, so one row is computed as a batch of two."""
+        if len(gf) == 1:
+            return self._stretch(np.repeat(gf, 2, axis=0),
+                                 np.repeat(lx, 2, axis=0))[:1]
+        stretch = gf @ self.norm_cols
+        np.sqrt(stretch, out=stretch)
+        np.divide(lx, stretch, out=stretch)
+        return stretch
 
     def _factoring(self, shape, periodic, spacing, source):
         """Distance rho0 of the source metric and the ball it is used in."""
@@ -324,20 +322,20 @@ class _Update:
         return out
 
     def _values(self, idx, u, fac, slope):
-        nb = self.neighbours[idx]
-        w = u[nb]
+        nb = self.neighbours.take(idx, axis=0)
+        w = u.take(nb)
         if fac.any():
             # interpolate rho - rho0: lower each neighbour by the Taylor
             # remainder of rho0 along its offset
             rows = idx[fac]
             r0 = self.rho0[rows][:, None]
             w[fac] -= (self.weight[rows][:, None]
-                       * (self.rho0[nb[fac]] - r0 - slope))
-        lx = self.lengths[idx]
-        gf = self.metric[idx]
+                       * (self.rho0.take(nb[fac]) - r0 - slope))
+        lx = self.lengths.take(idx, axis=0)
+        gf = self.metric.take(idx, axis=0)
         # the local norm: squared lengths from the edges, angle cosines
         # from the metric
-        stretch = self.stretch[idx]
+        stretch = self._stretch(gf, lx)
         local = (stretch, gf @ self.pair_cols, lx * lx, w)
         one_step = w + lx
         near = np.argmin(one_step, axis=1)
@@ -350,8 +348,8 @@ class _Update:
             # minimiser as a vector of stretched offsets
             point = stretch[rows, near, None] * self.step[near]
             for slots, pids in self.st.star:
-                self._faces(rows, slots[:, near], pids[:, near], local, best,
-                            point)
+                self._faces(rows, slots.take(near, axis=1),
+                            pids.take(near, axis=1), local, best, point)
             # the faces off it on every facet not certified to stay above
             rows, facet = self._open_facets(idx, gf, local, near, best,
                                             point)
@@ -388,11 +386,20 @@ class _Update:
         # rows without a neighbour below the first bound are certified
         # whole; a nan bound certifies nothing
         rows = np.flatnonzero(~(np.fmin.reduce(bound, axis=1) >= top))
+        # the facet margins of those rows only
+        g = gf.take(rows, axis=0)
+        g = [[g[:, a * m + b] for b in range(m)] for a in range(m)]
+        det = _det(g)
+        gap = self.spacing * np.sqrt(np.stack(
+            [det / _det([row[:a] + row[a + 1:] for row in g[:a] + g[a + 1:]])
+             for a in range(m)], axis=1))
         fs = self.st.facet_slots
-        below = (~(np.fmin.reduce(bound[rows][:, fs], axis=2)
-                   >= top[rows, None])
-                 & (np.min(w[rows][:, fs], axis=2)
-                    < best[rows, None] - self.margin[idx[rows]]))
+        margin = (np.min(stretch.take(rows, axis=0).take(fs, axis=1), axis=2)
+                  * gap.take(self.st.facet_axis, axis=1))
+        below = (~(np.fmin.reduce(bound.take(rows, axis=0).take(fs, axis=1),
+                                  axis=2) >= top[rows, None])
+                 & (np.min(w.take(rows, axis=0).take(fs, axis=1), axis=2)
+                    < best[rows, None] - margin))
         hit, facet = np.nonzero(below)
         return rows[hit], facet
 
@@ -404,13 +411,12 @@ class _Update:
         sl = slots + (rows * w.shape[1])[:, None]
         pr = pids + (rows * pair.shape[1])[:, None]
         k = len(sl)
-        st = stretch.ravel()[sl]
-        sq = sq.ravel()
-        g = [[sq[x] if i == j else None for j in range(k)]
+        st = stretch.take(sl)
+        g = [[sq.take(x) if i == j else None for j in range(k)]
              for i, x in enumerate(sl)]
         for (i, j), e in zip(itertools.combinations(range(k), 2), pr):
-            g[i][j] = g[j][i] = st[i] * st[j] * pair.ravel()[e]
-        vals, weights = _simplex_values(list(w.ravel()[sl]), g)
+            g[i][j] = g[j][i] = st[i] * st[j] * pair.take(e)
+        vals, weights = _simplex_values(list(w.take(sl)), g)
         if point is None:
             np.minimum.at(best, rows, np.min(vals, axis=1))
             return

@@ -20,7 +20,8 @@ and mirrored into the opposite slot.  ``edges`` and ``edge_lengths`` list
 the forward entries, slot by slot and in vertex order within a slot.
 The grid graph is connected; the components of {r > R}, which count the
 ends, come from the same table by pointer jumping.  ``ends_stability`` is
-the one end counter: it labels them at each radius of one window and
+the one end counter: it labels them at each radius of one window,
+outermost first and each pass from the labels of the one before, and
 returns an ``EndsReport`` of the counts and the outermost components.
 
 Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
@@ -30,11 +31,12 @@ at a time (``_refined_pass``): each block writes r in place, and the cell
 centres their sqrt det g.  A class holds the midpoints of the edges along
 the offsets with its odd axes, so its metric gives their midpoint speeds
 and is dropped; no refined metric is stored.  A mesh holds per vertex its
-``BENDING`` fields, 3^m - 1 neighbours and lengths, and rho, and per
-refined node r and a volume weight.  ``mesh_bytes`` estimates that and
-the peak of the build and rho solve from the shape alone, and
+``BENDING`` fields, 3^m - 1 neighbours (int32 indices) and lengths, and
+rho, and per refined node r and a volume weight.  ``mesh_bytes`` estimates
+that and the peak of the build and rho solve from the shape alone, and
 ``build_mesh`` (and the CLI, before the pole) refuses a mesh over
-``MEMORY_BUDGET`` with a ``ConfigError``.
+``MEMORY_BUDGET``, or a chart of more than ``MAX_MESH_M`` dimensions,
+with a ``ConfigError``.
 
 The refined lattice is also what the volume integrators consume: each of
 its nodes carries r and a volume weight, ``refined_r`` and
@@ -83,6 +85,10 @@ DUMP_BLOCK = 4096
 # the largest estimated peak (``mesh_bytes``) of a mesh build and its rho
 # solve; a larger mesh is refused before any chart evaluation
 MEMORY_BUDGET = 2 * 2**30
+# the largest chart dimension with a mesh: the eikonal stencil of m = 4
+# builds in 0.4 s, that of m = 5 took 44 s and a peak RSS of 850 MB (one
+# process on a 2-core x86-64 host), so it is refused from m alone
+MAX_MESH_M = 4
 
 
 @dataclass
@@ -305,9 +311,11 @@ def _neighbour_table(shape, periodic, spacing, metric, mid_speed):
     """
     st = stencil(len(shape))
     n = int(np.prod(shape, dtype=int))
-    neighbours = np.full((n, len(st.offsets)), n, dtype=np.intp)
+    # 32-bit indices: ``MEMORY_BUDGET`` keeps N near 24 M at most, far
+    # below 2^31
+    neighbours = np.full((n, len(st.offsets)), n, dtype=np.int32)
     lengths = np.full((n, len(st.offsets)), np.inf)
-    grid = np.arange(n).reshape(shape)
+    grid = np.arange(n, dtype=np.int32).reshape(shape)
     for row, fwd in enumerate(np.flatnonzero(st.forward)):
         delta = st.offsets[fwd]
         here, there = _slot_span(delta, shape, periodic)
@@ -366,21 +374,23 @@ def mesh_bytes(shape, periodic) -> tuple:
     slots = 3 ** m - 1
     workers = os.cpu_count() or 1
     # per vertex the BENDING fields (at_pole a bool) and rho, the neighbour
-    # table and, per refined node, r and the volume weight
-    held = n * (8 * (m * m + m + 6) + 1 + 16 * slots) + 16 * n_refined
+    # table (int32 indices, float lengths) and, per refined node, r and the
+    # volume weight
+    held = n * (8 * (m * m + m + 6) + 1 + 12 * slots) + 16 * n_refined
     # the build: midpoint speeds per forward slot, one parity class's metric
     # with its rolled copy and the contraction's own, the vertex points and
     # the index arithmetic of one slot, and a block per worker
     build = 8 * n * (slots // 2 + 3 * m * m + 3 * m + 8) + workers * BLOCK_BYTES
-    # the rho solve: stretch and facet margins per slot and facet, the
-    # factoring fields and the values, and one block of rows
-    solve = 8 * n * (slots + 4 * m + 8) + BLOCK_BYTES
+    # the rho solve: the factoring fields and the values, and one block of
+    # rows, which computes its own stretches and facet margins
+    solve = 8 * n * (2 * m + 8) + BLOCK_BYTES
     return held, held + max(build, solve)
 
 
 def check_budget(chart: ChartBase, resolution) -> None:
     """Refuse a mesh whose estimated peak (``mesh_bytes``) is over
-    ``MEMORY_BUDGET``, from the resolution alone."""
+    ``MEMORY_BUDGET``, from the resolution alone, and then a chart of more
+    than ``MAX_MESH_M`` dimensions."""
     shape = _axis_layout(chart, resolution)[0]
     held, peak = mesh_bytes(shape, chart.periodic)
     if peak > MEMORY_BUDGET:
@@ -389,6 +399,11 @@ def check_budget(chart: ChartBase, resolution) -> None:
             f"mesh: resolution {list(shape)} holds an estimated "
             f"{held / 2**30:.1f} GiB once built, and more while it is built, "
             f"over the memory budget of {MEMORY_BUDGET / 2**30:g} GiB")
+    if chart.m > MAX_MESH_M:
+        raise ConfigError(
+            f"mesh: an m={chart.m} chart is over the largest mesh dimension "
+            f"{MAX_MESH_M}; the eikonal stencil of its 3^m - 1 neighbours "
+            f"is too large to build")
 
 
 def _lattice_points(axes, lo, hi) -> np.ndarray:
@@ -507,20 +522,34 @@ def critical_free_radius(mesh: MeshGraph,
     return float(np.max(mesh.vertices.r[flagged]))
 
 
-def _components(neighbours, keep) -> np.ndarray:
-    """(N,) component labels of the graph restricted to ``keep``: the
-    least vertex index of each component, N outside ``keep``.  Hooking and
-    pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982): labels
-    only fall and stay vertices of their component, so at the fixed point
-    they agree across every edge."""
+def _components(neighbours, keep, seed=None) -> np.ndarray:
+    """(N,) int32 component labels of the graph restricted to ``keep``:
+    the least vertex index of each component, N outside ``keep``.  Hooking
+    and pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982): labels
+    only fall, and each stays a vertex of its component no larger than its
+    own vertex, so at the fixed point they agree across every edge and
+    equal the component's least vertex.
+
+    ``seed`` may hold the labels of a pass over a subset of ``keep``; they
+    have both properties, so the pass may start from them.
+    """
     n = len(neighbours)
     idx = np.flatnonzero(keep)
-    nb = neighbours[idx]
-    label = np.full(n + 1, n)           # slot N stands for a missing neighbour
-    label[idx] = idx
+    # the kept rows one slot at a time, each column contiguous: a gather
+    # through int32 indices first copies them to intp, so a column at a
+    # time keeps that copy small
+    nb = np.empty((neighbours.shape[1], idx.size), dtype=neighbours.dtype)
+    for column, out in zip(neighbours.T, nb):
+        column.take(idx, out=out)
+    # slot N stands for a missing neighbour
+    label = np.full(n + 1, n, dtype=np.int32)
+    label[idx] = idx if seed is None else np.minimum(seed[idx], idx)
     while True:
-        new = label[np.minimum(label[idx], label[nb].min(axis=1))]
-        if np.array_equal(new, label[idx]):
+        low = label.take(idx)
+        for column in nb:
+            np.minimum(low, label.take(column), out=low)
+        new = label.take(low)
+        if np.array_equal(new, label.take(idx)):
             return label[:n]
         label[idx] = new
 
@@ -544,17 +573,19 @@ def ends_stability(mesh: MeshGraph,
             f"{r0:g} against usable maximum {r_hi:g}")
     radii = [float(t) for t in np.linspace(r_lo, r_hi, ENDS_RADII)]
     boundary = mesh.boundary_vertex_mask()
-    counts = []
-    for t in radii:
+    counts, labels, components = [], None, None
+    # outermost first: {r > R} grows inwards, so each pass starts from the
+    # labels of the one before
+    for t in reversed(radii):
         far = mesh.vertices.r > t
-        labels = _components(mesh.neighbours, far)
+        labels = _components(mesh.neighbours, far, labels)
         touching = set(labels[far & boundary].tolist())
-        counts.append(len(touching))
-    # the last pass labelled the outermost radius
-    uniq, sizes = np.unique(labels[far], return_counts=True)
-    components = [{"vertices": cnt, "end": lab in touching}
-                  for lab, cnt in zip(uniq.tolist(), sizes.tolist())]
-    components.sort(key=lambda s: (-s["vertices"], not s["end"]))
+        counts.insert(0, len(touching))
+        if components is None:
+            uniq, sizes = np.unique(labels[far], return_counts=True)
+            components = [{"vertices": cnt, "end": lab in touching}
+                          for lab, cnt in zip(uniq.tolist(), sizes.tolist())]
+            components.sort(key=lambda s: (-s["vertices"], not s["end"]))
     return EndsReport(radii=radii, counts=counts, critical_free_radius=r0,
                       n_bounded=len(components) - counts[-1],
                       component_sizes=components)

@@ -72,6 +72,10 @@ CASES = {
     "error-mesh-over-budget": (["invariants"], {
         "immersion": {"catalog": "flat-subspace", "params": {"m": 8, "n": 9}},
         "resolution": 7}),
+    # a chart past the largest mesh dimension: refused from m, exit 2
+    "error-mesh-over-dimension": (["invariants"], {
+        "immersion": {"catalog": "flat-subspace", "params": {"m": 5, "n": 6}},
+        "resolution": 3}),
     **{f"error-param-{name}-{key}": (["invariants"], {
         "immersion": {"catalog": name, "params": {key: value}},
         "resolution": 9})

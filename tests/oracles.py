@@ -157,7 +157,7 @@ def full_lattice_table(shape, periodic, spacing, metric, refined_metric):
     metric of the whole refined lattice."""
     st = stencil(len(shape))
     n = int(np.prod(shape, dtype=int))
-    neighbours = np.full((n, len(st.offsets)), n, dtype=np.intp)
+    neighbours = np.full((n, len(st.offsets)), n, dtype=np.int32)
     lengths = np.full((n, len(st.offsets)), np.inf)
     grid = np.indices(shape).reshape(len(shape), -1)
     for fwd in np.flatnonzero(st.forward):

@@ -122,6 +122,7 @@ def test_mesh_equals_the_full_order_lattice(name, params, res):
                  "refined_weight", "rho"):
         np.testing.assert_array_equal(getattr(mesh, attr), getattr(ref, attr),
                                       err_msg=attr)
+    assert mesh.neighbours.dtype == ref.neighbours.dtype == np.int32
     assert mesh.basepoint == ref.basepoint
     assert mesh.fd_step == ref.fd_step
 
@@ -257,6 +258,27 @@ def test_streamed_build_and_rho_memory_at_flat3_res41():
     assert rho_peak <= 45e6
 
 
+def test_rho_and_ends_memory_at_flat3_res41():
+    """The rho solve peaks below 20 MB and ``ends_stability`` below 22 MB
+    (29.2 and 31.7 MB when the solve held a stretch per vertex and slot,
+    and the end passes gathered (K, 26) int64 labels)."""
+    chart, _ = xg.catalog_build("flat-subspace", m=3, n=4)
+    xg.ends_stability(xg.build_mesh(chart, 5))   # stencil and other caches
+    mesh = xg.build_mesh(chart, 41)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for stage in (lambda: mesh.rho, lambda: xg.ends_stability(mesh)):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            stage()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 20e6
+    assert peaks[1] <= 22e6
+
+
 @pytest.mark.parametrize("name,params,res", [
     ("catenoid", {}, [33, 32]),
     ("rotation-hypersurface", {"n": 3}, [5, 8, 21]),
@@ -278,15 +300,11 @@ def test_mesh_bytes_estimate_the_traced_bytes(name, params, res):
     assert peak <= most
 
 
-OVER_BUDGET = {"catalog": "flat-subspace", "params": {"m": 8, "n": 9}}
-
-
-def test_oversized_mesh_is_refused_before_any_evaluation(tmp_path,
-                                                         monkeypatch):
-    """flat m=8 at resolution 7 would ask for a 6 GiB refined lattice and a
-    560 GiB neighbour table; it is refused from its shape alone."""
-    chart, _ = xg.catalog_build(OVER_BUDGET["catalog"],
-                                **OVER_BUDGET["params"])
+def assert_refused_before_any_evaluation(immersion, res, match, prefix,
+                                         tmp_path, monkeypatch):
+    """``build_mesh`` and the CLI refuse the mesh with a ``ConfigError``
+    (exit 2) before any chart evaluation or stencil."""
+    chart, _ = xg.catalog_build(immersion["catalog"], **immersion["params"])
 
     def never(*args, **kwargs):
         raise AssertionError("evaluated before the budget check")
@@ -294,21 +312,43 @@ def test_oversized_mesh_is_refused_before_any_evaluation(tmp_path,
     for module, name in [(extgeo.mesh, "grid_geometry"),
                          (extgeo.mesh, "stream_geometry"),
                          (extgeo.mesh, "stencil"), (extgeo.mesh, "ambient_of"),
-                         (extgeo.cli, "ambient_of"), (jets, "seed_point")]:
+                         (extgeo.cli, "ambient_of"), (jets, "seed_point"),
+                         (eikonal, "stencil")]:
         monkeypatch.setattr(module, name, never)
-    with pytest.raises(ConfigError, match="over the memory budget of 2 GiB"):
-        xg.build_mesh(chart, 7)
+    with pytest.raises(ConfigError, match=match):
+        xg.build_mesh(chart, res)
     monkeypatch.setattr(extgeo.cli, "_build_immersion",
                         lambda cfg: (chart, None, {}))
     config = tmp_path / "big.json"
-    config.write_text(json.dumps({"immersion": OVER_BUDGET, "resolution": 7}))
+    config.write_text(json.dumps({"immersion": immersion, "resolution": res}))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = extgeo.cli.main(["invariants", "--config", str(config)])
     assert code == 2
     body = json.loads(err.getvalue())
     assert body["error"] == "ConfigError"
-    assert body["message"].startswith("mesh: resolution [7, 7, 7, 7, 7, 7, 7, 7]")
+    assert body["message"].startswith(prefix)
+
+
+def test_oversized_mesh_is_refused_before_any_evaluation(tmp_path,
+                                                         monkeypatch):
+    """flat m=8 at resolution 7 would ask for a 6 GiB refined lattice and a
+    423 GiB neighbour table; it is refused from its shape alone."""
+    assert_refused_before_any_evaluation(
+        {"catalog": "flat-subspace", "params": {"m": 8, "n": 9}}, 7,
+        "over the memory budget of 2 GiB",
+        "mesh: resolution [7, 7, 7, 7, 7, 7, 7, 7]", tmp_path, monkeypatch)
+
+
+def test_mesh_past_the_largest_dimension_is_refused_before_any_evaluation(
+        tmp_path, monkeypatch):
+    """flat m=5 at resolution 3 holds 243 vertices, well inside the memory
+    budget, but its eikonal stencil would take most of a minute; it is
+    refused from m alone."""
+    assert_refused_before_any_evaluation(
+        {"catalog": "flat-subspace", "params": {"m": 5, "n": 6}}, 3,
+        "largest mesh dimension 4", "mesh: an m=5 chart", tmp_path,
+        monkeypatch)
 
 
 def test_resolution_validation():
@@ -607,6 +647,26 @@ def test_eikonal_update_minimises_over_the_whole_stencil_surface(
             < np.max(np.abs(star - mesh.r)))
 
 
+@pytest.mark.parametrize("name,params,res", [
+    ("catenoid", {}, [33, 32]),
+    ("rotation-hypersurface", {"n": 3}, [5, 8, 21]),
+], ids=["catenoid", "rotation-hypersurface"])
+def test_stretch_of_a_block_is_that_of_the_whole_mesh(name, params, res):
+    # the update computes the stretch per block of rows; each row, a lone
+    # row too, must equal that row of one product over every vertex
+    mesh = xg.build_mesh(xg.catalog_build(name, **params)[0], res)
+    update = eikonal._Update(mesh.shape, mesh.periodic, mesh.spacing,
+                             mesh.vertices.metric, mesh.neighbours,
+                             mesh.neighbour_lengths, mesh.basepoint)
+    whole = update.metric @ update.norm_cols
+    whole = mesh.neighbour_lengths / np.sqrt(whole)
+    for rows in (1, 2, 7):
+        for lo in range(0, mesh.n_vertices - rows + 1, rows):
+            got = update._stretch(update.metric[lo:lo + rows],
+                                  mesh.neighbour_lengths[lo:lo + rows])
+            assert got.tobytes() == whole[lo:lo + rows].tobytes(), (rows, lo)
+
+
 # ---------------------------------------------------------------------------
 # radial machinery
 
@@ -679,6 +739,29 @@ def test_ends_match_the_component_oracle(name, params, res):
         # no vertex sits on the saddle at r = 2 (33 angles), so the window
         # straddles it
         assert ends.counts == [1, 1, 2, 2, 2] and not ends.stable
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_warm_end_passes_equal_passes_from_scratch(name, monkeypatch):
+    # ends_stability labels its radii outermost first, each pass seeded
+    # with the labels of the one before; every pass must end at the labels
+    # of a pass from scratch
+    mesh = xg.build_mesh(CATALOG[name].build()[0], 9)
+    passes = []
+
+    def checked(neighbours, keep, seed=None):
+        got = _components(neighbours, keep, seed)
+        np.testing.assert_array_equal(got, _components(neighbours, keep))
+        passes.append((keep.sum(), seed is None))
+        return got
+
+    monkeypatch.setattr(extgeo.mesh, "_components", checked)
+    ends = xg.ends_stability(mesh)
+    assert len(passes) == len(ends.radii)
+    assert [first for _, first in passes] == [True] + [False] * (
+        len(passes) - 1)
+    # outermost first, so the sets grow
+    assert [k for k, _ in passes] == sorted(k for k, _ in passes)
 
 
 # ---------------------------------------------------------------------------
