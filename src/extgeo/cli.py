@@ -12,7 +12,7 @@ Config schema (all keys optional unless marked):
       "volume_radii": null | [increasing positive reals],
       "epsilon_crit": 0.001,
       "delta": {"kind": "zero"} | {"kind": "power", "d0": x, "t0": y},
-      "seed": 0,
+      "seed": 0,                                              (non-negative)
       "samples": 48
     }
 
@@ -26,8 +26,9 @@ raised on the way (``warnings``) into the body's payload sections, then,
 with ``--out``, write the body's report files and ``<command>.json``.
 The ``--resolution``, ``--truncation`` and ``--seed`` values are merged
 into the config object before it is validated, so they pass exactly the
-checks that the config keys pass.  ``curvature`` draws its candidates in
-rounds of at most one geometry block of ``FRAME`` points
+checks that the config keys pass.  The seed seeds ``random.Random``, whose
+draws ``immersion.uniform_draws`` maps to each range.  ``curvature`` draws
+its candidates in rounds of at most one geometry block of ``FRAME`` points
 (``immersion.BLOCK_BYTES``) and makes one ``FRAME`` geometry request per
 round.  A mesh whose estimated memory exceeds ``mesh.MEMORY_BUDGET`` is
 refused before the chart is evaluated.
@@ -43,6 +44,7 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -55,7 +57,8 @@ from .errors import (ConfigError, DomainError, ExtGeoError, GeometryError,
                      HypothesisViolatedError, ParseError)
 from .exprchart import parse_chart
 from .immersion import (BLOCK_BYTES, FRAME, ambient_of, block_len,
-                        extrinsic_sphere_curvature, grid_geometry, point_bytes)
+                        extrinsic_sphere_curvature, grid_geometry, point_bytes,
+                        uniform_draws)
 from .invariants import (DeltaModel, default_tail_radii, invariant_tails,
                          pinching_functions, threshold_c_star)
 from .mesh import (EPSILON_CRIT, MIN_RESOLUTION, build_mesh, check_budget,
@@ -177,8 +180,8 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"delta model: {exc}")
 
     seed = data.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "seed must be an integer")
+    _require(isinstance(seed, int) and not isinstance(seed, bool)
+             and seed >= 0, "seed must be a non-negative integer")
     samples = data.get("samples", 48)
     _require(isinstance(samples, int) and not isinstance(samples, bool)
              and samples > 0, "samples must be a positive integer")
@@ -371,7 +374,7 @@ def run_curvature(cfg: RunConfig, chart, gt):
         raise DomainError(
             "distance-sphere curvature sampling needs m >= 3 "
             f"(chart has m = {chart.m})")
-    rng = np.random.default_rng(cfg.seed)
+    gen = random.Random(cfg.seed)
     amb = ambient_of(chart, cfg.pole)
     lows, highs = np.array(chart.domain).T
     budget = 20 * cfg.samples
@@ -383,8 +386,8 @@ def run_curvature(cfg: RunConfig, chart, gt):
     while kept < cfg.samples and attempts < budget:
         k = min(cfg.samples - kept, block, budget - attempts)
         attempts += k
-        pts = lows + (highs - lows) * rng.uniform(0.02, 0.98,
-                                                  size=(k, chart.m))
+        pts = lows + (highs - lows) * uniform_draws(gen, 0.02, 0.98,
+                                                    (k, chart.m))
         ok, cols = _curvature_rows(chart, pts, amb)
         if cols is not None:
             rounds.append([pts[ok], *cols])
@@ -393,8 +396,7 @@ def run_curvature(cfg: RunConfig, chart, gt):
         raise DomainError("no admissible sample points for curvature rows")
     pts, r, exact, lower, upper, valid, cond = (
         np.concatenate(col) for col in zip(*rounds))
-    # the median from one sort: np.median's first call adds ~1 MB of peak
-    # memory to a run of a few tens of MB
+    # the median from one sort: np.median's NaN check imports numpy.ma
     cond = np.sort(cond)
     sections = {
         "samples": kept, "skipped": attempts - kept,
@@ -414,6 +416,23 @@ def run_curvature(cfg: RunConfig, chart, gt):
         row_format="%.17g," * len(columns) + "%s")}
 
 
+def _edge_extremes(mesh):
+    """(the shortest edge length, the largest |rho(u) - rho(v)| - |uv|
+    over the edges with finite rho at both ends or 0 if none is larger),
+    one forward slot of the neighbour table at a time, so no edge list is
+    built."""
+    rho = mesh.rho
+    shortest, viol = np.inf, 0.0
+    for slot, inside in mesh.forward_slots():
+        lengths = mesh.neighbour_lengths[:, slot][inside]
+        near, far = rho[inside], rho[mesh.neighbours[:, slot][inside]]
+        finite = np.isfinite(near) & np.isfinite(far)
+        shortest = np.min(lengths, initial=shortest)
+        viol = np.max(np.abs(near[finite] - far[finite]) - lengths[finite],
+                      initial=viol)
+    return float(shortest), float(viol)
+
+
 def run_verify(cfg: RunConfig, mesh, gt):
     """Battery of internal checks on one configured immersion."""
     checks = []
@@ -422,21 +441,15 @@ def run_verify(cfg: RunConfig, mesh, gt):
         checks.append({"check": name, "passed": bool(passed),
                        "detail": detail})
 
-    edges, lengths = mesh.edges, mesh.edge_lengths
-    check("edge-lengths-positive", bool(np.all(lengths > 0.0)),
-          {"min": float(np.min(lengths))})
-
-    rho = mesh.rho
-    finite = np.isfinite(rho[edges[:, 0]]) & np.isfinite(rho[edges[:, 1]])
-    lhs = np.abs(rho[edges[finite, 0]] - rho[edges[finite, 1]])
-    viol = float(np.max(lhs - lengths[finite], initial=0.0))
+    shortest, viol = _edge_extremes(mesh)
+    check("edge-lengths-positive", shortest > 0.0, {"min": shortest})
     check("distance-triangle-inequality", viol <= 1e-9, {"max_violation": viol})
+    rho = mesh.rho
     check("basepoint-distance-zero", rho[mesh.basepoint] == 0.0,
           {"value": float(rho[mesh.basepoint])})
 
     kappa = mesh.vertices.kappa
-    rng = np.random.default_rng(cfg.seed)
-    ts = rng.uniform(0.0, 5.0, size=64)
+    ts = uniform_draws(random.Random(cfg.seed), 0.0, 5.0, (64,))
     c_sq = c_kappa(kappa, ts) ** 2
     resid = np.abs(c_sq + kappa * s_kappa(kappa, ts) ** 2 - 1.0)
     # rounding in C^2 and kappa*S^2 alone is a few eps*C^2, so the bound

@@ -457,13 +457,15 @@ def upwind_distances(shape, periodic, spacing, metric, neighbours, lengths,
     u[source] = 0.0
     reach = np.min(lengths, axis=1)
     mark = np.zeros(n + 1, dtype=bool)
-    opened = np.array([source], dtype=np.intp)
-    while opened.size:
+    # the open set as a mask: read back sorted and unique each round
+    is_open = np.zeros(n, dtype=bool)
+    is_open[source] = True
+    while (opened := np.flatnonzero(is_open)).size:
         vals = u[opened]
         low = vals.min()
         take = vals <= low + reach[opened]
         front = opened[take]
-        opened = opened[~take]
+        is_open[front] = False
         mark[neighbours[front]] = True
         mark[n] = False
         nb = np.flatnonzero(mark)
@@ -473,5 +475,5 @@ def upwind_distances(shape, periodic, spacing, metric, neighbours, lengths,
         lower = new < u[nb] * (1.0 - LOWER_TOL)
         changed = nb[lower]
         u[changed] = new[lower]
-        opened = np.union1d(opened, changed)
+        is_open[changed] = True
     return u[:n]

@@ -42,6 +42,7 @@ from .spaceform import Ambient, c_kappa, pole_field, s_kappa
 
 __all__ = ["METRIC", "BENDING", "FRAME", "BLOCK_BYTES", "PointGeometry",
            "ambient_of", "point_geometry", "grid_geometry", "stream_geometry",
+           "uniform_draws",
            "sectional_curvature", "extrinsic_sphere_curvature",
            "level_set_tangent_plane", "hypersurface_principal_curvatures"]
 
@@ -71,6 +72,20 @@ def point_bytes(level: int, m: int, ncoords: int) -> int:
     if level == METRIC:
         return 8 * (2 * ncoords * (1 + m) + m * m + 8)
     return 8 * (5 * ncoords * (1 + m + m * m) + m ** 3)
+
+
+def uniform_draws(gen, low: float, high: float, shape) -> np.ndarray:
+    """Uniforms in [low, high) of ``shape``, filled in C order (point-major
+    for a (points, m) shape) from ``gen.random()`` of a ``random.Random``.
+
+    Python fixes the ``random()`` sequence of a seed across versions, not
+    that of ``uniform()``, so the map to [low, high) is made here.  Each
+    entry is ``low + (high - low) * x`` of its own draw, so k draws of one
+    point give the bits of one draw of k points."""
+    count = math.prod(shape)
+    x = np.fromiter((gen.random() for _ in range(count)), dtype=float,
+                    count=count)
+    return low + (high - low) * x.reshape(shape)
 
 
 @dataclass

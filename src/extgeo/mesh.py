@@ -17,7 +17,8 @@ each offset (N where the offset leaves the grid) and ``neighbour_lengths``
 (N, S) the edge length (inf where there is no neighbour).  Each edge is
 measured once, along its forward offset (first nonzero entry positive),
 and mirrored into the opposite slot.  ``edges`` and ``edge_lengths`` list
-the forward entries, slot by slot and in vertex order within a slot.
+the forward entries, slot by slot and in vertex order within a slot;
+``forward_slots`` walks them a slot at a time without the list.
 The grid graph is connected; the components of {r > R}, which count the
 ends, come from the same table by pointer jumping.  ``ends_stability`` is
 the one end counter: it labels them at each radius of one window,
@@ -133,29 +134,32 @@ class MeshGraph:
     def periodic(self):
         return self.chart.periodic
 
-    def _forward(self):
-        """Table entries along the forward offsets, slot by slot: (F, N)
-        neighbour indices and the mask of those inside the grid."""
-        nb = self.neighbours[:, stencil(self.m).forward].T
-        return nb, nb < self.n_vertices
+    def forward_slots(self):
+        """Per forward offset, slot by slot: the slot and the mask of the
+        vertices whose neighbour there is inside the grid.  Each edge is
+        one entry of one slot."""
+        for slot in np.flatnonzero(stencil(self.m).forward):
+            yield slot, self.neighbours[:, slot] < self.n_vertices
 
     @property
     def edges(self) -> np.ndarray:
         """(E, 2) vertex pairs, each edge once along its forward offset."""
-        nb, inside = self._forward()
-        u = np.broadcast_to(np.arange(self.n_vertices), nb.shape)[inside]
-        return np.stack([u, nb[inside]], axis=1)
+        return np.concatenate([
+            np.stack([np.flatnonzero(inside),
+                      self.neighbours[:, slot][inside]], axis=1)
+            for slot, inside in self.forward_slots()])
 
     @property
     def edge_lengths(self) -> np.ndarray:
         """(E,) lengths of ``edges`` in the same order."""
-        _nb, inside = self._forward()
-        return self.neighbour_lengths[:, stencil(self.m).forward].T[inside]
+        return np.concatenate([self.neighbour_lengths[:, slot][inside]
+                               for slot, inside in self.forward_slots()])
 
     @property
     def n_edges(self) -> int:
         """Number of edges: the filled forward slots of the table."""
-        return int(np.count_nonzero(self._forward()[1]))
+        return sum(int(np.count_nonzero(inside))
+                   for _slot, inside in self.forward_slots())
 
     @property
     def rho(self) -> np.ndarray:
@@ -228,7 +232,11 @@ class MeshGraph:
             if spans.size == 0:
                 raise DomainError("no cell shows radial variation; the pole "
                                   "map appears constant on this mesh")
-            self._fd_step = 2.0 * float(np.median(spans))
+            # twice the median, from a partition: np.median's NaN check
+            # imports numpy.ma
+            k = spans.size
+            part = np.partition(spans, [(k - 1) // 2, k // 2])
+            self._fd_step = float(part[(k - 1) // 2] + part[k // 2])
         return self._fd_step
 
 

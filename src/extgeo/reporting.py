@@ -10,6 +10,7 @@ and newline-terminated; non-finite values become the strings "inf",
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -17,14 +18,21 @@ import numpy as np
 
 __all__ = ["sanitize", "write_csv", "write_json", "dumps_json"]
 
+# rows formatted into one string and written at a time by ``write_csv``
+CSV_CHUNK = 4096
+
 
 def write_csv(path, header, rows, row_format) -> None:
     """Write a CSV file: the header, then each row (a tuple) through
     ``row_format``, one ``%`` format for the whole row: ``%.17g`` for
-    floats, ``%d`` for ints, ``%s`` for text."""
-    lines = [",".join(header)] + [row_format % row for row in rows]
+    floats, ``%d`` for ints, ``%s`` for text.  Rows are formatted and
+    written ``CSV_CHUNK`` at a time, so the file is never one string."""
+    line = row_format + "\n"
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        while chunk := list(itertools.islice(rows, CSV_CHUNK)):
+            fh.write("".join([line % row for row in chunk]))
 
 
 def sanitize(obj):

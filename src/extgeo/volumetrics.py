@@ -17,6 +17,7 @@ makes one ``FRAME`` geometry request, the level that keeps alpha.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +26,8 @@ import numpy as np
 from .curves import Curve
 from .errors import (DegeneratePlaneError, DomainError, GeometryError,
                      HypothesisViolatedError, TruncationError)
-from .immersion import FRAME, grid_geometry, sectional_curvature
+from .immersion import (FRAME, grid_geometry, sectional_curvature,
+                        uniform_draws)
 from .invariants import InvariantReport
 from .mesh import RADIUS_CAP_FRACTION, MeshGraph
 from .spaceform import model_volumes
@@ -260,9 +262,9 @@ def _screen_curvature_hypothesis(mesh: MeshGraph, samples: int,
     m = mesh.m
     chart = mesh.chart
     kappa = mesh.vertices.kappa
-    rng = np.random.default_rng(seed)
     lows, highs = np.array(chart.domain).T
-    pts = lows + (highs - lows) * rng.uniform(0.05, 0.95, size=(samples, m))
+    pts = lows + (highs - lows) * uniform_draws(random.Random(seed), 0.05,
+                                                0.95, (samples, m))
 
     # batch (samples, 1) against the planes (pairs, m): one row per point
     geom = grid_geometry(chart, pts[:, None, :], level=FRAME, amb=mesh.amb)

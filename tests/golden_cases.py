@@ -76,6 +76,9 @@ CASES = {
     "error-mesh-over-dimension": (["invariants"], {
         "immersion": {"catalog": "flat-subspace", "params": {"m": 5, "n": 6}},
         "resolution": 3}),
+    # a seed the generator would take but the config refuses: exit 2
+    "error-negative-seed": (
+        ["volume", "--immersion", "flat-subspace", "--seed", "-1"], None),
     **{f"error-param-{name}-{key}": (["invariants"], {
         "immersion": {"catalog": name, "params": {key: value}},
         "resolution": 9})

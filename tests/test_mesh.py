@@ -19,7 +19,7 @@ from extgeo import eikonal, jets
 from extgeo.errors import ConfigError, DomainError, GeometryError
 from extgeo.catalog import CATALOG
 from extgeo.mesh import _components
-from extgeo.reporting import write_csv
+from extgeo.reporting import CSV_CHUNK, write_csv
 from oracles import (antipodal_distance, csv_text, full_order_mesh,
                      graph_components, graph_distances)
 
@@ -842,3 +842,13 @@ def test_mesh_dump_matches_the_generic_writer(tmp_path, monkeypatch):
     valid = {line.rsplit(",", 1)[1] for line in
              expected[str(tmp_path / "curvature.csv")].split("\n")[1:-1]}
     assert valid <= {"true", "false"} and valid
+
+
+@pytest.mark.parametrize("count", [0, 1, CSV_CHUNK, CSV_CHUNK + 1])
+def test_write_csv_streams_the_bytes_of_one_joined_string(tmp_path, count):
+    rows = [(k, 0.1 * k, "true") for k in range(count)]
+    row_format = "%d,%.17g,%s"
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["k", "x", "valid"], iter(rows), row_format)
+    lines = ["k,x,valid"] + [row_format % row for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
