@@ -244,8 +244,8 @@ def _mesh_header(mesh, desc) -> dict:
         "basepoint": int(mesh.basepoint),
         "r_max": mesh.r_max,
         "r_truncation_min": mesh.r_truncation_min,
-        # the neighbour table joins every in-grid axis offset, so the grid
-        # graph is connected
+        # the grid graph joins every in-grid axis offset, so it is
+        # connected
         "unreachable": 0,
     }
 
@@ -419,13 +419,14 @@ def run_curvature(cfg: RunConfig, chart, gt):
 def _edge_extremes(mesh):
     """(the shortest edge length, the largest |rho(u) - rho(v)| - |uv|
     over the edges with finite rho at both ends or 0 if none is larger),
-    one forward slot of the neighbour table at a time, so no edge list is
-    built."""
-    rho = mesh.rho
+    one slab of the grid at a time (``MeshGraph.forward_slots``), so no
+    edge list is built."""
+    rho = mesh.rho.reshape(mesh.shape)
+    table = mesh.neighbour_lengths.reshape(*mesh.shape, -1)
     shortest, viol = np.inf, 0.0
-    for slot, inside in mesh.forward_slots():
-        lengths = mesh.neighbour_lengths[:, slot][inside]
-        near, far = rho[inside], rho[mesh.neighbours[:, slot][inside]]
+    for slot, here, there in mesh.forward_slots():
+        lengths = table[..., slot][here]
+        near, far = rho[here], rho[there]
         finite = np.isfinite(near) & np.isfinite(far)
         shortest = np.min(lengths, initial=shortest)
         viol = np.max(np.abs(near[finite] - far[finite]) - lengths[finite],

@@ -43,7 +43,9 @@ updates the neighbours that lie above that value.  A vertex reopens when a
 later round lowers it.  The number of rounds follows the number of grid
 steps from the source, not the spread of the edge lengths.
 
-The solve holds per vertex only the values and the factoring fields.  A
+The solve holds per vertex only the values, the factoring fields and a
+one-byte boundary code: the neighbours of a row come from index
+arithmetic on the grid (``NeighbourRows``), not from a stored table.  A
 round computes its updates in blocks of rows of ``immersion.BLOCK_BYTES``
 working memory (``row_bytes`` a row), and each block computes the stretch
 of its rows' offsets from the metric and edge lengths it gathers, and the
@@ -56,13 +58,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .immersion import block_len
 
-__all__ = ["Stencil", "stencil", "row_bytes", "upwind_distances"]
+__all__ = ["NeighbourRows", "Stencil", "stencil", "row_bytes",
+           "upwind_distances"]
 
 # a value is lowered only by more than this relative amount
 LOWER_TOL = 1e-12
@@ -174,6 +178,50 @@ def stencil(m: int) -> Stencil:
                    facet_axis=facet_axis, facet_slots=facet_slots)
 
 
+class NeighbourRows:
+    """The vertex at each slot of ``stencil(m)`` on a grid, by index
+    arithmetic: N where the offset leaves an open axis, wrapped across a
+    periodic seam.
+
+    Which slots leave the grid or wrap depends only on whether a vertex
+    is first, interior or last along each axis.  So each vertex gets that
+    as a base-3 code (one byte, 3^m codes), and ``table`` (3^m, S) holds
+    the index step of every slot per code, N where the slot leaves.  A
+    call adds the steps of each vertex's code to its index.
+    """
+
+    def __init__(self, shape, periodic):
+        m = len(shape)
+        self.n = math.prod(shape)
+        offsets = stencil(m).offsets
+        stride = np.array([math.prod(shape[a + 1:]) for a in range(m)])
+        k = np.array(shape)
+        code = np.zeros(shape, dtype=np.uint8)
+        for axis in range(m):
+            at = [slice(None)] * m
+            at[axis] = slice(1, None)
+            code[tuple(at)] += 3 ** (m - 1 - axis)
+            at[axis] = -1
+            code[tuple(at)] += 3 ** (m - 1 - axis)
+        self.code = code.reshape(-1)
+        # per code and slot: which axes step off the first or last vertex
+        digits = np.array(list(itertools.product(range(3), repeat=m)),
+                          dtype=np.intp).reshape(-1, m)[:, None, :]
+        first = (digits == 0) & (offsets == -1)
+        last = (digits == 2) & (offsets == 1)
+        leaves = np.any((first | last) & ~np.array(periodic, dtype=bool),
+                        axis=2)
+        # a periodic axis wraps by the axis length
+        step = (offsets + k * (first.astype(np.intp) - last)) @ stride
+        self.table = np.where(leaves, self.n, step)
+
+    def __call__(self, idx) -> np.ndarray:
+        """(R, S) intp neighbour indices of the vertices ``idx``."""
+        nb = self.table.take(self.code.take(idx), axis=0)
+        nb += idx[:, None]
+        return np.minimum(nb, self.n, out=nb)
+
+
 # ---------------------------------------------------------------------------
 # the minimum over one face in closed form; matrices are nested lists of
 # arrays, and every quantity is scaled by the Gram determinant so that
@@ -236,11 +284,10 @@ def _simplex_values(w, g):
 class _Update:
     """Local semi-Lagrangian update over one mesh."""
 
-    def __init__(self, shape, periodic, spacing, metric, neighbours, lengths,
-                 source):
+    def __init__(self, shape, periodic, spacing, metric, lengths, source):
         m = len(shape)
         self.st = stencil(m)
-        self.neighbours = neighbours
+        self.neighbours = NeighbourRows(shape, periodic)
         self.lengths = lengths
         self.metric = metric.reshape(-1, m * m)
         self.spacing = np.asarray(spacing, dtype=float)
@@ -322,7 +369,7 @@ class _Update:
         return out
 
     def _values(self, idx, u, fac, slope):
-        nb = self.neighbours.take(idx, axis=0)
+        nb = self.neighbours(idx)
         w = u.take(nb)
         if fac.any():
             # interpolate rho - rho0: lower each neighbour by the Taylor
@@ -441,18 +488,16 @@ def row_bytes(m: int) -> int:
     return 8 * (10 * len(st.offsets) + 4 * len(st.pairs) + 3 * star)
 
 
-def upwind_distances(shape, periodic, spacing, metric, neighbours, lengths,
+def upwind_distances(shape, periodic, spacing, metric, lengths,
                      source: int) -> np.ndarray:
     """Eikonal distance from ``source`` on a chart grid.
 
-    ``neighbours`` (N, S) holds the vertex index at each offset of
-    ``stencil(m)`` (N where the offset leaves the grid), ``lengths`` (N, S)
-    the matching edge lengths (inf where missing), and ``metric`` the
-    vertex metric (N, m, m).  Vertices the grid cannot reach keep inf.
+    ``lengths`` (N, S) holds the edge length at each offset of
+    ``stencil(m)`` (inf where the offset leaves the grid), and ``metric``
+    the vertex metric (N, m, m).  Vertices the grid cannot reach keep inf.
     """
-    update = _Update(shape, periodic, spacing, metric, neighbours, lengths,
-                     source)
-    n = neighbours.shape[0]
+    update = _Update(shape, periodic, spacing, metric, lengths, source)
+    n = lengths.shape[0]
     u = np.full(n + 1, np.inf)
     u[source] = 0.0
     reach = np.min(lengths, axis=1)
@@ -466,7 +511,7 @@ def upwind_distances(shape, periodic, spacing, metric, neighbours, lengths,
         take = vals <= low + reach[opened]
         front = opened[take]
         is_open[front] = False
-        mark[neighbours[front]] = True
+        mark[update.neighbours(front)] = True
         mark[n] = False
         nb = np.flatnonzero(mark)
         mark[nb] = False

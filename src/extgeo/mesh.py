@@ -11,29 +11,32 @@ graph would not: restricted to the 3^m - 1 neighbour directions they tend
 to a polyhedral norm, 8% long on a flat plane and 13% in flat 3-space at
 every resolution.
 
-The graph is stored once, as a neighbour table over the slots of the
-eikonal stencil ``stencil(m)``: ``neighbours`` (N, S) holds the vertex at
-each offset (N where the offset leaves the grid) and ``neighbour_lengths``
-(N, S) the edge length (inf where there is no neighbour).  Each edge is
-measured once, along its forward offset (first nonzero entry positive),
-and mirrored into the opposite slot.  ``edges`` and ``edge_lengths`` list
-the forward entries, slot by slot and in vertex order within a slot;
-``forward_slots`` walks them a slot at a time without the list.
-The grid graph is connected; the components of {r > R}, which count the
-ends, come from the same table by pointer jumping.  ``ends_stability`` is
-the one end counter: it labels them at each radius of one window,
-outermost first and each pass from the labels of the one before, and
-returns an ``EndsReport`` of the counts and the outermost components.
+The grid is the graph: the neighbour of a vertex at each offset of the
+eikonal stencil ``stencil(m)`` is index arithmetic on the vertex grid
+(wrapping on periodic axes), so no index table is stored.  The mesh
+stores the edge lengths over those slots, ``neighbour_lengths`` (N, S),
+inf where the offset leaves the grid.  Each edge is measured once, along
+its forward offset (first nonzero entry positive), and mirrored into the
+opposite slot.  ``edges`` and ``edge_lengths`` list the forward entries,
+slot by slot and in vertex order within a slot; ``forward_slots`` walks
+them as slabs of the grid (``_edge_slabs``) without the list.  The grid
+graph is connected; the components of {r > R}, which count the ends, come
+from the same slabs by pointer jumping.  ``ends_stability`` is the one
+end counter: it labels them at each radius of one window, outermost first
+and each pass from the labels of the one before, and returns an
+``EndsReport`` of the counts and the outermost components.
 
 Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
 split that the invariants read).  The refined lattice is a ``METRIC``
 request, streamed in blocks of ``immersion.BLOCK_BYTES`` one parity class
 at a time (``_refined_pass``): each block writes r in place, and the cell
 centres their sqrt det g.  A class holds the midpoints of the edges along
-the offsets with its odd axes, so its metric gives their midpoint speeds
-and is dropped; no refined metric is stored.  A mesh holds per vertex its
-``BENDING`` fields, 3^m - 1 neighbours (int32 indices) and lengths, and
-rho, and per refined node r and a volume weight.  ``mesh_bytes`` estimates
+the offsets with its odd axes, so its metric gives their midpoint speeds,
+written straight into the forward slots of the length table, and is
+dropped; no refined metric is stored.  ``_neighbour_table`` then turns
+those speeds into Simpson lengths in place.  A mesh holds per vertex its
+``BENDING`` fields, the lengths of its 3^m - 1 edges, and rho, and per
+refined node r and a volume weight.  ``mesh_bytes`` estimates
 that and the peak of the build and rho solve from the shape alone, and
 ``build_mesh`` (and the CLI, before the pole) refuses a mesh over
 ``MEMORY_BUDGET``, or a chart of more than ``MAX_MESH_M`` dimensions,
@@ -104,8 +107,9 @@ class MeshGraph:
     spacing: np.ndarray              # vertex spacing per axis
     points: np.ndarray               # (N, m) chart coordinates
     vertices: PointGeometry          # flat, N entries
-    neighbours: np.ndarray           # (N, S) vertex per stencil slot, or N
-    neighbour_lengths: np.ndarray    # (N, S) edge length per slot, or inf
+    # (N, S) edge length per slot of ``stencil(m)``, or inf where the
+    # offset leaves the grid; the vertex there is index arithmetic
+    neighbour_lengths: np.ndarray
     basepoint: int
     _rho: np.ndarray = field(default=None, repr=False)
     refined_r: np.ndarray = field(default=None, repr=False)
@@ -135,31 +139,41 @@ class MeshGraph:
         return self.chart.periodic
 
     def forward_slots(self):
-        """Per forward offset, slot by slot: the slot and the mask of the
-        vertices whose neighbour there is inside the grid.  Each edge is
-        one entry of one slot."""
-        for slot in np.flatnonzero(stencil(self.m).forward):
-            yield slot, self.neighbours[:, slot] < self.n_vertices
+        """The edges as slabs of the vertex grid, ``(slot, here, there)``
+        per forward slot (see ``_edge_slabs``).  Each edge is one entry of
+        one slab."""
+        return _edge_slabs(self.shape, self.periodic)
+
+    def _slot_columns(self):
+        """Per forward slot: the slot, its offset and the slices of the
+        vertex grid where its edges start."""
+        st = stencil(self.m)
+        for slot in np.flatnonzero(st.forward):
+            delta = st.offsets[slot]
+            yield slot, delta, _slot_span(delta, self.shape, self.periodic)[0]
 
     @property
     def edges(self) -> np.ndarray:
-        """(E, 2) vertex pairs, each edge once along its forward offset."""
+        """(E, 2) vertex pairs, each edge once along its forward offset,
+        slot by slot and in vertex order within a slot."""
+        grid = np.arange(self.n_vertices)
         return np.concatenate([
-            np.stack([np.flatnonzero(inside),
-                      self.neighbours[:, slot][inside]], axis=1)
-            for slot, inside in self.forward_slots()])
+            np.stack([x.reshape(-1) for x in _along(
+                grid, delta, self.shape, self.periodic)], axis=1)
+            for _slot, delta, _here in self._slot_columns()])
 
     @property
     def edge_lengths(self) -> np.ndarray:
         """(E,) lengths of ``edges`` in the same order."""
-        return np.concatenate([self.neighbour_lengths[:, slot][inside]
-                               for slot, inside in self.forward_slots()])
+        table = self.neighbour_lengths.reshape(*self.shape, -1)
+        return np.concatenate([table[..., slot][here].reshape(-1)
+                               for slot, _delta, here in self._slot_columns()])
 
     @property
     def n_edges(self) -> int:
-        """Number of edges: the filled forward slots of the table."""
-        return sum(int(np.count_nonzero(inside))
-                   for _slot, inside in self.forward_slots())
+        """Number of edges: the in-grid entries of the forward slots."""
+        return sum(math.prod(s.stop - s.start for s in here)
+                   for _slot, _delta, here in self._slot_columns())
 
     @property
     def rho(self) -> np.ndarray:
@@ -169,7 +183,7 @@ class MeshGraph:
         if self._rho is None:
             self._rho = upwind_distances(
                 self.shape, self.periodic, self.spacing, self.vertices.metric,
-                self.neighbours, self.neighbour_lengths, self.basepoint)
+                self.neighbour_lengths, self.basepoint)
         return self._rho
 
     def boundary_vertex_mask(self) -> np.ndarray:
@@ -309,40 +323,61 @@ def _slot_span(delta, shape, periodic):
     return tuple(here), tuple(there)
 
 
-def _neighbour_table(shape, periodic, spacing, metric, mid_speed):
-    """(N, S) neighbour indices and Simpson edge lengths over the slots of
-    ``stencil(m)``; index N and length inf where an offset leaves the grid.
+def _along(values, delta, shape, periodic):
+    """The entries of a per-vertex array at the start and at the end of
+    each edge along ``delta``, as grid-shaped arrays in edge order: by
+    start vertex, wrapping on periodic axes."""
+    here, there = _slot_span(delta, shape, periodic)
+    wrap = [a for a, (d, p) in enumerate(zip(delta, periodic)) if p and d]
+    values = values.reshape(shape)
+    ahead = np.roll(values, -delta[wrap], axis=wrap) if wrap else values
+    return values[here], ahead[there]
+
+
+def _edge_slabs(shape, periodic):
+    """The edges of the grid graph as slabs of the vertex grid,
+    ``(slot, here, there)`` per forward slot of ``stencil(m)``: ``here``
+    and ``there`` slice each edge's start and end vertex at the same
+    position.  A periodic axis that the offset moves along splits into
+    the run inside the grid and the seam that closes it."""
+    st = stencil(len(shape))
+    for slot in np.flatnonzero(st.forward):
+        runs = []
+        for d, k, p in zip(st.offsets[slot], shape, periodic):
+            lo, hi = max(0, -d), k - max(0, d)
+            runs.append([(slice(lo, hi), slice(lo + d, hi + d))])
+            if p and d:
+                start = k - 1 if d > 0 else 0
+                end = (start + d) % k
+                runs[-1].append((slice(start, start + 1),
+                                 slice(end, end + 1)))
+        for pieces in itertools.product(*runs):
+            yield slot, *zip(*pieces)
+
+
+def _neighbour_table(shape, periodic, spacing, metric, lengths):
+    """Turns the midpoint speeds that ``_refined_pass`` left in the forward
+    slots of ``lengths`` (N, S) into Simpson edge lengths, in place, and
+    mirrors each into the opposite slot of the edge's end vertex.
 
     The arc length of each edge weighs the speed at both endpoints, from
-    the vertex metric, and at the midpoint: ``mid_speed`` (F, N) holds it
-    per forward slot at the edge's start vertex.
+    the vertex metric, and at the midpoint.
     """
     st = stencil(len(shape))
-    n = int(np.prod(shape, dtype=int))
-    # 32-bit indices: ``MEMORY_BUDGET`` keeps N near 24 M at most, far
-    # below 2^31
-    neighbours = np.full((n, len(st.offsets)), n, dtype=np.int32)
-    lengths = np.full((n, len(st.offsets)), np.inf)
-    grid = np.arange(n, dtype=np.int32).reshape(shape)
-    for row, fwd in enumerate(np.flatnonzero(st.forward)):
+    table = lengths.reshape(*shape, -1)
+    for fwd in np.flatnonzero(st.forward):
         delta = st.offsets[fwd]
-        here, there = _slot_span(delta, shape, periodic)
-        wrap = [a for a, (d, p) in enumerate(zip(delta, periodic)) if p and d]
-        ahead = np.roll(grid, -delta[wrap], axis=wrap) if wrap else grid
-        u = grid[here].reshape(-1)
-        v = ahead[there].reshape(-1)
-        # endpoint speeds at every vertex, midpoint speeds per edge
-        q = _speed(metric, delta * spacing)
-        q_mid = mid_speed[row].reshape(shape)[here].reshape(-1)
-        edge = (q[u] + 4.0 * q_mid + q[v]) / 6.0
-        if np.any(edge <= 0.0):
-            bad = int(np.argmax(edge <= 0.0))
+        mid = table[..., fwd][_slot_span(delta, shape, periodic)[0]]
+        # endpoint speeds at every vertex
+        start, end = _along(_speed(metric, delta * spacing), delta, shape,
+                            periodic)
+        mid[...] = (start + 4.0 * mid + end) / 6.0
+        if np.any(lengths[:, fwd] <= 0.0):
             raise GeometryError(
-                f"degenerate edge of zero length at vertex index {int(u[bad])}")
-        back = st.opposite[fwd]
-        neighbours[u, fwd], lengths[u, fwd] = v, edge
-        neighbours[v, back], lengths[v, back] = u, edge
-    return neighbours, lengths
+                f"degenerate edge of zero length at vertex index "
+                f"{int(np.argmax(lengths[:, fwd] <= 0.0))}")
+    for fwd, here, there in _edge_slabs(shape, periodic):
+        table[..., st.opposite[fwd]][there] = table[..., fwd][here]
 
 
 def _cell_nodes(shape, periodic):
@@ -381,17 +416,19 @@ def mesh_bytes(shape, periodic) -> tuple:
     n_refined = math.prod(_refined_shape(shape, periodic))
     slots = 3 ** m - 1
     workers = os.cpu_count() or 1
-    # per vertex the BENDING fields (at_pole a bool) and rho, the neighbour
-    # table (int32 indices, float lengths) and, per refined node, r and the
-    # volume weight
-    held = n * (8 * (m * m + m + 6) + 1 + 12 * slots) + 16 * n_refined
-    # the build: midpoint speeds per forward slot, one parity class's metric
-    # with its rolled copy and the contraction's own, the vertex points and
-    # the index arithmetic of one slot, and a block per worker
-    build = 8 * n * (slots // 2 + 3 * m * m + 3 * m + 8) + workers * BLOCK_BYTES
-    # the rho solve: the factoring fields and the values, and one block of
-    # rows, which computes its own stretches and facet margins
-    solve = 8 * n * (2 * m + 8) + BLOCK_BYTES
+    # per vertex the BENDING fields (at_pole a bool) and rho, the edge
+    # lengths per slot (held from the refined pass on, which writes the
+    # midpoint speeds into them) and, per refined node, r and the volume
+    # weight
+    held = n * (8 * (m * m + m + 6) + 1 + 8 * slots) + 16 * n_refined
+    # the build: one parity class's metric with its rolled copy and the
+    # contraction's own, the vertex points and the Simpson temporaries of
+    # one slot, and a block per worker
+    build = 8 * n * (3 * m * m + 3 * m + 8) + workers * BLOCK_BYTES
+    # the rho solve: the factoring fields, the values and the boundary
+    # codes, and one block of rows, which computes its own neighbours,
+    # stretches and facet margins
+    solve = n * (8 * (2 * m + 8) + 1) + BLOCK_BYTES
     return held, held + max(build, solve)
 
 
@@ -423,8 +460,9 @@ def _lattice_points(axes, lo, hi) -> np.ndarray:
 
 def _refined_pass(chart, amb, shape, spacing, refined_axes):
     """The ``METRIC`` geometry of the refined lattice, streamed: refined r,
-    the cell-centre sqrt det g (in cell order) and the midpoint speeds
-    (F, N), per forward slot at each edge's start vertex.
+    the cell-centre sqrt det g (in cell order) and the (N, S) length table
+    of ``_neighbour_table`` with the midpoint speed of each edge in its
+    forward slot at the edge's start vertex, and inf elsewhere.
 
     It runs one parity class at a time.  The nodes with odd indices on the
     axes that a slot's offset moves along are the midpoints of its edges,
@@ -436,11 +474,12 @@ def _refined_pass(chart, amb, shape, spacing, refined_axes):
     st = stencil(m)
     forward = np.flatnonzero(st.forward)
     refined_r = np.empty([len(ax) for ax in refined_axes])
-    mid_speed = np.empty((len(forward), math.prod(shape)))
+    lengths = np.full((math.prod(shape), len(st.offsets)), np.inf)
+    table = lengths.reshape(*shape, -1)
     for parity in itertools.product((0, 1), repeat=m):
         axes = [ax[p::2] for ax, p in zip(refined_axes, parity)]
         lattice = [len(ax) for ax in axes]
-        slots = [(row, st.offsets[fwd]) for row, fwd in enumerate(forward)
+        slots = [(fwd, st.offsets[fwd]) for fwd in forward
                  if np.array_equal(st.offsets[fwd] != 0, parity)]
         r = np.empty(lattice)
         metric = np.empty(lattice + [m, m]) if slots else None
@@ -459,16 +498,16 @@ def _refined_pass(chart, amb, shape, spacing, refined_axes):
         refined_r[tuple(slice(p, None, 2) for p in parity)] = r
         if density is not None:
             centre_density = density
-        for row, delta in slots:
+        for fwd, delta in slots:
             # in edge order: a periodic axis stepped back starts its edges
             # at the midpoint that closes the seam
             back = [a for a, (d, p) in enumerate(zip(delta, periodic))
                     if p and d < 0]
             g = np.roll(metric, 1, axis=back) if back else metric
             here = _slot_span(delta, shape, periodic)[0]
-            mid_speed[row].reshape(shape)[here] = _speed(
+            table[..., fwd][here] = _speed(
                 g.reshape(-1, m, m), delta * spacing).reshape(lattice)
-    return refined_r, centre_density, mid_speed
+    return refined_r, centre_density, lengths
 
 
 def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
@@ -486,13 +525,11 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
                     for o, h, k, p in zip(origin, spacing, shape,
                                           chart.periodic)]
     # the whole lattice first, so its checks fire before the vertices'
-    refined_r, centre_density, mid_speed = _refined_pass(
+    refined_r, centre_density, lengths = _refined_pass(
         chart, amb, shape, spacing, refined_axes)
     vertices = grid_geometry(chart, _lattice_points(
         [ax[::2] for ax in refined_axes], 0, math.prod(shape)), amb=amb)
-    neighbours, lengths = _neighbour_table(
-        shape, chart.periodic, spacing, vertices.metric, mid_speed)
-    del mid_speed
+    _neighbour_table(shape, chart.periodic, spacing, vertices.metric, lengths)
 
     return MeshGraph(
         chart=chart,
@@ -502,7 +539,6 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
         spacing=spacing,
         points=vertices.points,
         vertices=vertices,
-        neighbours=neighbours,
         neighbour_lengths=lengths,
         basepoint=int(np.argmin(vertices.r)),
         refined_r=refined_r,
@@ -530,36 +566,41 @@ def critical_free_radius(mesh: MeshGraph,
     return float(np.max(mesh.vertices.r[flagged]))
 
 
-def _components(neighbours, keep, seed=None) -> np.ndarray:
-    """(N,) int32 component labels of the graph restricted to ``keep``:
-    the least vertex index of each component, N outside ``keep``.  Hooking
-    and pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982): labels
-    only fall, and each stays a vertex of its component no larger than its
-    own vertex, so at the fixed point they agree across every edge and
-    equal the component's least vertex.
+def _components(shape, periodic, keep, seed=None) -> np.ndarray:
+    """(N,) int32 component labels of the grid graph restricted to
+    ``keep``: the least vertex index of each component, N outside
+    ``keep``.  Hooking and pointer jumping (Shiloach & Vishkin,
+    J. Algorithms 3, 1982): labels only fall, and each stays a vertex of
+    its component no larger than its own vertex, so at the fixed point
+    they agree across every edge and equal the component's least vertex.
+    A round hooks each vertex to the least label among its neighbours
+    slab by slab over the grid (``_edge_slabs``), both ways along each
+    edge, so no neighbour index is formed.
 
     ``seed`` may hold the labels of a pass over a subset of ``keep``; they
     have both properties, so the pass may start from them.
     """
-    n = len(neighbours)
-    idx = np.flatnonzero(keep)
-    # the kept rows one slot at a time, each column contiguous: a gather
-    # through int32 indices first copies them to intp, so a column at a
-    # time keeps that copy small
-    nb = np.empty((neighbours.shape[1], idx.size), dtype=neighbours.dtype)
-    for column, out in zip(neighbours.T, nb):
-        column.take(idx, out=out)
-    # slot N stands for a missing neighbour
+    n = len(keep)
+    drop = ~keep
+    slabs = list(_edge_slabs(shape, periodic))
+    # slot N stands for a vertex outside ``keep``
     label = np.full(n + 1, n, dtype=np.int32)
-    label[idx] = idx if seed is None else np.minimum(seed[idx], idx)
+    label[:n] = np.arange(n)
+    if seed is not None:
+        np.minimum(label[:n], seed, out=label[:n])
+    label[:n][drop] = n
+    low = np.empty_like(label)
     while True:
-        low = label.take(idx)
-        for column in nb:
-            np.minimum(low, label.take(column), out=low)
+        np.copyto(low, label)
+        grid, hooked = label[:n].reshape(shape), low[:n].reshape(shape)
+        for _slot, here, there in slabs:
+            np.minimum(hooked[here], grid[there], out=hooked[here])
+            np.minimum(hooked[there], grid[here], out=hooked[there])
+        low[:n][drop] = n
         new = label.take(low)
-        if np.array_equal(new, label.take(idx)):
+        if np.array_equal(new, label):
             return label[:n]
-        label[idx] = new
+        label = new
 
 
 def ends_stability(mesh: MeshGraph,
@@ -586,7 +627,7 @@ def ends_stability(mesh: MeshGraph,
     # labels of the one before
     for t in reversed(radii):
         far = mesh.vertices.r > t
-        labels = _components(mesh.neighbours, far, labels)
+        labels = _components(mesh.shape, mesh.periodic, far, labels)
         touching = set(labels[far & boundary].tolist())
         counts.insert(0, len(touching))
         if components is None:

@@ -21,8 +21,9 @@ labels the components of the mesh graph restricted to a vertex mask.
 
 ``full_order_mesh`` is ``build_mesh`` the way it first worked:
 second-order geometry over the whole refined lattice, its vertices
-sliced out of it, and the neighbour table gathered from that lattice's
-stored metric (``full_lattice_table``).
+sliced out of it, and the edge lengths gathered from that lattice's
+stored metric (``full_lattice_table``) over an explicit neighbour table
+(``lattice_neighbours``), the reference for the grid's index arithmetic.
 
 ``cell_fraction_ball_volumes`` integrates ball volumes cell by cell: each
 grid cell contributes its center density times its parameter measure,
@@ -151,28 +152,44 @@ def cell_r_spans(mesh):
     return sub.max(axis=1) - sub.min(axis=1)
 
 
-def full_lattice_table(shape, periodic, spacing, metric, refined_metric):
-    """(N, S) neighbour indices and Simpson edge lengths over the slots of
-    ``stencil(m)``, the midpoint speeds gathered edge by edge from the
-    metric of the whole refined lattice."""
+def lattice_neighbours(shape, periodic):
+    """(N, S) explicit neighbour indices over the slots of ``stencil(m)``:
+    each vertex's grid coordinates plus the offset, wrapped on periodic
+    axes, flattened in C order; N where the offset leaves an open axis."""
     st = stencil(len(shape))
     n = int(np.prod(shape, dtype=int))
-    neighbours = np.full((n, len(st.offsets)), n, dtype=np.int32)
-    lengths = np.full((n, len(st.offsets)), np.inf)
+    neighbours = np.full((n, len(st.offsets)), n, dtype=np.intp)
     grid = np.indices(shape).reshape(len(shape), -1)
-    for fwd in np.flatnonzero(st.forward):
-        delta = st.offsets[fwd]
+    for slot, delta in enumerate(st.offsets):
         ahead = grid + delta[:, None]
-        mid = 2 * grid + delta[:, None]
         inside = np.ones(n, dtype=bool)
         for axis, (k, p) in enumerate(zip(shape, periodic)):
             if p:
                 ahead[axis] %= k
-                mid[axis] %= 2 * k
             else:
                 inside &= (ahead[axis] >= 0) & (ahead[axis] < k)
-        u = np.flatnonzero(inside)
-        v = np.ravel_multi_index(tuple(ahead[:, u]), shape)
+        neighbours[inside, slot] = np.ravel_multi_index(
+            tuple(ahead[:, inside]), shape)
+    return neighbours
+
+
+def full_lattice_table(shape, periodic, spacing, metric, refined_metric):
+    """(N, S) neighbour indices (``lattice_neighbours``) and Simpson edge
+    lengths over the slots of ``stencil(m)``, the midpoint speeds gathered
+    edge by edge from the metric of the whole refined lattice."""
+    st = stencil(len(shape))
+    neighbours = lattice_neighbours(shape, periodic)
+    n = len(neighbours)
+    lengths = np.full(neighbours.shape, np.inf)
+    grid = np.indices(shape).reshape(len(shape), -1)
+    for fwd in np.flatnonzero(st.forward):
+        delta = st.offsets[fwd]
+        u = np.flatnonzero(neighbours[:, fwd] < n)
+        v = neighbours[u, fwd]
+        mid = 2 * grid[:, u] + delta[:, None]
+        for axis, (k, p) in enumerate(zip(shape, periodic)):
+            if p:
+                mid[axis] %= 2 * k
         d = delta * spacing
 
         def speed(gblock):
@@ -181,15 +198,13 @@ def full_lattice_table(shape, periodic, spacing, metric, refined_metric):
 
         # endpoint speeds at every vertex, midpoint speeds per edge
         q = speed(metric)
-        q_mid = speed(refined_metric[tuple(mid[:, u])])
+        q_mid = speed(refined_metric[tuple(mid)])
         edge = (q[u] + 4.0 * q_mid + q[v]) / 6.0
         if np.any(edge <= 0.0):
             bad = int(np.argmax(edge <= 0.0))
             raise GeometryError(
                 f"degenerate edge of zero length at vertex index {int(u[bad])}")
-        back = st.opposite[fwd]
-        neighbours[u, fwd], lengths[u, fwd] = v, edge
-        neighbours[v, back], lengths[v, back] = u, edge
+        lengths[u, fwd] = lengths[v, st.opposite[fwd]] = edge
     return neighbours, lengths
 
 
@@ -205,14 +220,14 @@ def full_order_mesh(chart, resolution, pole=None):
     evens = tuple([slice(0, None, 2)] * chart.m)
     vertices = refined.map_arrays(lambda arr, k: np.ascontiguousarray(
         arr[evens].reshape((-1,) + arr.shape[arr.ndim - k:])))
-    neighbours, lengths = full_lattice_table(
+    _neighbours, lengths = full_lattice_table(
         shape, chart.periodic, spacing, vertices.metric, refined.metric)
     nodes = list(_cell_nodes(shape, chart.periodic))
     centre = nodes[len(nodes) // 2]          # the offset (1, ..., 1)
     return MeshGraph(
         chart=chart, amb=amb, shape=shape, origin=origin, spacing=spacing,
-        points=vertices.points, vertices=vertices, neighbours=neighbours,
-        neighbour_lengths=lengths, basepoint=int(np.argmin(vertices.r)),
+        points=vertices.points, vertices=vertices, neighbour_lengths=lengths,
+        basepoint=int(np.argmin(vertices.r)),
         refined_r=np.ascontiguousarray(refined.r),
         refined_weight=_node_weights(shape, chart.periodic,
                                      refined.sqrt_det_g[centre],

@@ -21,7 +21,7 @@ from extgeo.catalog import CATALOG
 from extgeo.mesh import _components
 from extgeo.reporting import CSV_CHUNK, write_csv
 from oracles import (antipodal_distance, csv_text, full_order_mesh,
-                     graph_components, graph_distances)
+                     graph_components, graph_distances, lattice_neighbours)
 
 LINE = """
 m = 1; n = 2; ambient = euclidean;
@@ -118,11 +118,15 @@ def test_mesh_equals_the_full_order_lattice(name, params, res):
             continue
         assert (got is None) == (want is None), f.name
         np.testing.assert_array_equal(got, want, err_msg=f.name)
-    for attr in ("points", "neighbours", "neighbour_lengths", "refined_r",
+    for attr in ("points", "neighbour_lengths", "refined_r",
                  "refined_weight", "rho"):
         np.testing.assert_array_equal(getattr(mesh, attr), getattr(ref, attr),
                                       err_msg=attr)
-    assert mesh.neighbours.dtype == ref.neighbours.dtype == np.int32
+    rows = eikonal.NeighbourRows(mesh.shape, mesh.periodic)(
+        np.arange(mesh.n_vertices))
+    want = lattice_neighbours(mesh.shape, mesh.periodic)
+    np.testing.assert_array_equal(rows, want)
+    assert rows.dtype == want.dtype == np.intp
     assert mesh.basepoint == ref.basepoint
     assert mesh.fd_step == ref.fd_step
 
@@ -182,8 +186,8 @@ basepoint 0.5, 0
 def mesh_arrays(mesh):
     """Every array a mesh holds, rho solved, by name."""
     out = {name: getattr(mesh, name) for name in (
-        "points", "neighbours", "neighbour_lengths", "refined_r",
-        "refined_weight", "rho")}
+        "points", "neighbour_lengths", "refined_r", "refined_weight",
+        "rho")}
     for f in dataclasses.fields(mesh.vertices):
         arr = getattr(mesh.vertices, f.name)
         if isinstance(arr, np.ndarray):
@@ -333,7 +337,7 @@ def assert_refused_before_any_evaluation(immersion, res, match, prefix,
 def test_oversized_mesh_is_refused_before_any_evaluation(tmp_path,
                                                          monkeypatch):
     """flat m=8 at resolution 7 would ask for a 6 GiB refined lattice and a
-    423 GiB neighbour table; it is refused from its shape alone."""
+    282 GiB edge length table; it is refused from its shape alone."""
     assert_refused_before_any_evaluation(
         {"catalog": "flat-subspace", "params": {"m": 8, "n": 9}}, 7,
         "over the memory budget of 2 GiB",
@@ -384,7 +388,8 @@ def assert_same_partition(mesh, keep):
     np.minimum.at(least, ref[keep], np.flatnonzero(keep))
     want = np.full(n, n)
     want[keep] = least[ref[keep]]
-    np.testing.assert_array_equal(_components(mesh.neighbours, keep), want)
+    np.testing.assert_array_equal(
+        _components(mesh.shape, mesh.periodic, keep), want)
 
 
 @pytest.mark.parametrize("name,params,res", [
@@ -408,7 +413,7 @@ def test_components_join_diagonal_neighbours():
     keep[:3, :3] = keep[3:, 3:] = True
     keep = keep.reshape(-1)
     assert_same_partition(mesh, keep)
-    assert np.all(_components(mesh.neighbours, keep)[keep] == 0)
+    assert np.all(_components(mesh.shape, mesh.periodic, keep)[keep] == 0)
 
 
 @pytest.mark.parametrize("name,params,res", [
@@ -425,7 +430,8 @@ def test_neighbour_table_mirrors_each_edge(name, params, res):
     mesh = xg.build_mesh(chart, res)
     st = eikonal.stencil(mesh.m)
     n = mesh.n_vertices
-    nb, lengths = mesh.neighbours, mesh.neighbour_lengths
+    nb = eikonal.NeighbourRows(mesh.shape, mesh.periodic)(np.arange(n))
+    lengths = mesh.neighbour_lengths
     assert nb.shape == lengths.shape == (n, len(st.offsets))
 
     # each slot holds the vertex at its offset, wrapped on periodic axes,
@@ -461,6 +467,118 @@ def test_neighbour_table_mirrors_each_edge(name, params, res):
     np.testing.assert_array_equal(mesh.edges, [[u, v] for u, v, _ in rows])
     np.testing.assert_array_equal(mesh.edge_lengths, [w for *_, w in rows])
     assert i.size == 2 * len(rows)
+
+
+@pytest.mark.parametrize("shape,periodic", [
+    ((3,), (False,)), ((5,), (True,)), ((3,), (True,)),
+    ((3, 4), (False, False)), ((4, 3), (False, True)),
+    ((3, 5), (True, True)), ((3, 4, 5), (False, False, False)),
+    ((5, 3, 4), (True, False, True)), ((3, 3, 3), (True, True, True)),
+    ((3, 4, 3, 5), (False, False, False, False)),
+    ((4, 3, 3, 3), (True, False, True, False)),
+    ((3, 3, 4, 3), (True, True, True, True)),
+], ids=lambda x: "x".join(map(str, x)) if isinstance(x[0], int)
+    else "".join("p" if p else "o" for p in x))
+def test_neighbour_rows_equal_the_explicit_table(shape, periodic):
+    # every vertex, m = 1 to 4, open and periodic axes of length 3 and more
+    rows = eikonal.NeighbourRows(shape, periodic)
+    n = math.prod(shape)
+    assert rows.code.shape == (n,) and rows.code.dtype == np.uint8
+    assert rows.table.shape == (3 ** len(shape), 3 ** len(shape) - 1)
+    got = rows(np.arange(n))
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, lattice_neighbours(shape, periodic))
+    # any subset of rows, in any order
+    pick = np.random.default_rng(3).permutation(n)[: n // 2 + 1]
+    np.testing.assert_array_equal(rows(pick), got[pick])
+
+
+@pytest.mark.parametrize("name,params,res", [
+    ("cylinder", {}, [5, 8]),
+    ("catenoid", {}, [6, 7]),
+    ("sphere", {"m": 2, "n": 3}, [5, 6]),
+    ("sphere", {"m": 1, "n": 2}, 6),
+    ("rotation-hypersurface", {"n": 3}, [4, 5, 6]),
+], ids=["cylinder", "catenoid", "sphere", "circle", "rotation3"])
+def test_neighbour_rows_cross_the_catalog_seams(name, params, res):
+    mesh = xg.build_mesh(xg.catalog_build(name, **params)[0], res)
+    assert any(mesh.periodic)
+    got = eikonal.NeighbourRows(mesh.shape, mesh.periodic)(
+        np.arange(mesh.n_vertices))
+    np.testing.assert_array_equal(
+        got, lattice_neighbours(mesh.shape, mesh.periodic))
+    # the rows and the length table agree on where an edge is
+    np.testing.assert_array_equal(got < mesh.n_vertices,
+                                  np.isfinite(mesh.neighbour_lengths))
+
+
+@pytest.mark.parametrize("name,params,res", [
+    ("cylinder", {}, [9, 16]),
+    ("catenoid", {}, [17, 12]),
+    ("rotation-hypersurface", {"n": 3}, [5, 8, 11]),
+], ids=["cylinder", "catenoid", "rotation3"])
+def test_components_across_a_periodic_seam_match_the_oracle(name, params,
+                                                            res):
+    # {r > R} for R below the median: the basepoint sits on the seam, and
+    # the far set crosses it on the way around
+    mesh = xg.build_mesh(xg.catalog_build(name, **params)[0], res)
+    for t in np.quantile(mesh.r, [0.1, 0.3, 0.5]):
+        keep = mesh.r > t
+        crossing = [
+            np.any(keep.reshape(mesh.shape).take(0, axis=a)
+                   & keep.reshape(mesh.shape).take(-1, axis=a))
+            for a, p in enumerate(mesh.periodic) if p]
+        assert any(crossing)
+        assert_same_partition(mesh, keep)
+    # a band through the seam alone: one component, not two
+    keep = np.zeros(mesh.shape, dtype=bool)
+    axis = mesh.periodic.index(True)
+    band = [slice(None)] * mesh.m
+    band[axis] = [0, 1, mesh.shape[axis] - 1]
+    keep[tuple(band)] = True
+    keep = keep.reshape(-1)
+    assert_same_partition(mesh, keep)
+    labels = _components(mesh.shape, mesh.periodic, keep)
+    assert np.unique(labels[keep]).tolist() == [0]
+
+
+@pytest.mark.parametrize("name,params,res", [
+    ("cylinder", {}, [5, 8]),
+    ("catenoid", {}, [6, 7]),
+    ("rotation-hypersurface", {"n": 3}, [4, 5, 6]),
+], ids=["cylinder", "catenoid", "rotation3"])
+def test_edges_of_a_periodic_mesh_in_slot_and_vertex_order(name, params, res):
+    # the edge list from the explicit table: forward slot by forward slot,
+    # start vertices ascending, intp pairs
+    mesh = xg.build_mesh(xg.catalog_build(name, **params)[0], res)
+    nb = lattice_neighbours(mesh.shape, mesh.periodic)
+    n = mesh.n_vertices
+    st = eikonal.stencil(mesh.m)
+    want, lengths = [], []
+    for j in np.flatnonzero(st.forward):
+        u = np.flatnonzero(nb[:, j] < n)
+        want.append(np.stack([u, nb[u, j]], axis=1))
+        lengths.append(mesh.neighbour_lengths[u, j])
+    want = np.concatenate(want)
+    assert mesh.edges.dtype == np.intp and mesh.edges.shape == want.shape
+    np.testing.assert_array_equal(mesh.edges, want)
+    got = mesh.edge_lengths
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.concatenate(lengths).tobytes()
+    assert mesh.n_edges == len(want) == np.count_nonzero(nb < n) // 2
+
+
+def test_a_mesh_holds_no_neighbour_index_table():
+    chart, _ = xg.catalog_build("rotation-hypersurface", n=3)
+    mesh = xg.build_mesh(chart, [4, 5, 6])
+    mesh.rho
+    assert "neighbours" not in {f.name for f in dataclasses.fields(mesh)}
+    slots = 3 ** mesh.m - 1
+    held = [getattr(mesh, f.name) for f in dataclasses.fields(mesh)]
+    held += [getattr(mesh.vertices, f.name)
+             for f in dataclasses.fields(mesh.vertices)]
+    assert not [a for a in held if isinstance(a, np.ndarray)
+                and a.dtype.kind in "iu" and a.shape[-1:] == (slots,)]
 
 
 def test_pole_override_shifts_radii():
@@ -656,8 +774,8 @@ def test_stretch_of_a_block_is_that_of_the_whole_mesh(name, params, res):
     # row too, must equal that row of one product over every vertex
     mesh = xg.build_mesh(xg.catalog_build(name, **params)[0], res)
     update = eikonal._Update(mesh.shape, mesh.periodic, mesh.spacing,
-                             mesh.vertices.metric, mesh.neighbours,
-                             mesh.neighbour_lengths, mesh.basepoint)
+                             mesh.vertices.metric, mesh.neighbour_lengths,
+                             mesh.basepoint)
     whole = update.metric @ update.norm_cols
     whole = mesh.neighbour_lengths / np.sqrt(whole)
     for rows in (1, 2, 7):
@@ -749,9 +867,9 @@ def test_warm_end_passes_equal_passes_from_scratch(name, monkeypatch):
     mesh = xg.build_mesh(CATALOG[name].build()[0], 9)
     passes = []
 
-    def checked(neighbours, keep, seed=None):
-        got = _components(neighbours, keep, seed)
-        np.testing.assert_array_equal(got, _components(neighbours, keep))
+    def checked(shape, periodic, keep, seed=None):
+        got = _components(shape, periodic, keep, seed)
+        np.testing.assert_array_equal(got, _components(shape, periodic, keep))
         passes.append((keep.sum(), seed is None))
         return got
 
