@@ -20,6 +20,7 @@ import numpy as np
 from . import jets
 from .errors import DomainError
 from .exprchart import ChartBase, parse_chart
+from .immersion import BLOCK_BYTES, FRAME, point_bytes
 from .jets import Jet2
 
 __all__ = ["GroundTruth", "CatalogEntry", "CATALOG", "catalog_build",
@@ -80,15 +81,39 @@ class CatalogEntry:
 
 
 def _like(val, default) -> bool:
-    """A number, and integral where the default is an int; never a bool."""
+    """A number, and integral where the default is an int, else finite as
+    a float; never a bool."""
     if isinstance(val, bool) or not isinstance(val, numbers.Real):
         return False
-    return (not isinstance(default, int) or isinstance(val, numbers.Integral)
-            or float(val).is_integer())
+    if isinstance(default, int):
+        return isinstance(val, numbers.Integral) or float(val).is_integer()
+    try:
+        return math.isfinite(val)
+    except OverflowError:       # an integer beyond the float range
+        return False
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _check_radius(name, radius):
+    """Refuse a radius whose 1 / radius^2, the ground truth's bending and
+    curvature scale, is not a finite float."""
+    square = radius * radius
+    if not (square > 0.0 and math.isfinite(1.0 / square)):
+        raise DomainError(f"{name} radius {radius:g} has no finite "
+                          "1 / radius^2")
+
+
+def _check_size(name, m, n):
+    """Refuse dimensions whose one geometry point, with n + 1 coordinates
+    at most, outgrows a geometry block; the chart text would take n lines
+    before any mesh check runs."""
+    if point_bytes(FRAME, m, n + 1) > BLOCK_BYTES:
+        raise DomainError(
+            f"{name} with m={m}, n={n} needs more than one geometry block "
+            f"of {BLOCK_BYTES // 2**20} MiB for a single point")
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +126,7 @@ def _build_flat(m, n, truncation):
         raise DomainError(f"flat-subspace needs 1 <= m <= n, got m={m}, n={n}")
     if truncation <= 0:
         raise DomainError("flat-subspace needs truncation > 0")
+    _check_size("flat-subspace", m, n)
     lines = [f"m = {m}", f"n = {n}", "ambient = euclidean",
              f"const T = {_fmt(truncation)}"]
     for k in range(1, n + 1):
@@ -127,6 +153,8 @@ def _build_sphere(m, n, radius):
         raise DomainError(f"sphere needs n >= m+1, got m={m}, n={n}")
     if radius <= 0:
         raise DomainError("sphere needs radius > 0")
+    _check_radius("sphere", radius)
+    _check_size("sphere", m, n)
     lines = [f"m = {m}", f"n = {n}", "ambient = euclidean",
              f"const R = {_fmt(radius)}",
              f"const TWO_PI = {_fmt(TWO_PI)}"]
@@ -172,6 +200,7 @@ def _build_cylinder(radius, truncation):
         raise DomainError("cylinder needs radius > 0")
     if truncation <= 0:
         raise DomainError("cylinder needs truncation > 0")
+    _check_radius("cylinder", radius)
     src = ";\n".join([
         "m = 2", "n = 3", "ambient = euclidean",
         f"const R = {_fmt(radius)}",
@@ -239,11 +268,22 @@ def _build_totally_geodesic(m, n, kappa, truncation):
     if truncation <= 0:
         raise DomainError("totally-geodesic needs truncation > 0 "
                           "(geodesic radius of the chart)")
+    _check_size("totally-geodesic", m, n)
     sk = math.sqrt(-kappa)
-    half_width = math.sinh(sk * truncation) / sk
+    try:
+        half_width = math.sinh(sk * truncation) / sk
+    except OverflowError:
+        half_width = math.inf
+    kinv = 1.0 / (-kappa)
+    if not math.isfinite(half_width + kinv):
+        raise DomainError(
+            f"totally-geodesic overflows at kappa={kappa:g}, "
+            f"truncation={truncation:g}: the chart's half-width "
+            "sinh(sqrt(-kappa) truncation) / sqrt(-kappa) or 1 / -kappa "
+            "is not finite")
     lines = [f"m = {m}", f"n = {n}", f"ambient = hyperbolic({_fmt(kappa)})",
              f"const T = {_fmt(half_width)}",
-             f"const KINV = {_fmt(1.0 / (-kappa))}"]
+             f"const KINV = {_fmt(kinv)}"]
     for k in range(1, n + 1):
         lines.append(f"x{k} = u{k}" if k <= m else f"x{k} = 0")
     radial = " + ".join(f"u{i}^2" for i in range(1, m + 1))

@@ -425,10 +425,10 @@ def mesh_bytes(shape, periodic) -> tuple:
     # contraction's own, the vertex points and the Simpson temporaries of
     # one slot, and a block per worker
     build = 8 * n * (3 * m * m + 3 * m + 8) + workers * BLOCK_BYTES
-    # the rho solve: the factoring fields, the values and the boundary
-    # codes, and one block of rows, which computes its own neighbours,
-    # stretches and facet margins
-    solve = n * (8 * (2 * m + 8) + 1) + BLOCK_BYTES
+    # the rho solve: the factoring fields, the values, the boundary codes,
+    # the least face cosine and two int32 round stamps, and one block of
+    # rows, which computes its own neighbours, stretches and facet margins
+    solve = n * (8 * (2 * m + 10) + 1) + BLOCK_BYTES
     return held, held + max(build, solve)
 
 

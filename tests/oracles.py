@@ -14,6 +14,11 @@ with Theta(c) = pi over [0, S]; since f^2 - c^2 = f(0)^2 - c^2 + 2a sinh^2 s,
 the substitution sinh s = k sinh v with k^2 = (f(0)^2 - c^2) / 2a makes
 both integrands smooth.  Only scipy quadrature is used, no mesh code.
 
+``every_update_distances`` is the eikonal solve with every row update
+evaluated: the round loop of ``eikonal.upwind_distances`` with no row
+marked as updated before, so the certificate that skips updates never
+holds.
+
 ``graph_distances`` is the other reference: Dijkstra over the mesh edges,
 an upper bound on the intrinsic distance that tends to the polyhedral norm
 of the neighbour stencil instead of converging to it.  ``graph_components``
@@ -43,7 +48,7 @@ from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from extgeo.eikonal import stencil
+from extgeo.eikonal import LOWER_TOL, _Update, stencil
 from extgeo.errors import GeometryError
 from extgeo.immersion import METRIC, ambient_of, grid_geometry
 from extgeo.mesh import MeshGraph, _axis_layout, _cell_nodes, _node_weights
@@ -89,6 +94,34 @@ def antipodal_excess(a, s_max=math.inf):
 def antipodal_distance(a, s):
     """Intrinsic distance from the waist point to (pi, s)."""
     return abs(s) + antipodal_excess(a, abs(s))
+
+
+def every_update_distances(mesh):
+    """``mesh.rho`` with every row update evaluated."""
+    lengths = mesh.neighbour_lengths
+    update = _Update(mesh.shape, mesh.periodic, mesh.spacing,
+                     mesh.vertices.metric, lengths, mesh.basepoint)
+    n = lengths.shape[0]
+    u = np.full(n + 1, np.inf)
+    u[mesh.basepoint] = 0.0
+    reach = np.min(lengths, axis=1)
+    never = np.full(n + 1, -1, dtype=np.int32)
+    is_open = np.zeros(n, dtype=bool)
+    is_open[mesh.basepoint] = True
+    while (opened := np.flatnonzero(is_open)).size:
+        vals = u[opened]
+        low = vals.min()
+        front = opened[vals <= low + reach[opened]]
+        is_open[front] = False
+        nb = np.unique(update.neighbours(front))
+        nb = nb[nb < n]
+        nb = nb[u[nb] > low]
+        new = update(nb, u, never[nb], never)
+        lower = new < u[nb] * (1.0 - LOWER_TOL)
+        u[nb[lower]] = new[lower]
+        is_open[nb[lower]] = True
+    assert update.skipped == 0
+    return u[:n]
 
 
 def graph_distances(mesh, source=None):

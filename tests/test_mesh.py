@@ -20,8 +20,9 @@ from extgeo.errors import ConfigError, DomainError, GeometryError
 from extgeo.catalog import CATALOG
 from extgeo.mesh import _components
 from extgeo.reporting import CSV_CHUNK, write_csv
-from oracles import (antipodal_distance, csv_text, full_order_mesh,
-                     graph_components, graph_distances, lattice_neighbours)
+from oracles import (antipodal_distance, csv_text, every_update_distances,
+                     full_order_mesh, graph_components, graph_distances,
+                     lattice_neighbours)
 
 LINE = """
 m = 1; n = 2; ambient = euclidean;
@@ -763,6 +764,72 @@ def test_eikonal_update_minimises_over_the_whole_stencil_surface(
     # a flat chart: the intrinsic distance is r
     assert (np.max(np.abs(every - mesh.r))
             < np.max(np.abs(star - mesh.r)))
+
+
+# the six catalog entries at the default resolution, flat m = 1 and 4,
+# totally geodesic m = 3 (few acute stencils), the rotation hypersurface
+# n = 3, the catenoid and the cylinder on wide grids, and the sheared charts:
+# no acute stencil at m = 2, every stencil acute and the facet search
+# active at m = 3
+CATALOG_CASES = [(name, {}, 33) for name in CATALOG]
+SKIP_CASES = CATALOG_CASES + [
+    ("flat-subspace", {"m": 1, "n": 2}, 33),
+    ("flat-subspace", {"m": 4, "n": 5}, 5),
+    ("totally-geodesic", {"m": 3, "n": 4}, 17),
+    ("rotation-hypersurface", {"n": 3}, [5, 8, 21]),
+    ("catenoid", {}, [65, 32]),
+    ("cylinder", {}, [33, 32]),
+    ("sheared", 2, 81),
+    ("sheared", 3, 21),
+]
+
+
+def skip_case_chart(name, params):
+    if name == "sheared":
+        return xg.parse_chart(SHEARED[params])
+    return xg.catalog_build(name, **params)[0]
+
+
+def skip_case_id(case):
+    name, params, res = case
+    if name == "sheared":
+        params = {"m": params}
+    return "-".join([name, *(f"{k}{v}" for k, v in params.items()),
+                     "x".join(map(str, np.atleast_1d(res)))])
+
+
+@pytest.mark.parametrize("name,params,res", SKIP_CASES,
+                         ids=[skip_case_id(c) for c in SKIP_CASES])
+def test_eikonal_skipped_updates_leave_rho_bit_identical(name, params, res):
+    # the certificate skips only updates that could not lower a value, so
+    # rho equals the solve that evaluates every update, bit for bit
+    mesh = xg.build_mesh(skip_case_chart(name, params), res)
+    assert mesh.rho.tobytes() == every_update_distances(mesh).tobytes()
+
+
+@pytest.mark.parametrize("name,params,res",
+                         CATALOG_CASES + [("sheared", 2, 81)],
+                         ids=list(CATALOG) + ["sheared-m2"])
+def test_eikonal_certificate_skips_only_on_acute_stencils(name, params, res,
+                                                         monkeypatch):
+    made = []
+
+    class Counted(eikonal._Update):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(eikonal, "_Update", Counted)
+    mesh = xg.build_mesh(skip_case_chart(name, params), res)
+    mesh.rho
+    (update,) = made
+    assert update.evaluated >= mesh.n_vertices - 1
+    if name == "sheared":
+        # the shear makes an obtuse angle at every vertex
+        assert np.all(update.cone <= 0.0)
+        assert update.skipped == 0
+    else:
+        assert update.skipped > 0
 
 
 @pytest.mark.parametrize("name,params,res", [
