@@ -496,7 +496,7 @@ _COMMANDS = {
 
 
 # glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _keep_block_memory() -> None:
@@ -508,16 +508,14 @@ def _keep_block_memory() -> None:
     gives that memory back after each block and the next one faults it in
     again: 75,000 page faults and 40% more time in the rho solve of the
     rotation hypersurface at [9, 24, 101] (2-core x86-64 host, glibc).
-    Pinned, an array of up to one block budget comes from the heap, the
-    heap is trimmed only past four, and one arena keeps the worker threads
-    from holding heaps of their own.
+    Pinned, an array of up to one block budget comes from the heap, and
+    the heap is trimmed only past four.
     """
     import ctypes
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
-    mallopt(_M_ARENA_MAX, 1)
     mallopt(_M_MMAP_THRESHOLD, BLOCK_BYTES)
     mallopt(_M_TRIM_THRESHOLD, 4 * BLOCK_BYTES)
 

@@ -10,14 +10,15 @@ before (see `PointGeometry`), and the record carries its ``Ambient``.
 ``METRIC`` reads first derivatives only and runs on first-order jets, with
 no Hessian anywhere; ``BENDING`` and ``FRAME`` need the second fundamental
 form and run on second-order jets.  Values and first derivatives agree bit
-for bit across the levels.  Bulk evaluation runs in blocks on a thread pool
-(``stream_geometry``), each block writing its part of preallocated outputs,
-so nothing is concatenated.  A block takes ``BLOCK_BYTES`` of working
-memory at most: its length follows the level, the chart dimension and the
-coordinate count (about 2 KB a point for ``BENDING`` at m = 3, a fifth of
-that for ``METRIC``).  The same budget sizes the streamed mesh passes and
-the rows of a rho round.  The result does not depend on the block length,
-and one point alone gets the same bits as in any batch.
+for bit across the levels.  Bulk evaluation runs in blocks, one after the
+other in the calling thread (``stream_geometry``), each block written into
+its part of preallocated outputs, so nothing is concatenated.  A block
+takes ``BLOCK_BYTES`` of working memory at most: its length follows the
+level, the chart dimension and the coordinate count (about 2 KB a point
+for ``BENDING`` at m = 3, a fifth of that for ``METRIC``).  The same
+budget sizes the streamed mesh passes and the rows of a rho round.  The
+result does not depend on the block length, and one point alone gets the
+same bits as in any batch.
 The curvature functions take a ``FRAME`` geometry of any batch shape: a
 batch gets arrays and a mask of the points that failed, a single point a
 float or a typed error.
@@ -26,9 +27,6 @@ float or a typed error.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 
@@ -52,8 +50,8 @@ RANK_TOL = 1e-10
 CRITICAL_TOL = 1e-8
 PLANE_TOL = 1e-8
 
-# working memory of one block of bulk work: geometry blocks on the pool,
-# the streamed mesh passes and the rows of a rho round
+# working memory of one block of bulk work: the geometry blocks of
+# ``stream_geometry``, the streamed mesh passes and the rows of a rho round
 BLOCK_BYTES = 8 * 2**20
 # geometry request levels, each keeping the fields of the one before
 METRIC, BENDING, FRAME = 1, 2, 3
@@ -290,44 +288,27 @@ def _resolve_ambient(chart: ChartBase, amb) -> Ambient:
 
 
 def stream_geometry(chart: ChartBase, amb: Ambient, points_of, n_pts: int,
-                    level, put) -> None:
-    """Geometry of ``n_pts`` chart points, block by block.
+                    level):
+    """Geometry of ``n_pts`` chart points as ``(lo, geometry)`` blocks, in
+    order.
 
-    ``points_of(lo, hi)`` gives the (hi - lo, m) points of a block and
-    ``put(lo, geometry)`` consumes its geometry.  Blocks of ``BLOCK_BYTES``
-    or less, as many as the threads (one per CPU) or a multiple of that
-    and of equal length, so that no thread idles at the end; ``put`` thus
-    writes disjoint parts of its outputs from several threads at once.
-    A stream of one block runs in the calling thread.  An error is that of
-    the first failing block in order.
+    ``points_of(lo, hi)`` gives the (hi - lo, m) points of a block.  The
+    fewest blocks of ``BLOCK_BYTES`` or less, of near-equal length, so that
+    no block is a short remainder.  A failing block raises its error, and
+    no later block is evaluated.
     """
-    def run(lo, hi):
-        put(lo, _geometry_block(chart, amb, points_of(lo, hi), level))
-
     size = block_len(point_bytes(level, chart.m, len(amb.pole)))
-    if n_pts <= size:
-        # one block: a worker thread would only add its stack and malloc
-        # arena to the peak memory
-        run(0, n_pts)
-        return
-    workers = os.cpu_count() or 1
-    count = -(-n_pts // (size * workers)) * workers
-    bounds = [n_pts * i // count for i in range(count + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, lo, hi)
-                   for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        try:
-            for fut in futures:
-                fut.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+    count = -(-n_pts // size)
+    for i in range(count):
+        lo, hi = n_pts * i // count, n_pts * (i + 1) // count
+        yield lo, _geometry_block(chart, amb, points_of(lo, hi), level)
 
 
 def grid_geometry(chart: ChartBase, points, level=BENDING,
                   amb: Ambient = None) -> PointGeometry:
     """Geometry over a batch of chart points up to ``level`` (see
-    `PointGeometry`), in blocks of ``BLOCK_BYTES`` of working memory
-    spread over one thread per CPU, each written into the result."""
+    `PointGeometry`), in the blocks of ``stream_geometry``, each written
+    into the result."""
     if level not in (METRIC, BENDING, FRAME):
         raise DomainError(f"unknown geometry level {level!r}")
     amb = _resolve_ambient(chart, amb)
@@ -337,24 +318,19 @@ def grid_geometry(chart: ChartBase, points, level=BENDING,
     n_pts = flat.shape[0]
     if n_pts == 0:
         raise DomainError("grid_geometry needs at least one point")
-    out, lock = [], threading.Lock()
-
-    def put(lo, block):
-        with lock:
-            # the first block done sets the layout the others write into
-            if not out:
-                out.append(block if len(block.points) == n_pts else
-                           block.map_arrays(lambda arr, k: np.empty(
-                               (n_pts,) + arr.shape[1:], arr.dtype)))
-        geom, hi = out[0], lo + len(block.points)
+    for lo, block in stream_geometry(chart, amb, lambda lo, hi: flat[lo:hi],
+                                     n_pts, level):
+        if lo == 0:
+            # the first block gives the layout, unless it is the whole batch
+            geom = block if len(block.points) == n_pts else block.map_arrays(
+                lambda arr, k: np.empty((n_pts,) + arr.shape[1:], arr.dtype))
         if geom is not block:
+            hi = lo + len(block.points)
             for f in fields(block):
                 arr = getattr(block, f.name)
                 if isinstance(arr, np.ndarray) and f.name != "points":
                     getattr(geom, f.name)[lo:hi] = arr
-
-    stream_geometry(chart, amb, lambda lo, hi: flat[lo:hi], n_pts, level, put)
-    geom = replace(out[0], points=flat)
+    geom = replace(geom, points=flat)
     if batch != (n_pts,):
         geom = geom.map_arrays(
             lambda arr, k: arr.reshape(batch + arr.shape[arr.ndim - k:]))

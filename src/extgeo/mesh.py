@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -415,7 +414,6 @@ def mesh_bytes(shape, periodic) -> tuple:
     m, n = len(shape), math.prod(shape)
     n_refined = math.prod(_refined_shape(shape, periodic))
     slots = 3 ** m - 1
-    workers = os.cpu_count() or 1
     # per vertex the BENDING fields (at_pole a bool) and rho, the edge
     # lengths per slot (held from the refined pass on, which writes the
     # midpoint speeds into them) and, per refined node, r and the volume
@@ -423,8 +421,8 @@ def mesh_bytes(shape, periodic) -> tuple:
     held = n * (8 * (m * m + m + 6) + 1 + 8 * slots) + 16 * n_refined
     # the build: one parity class's metric with its rolled copy and the
     # contraction's own, the vertex points and the Simpson temporaries of
-    # one slot, and a block per worker
-    build = 8 * n * (3 * m * m + 3 * m + 8) + workers * BLOCK_BYTES
+    # one slot, and one geometry block
+    build = 8 * n * (3 * m * m + 3 * m + 8) + BLOCK_BYTES
     # the rho solve: the factoring fields, the values, the boundary codes,
     # the least face cosine and two int32 round stamps, and one block of
     # rows, which computes its own neighbours, stretches and facet margins
@@ -439,7 +437,6 @@ def check_budget(chart: ChartBase, resolution) -> None:
     shape = _axis_layout(chart, resolution)[0]
     held, peak = mesh_bytes(shape, chart.periodic)
     if peak > MEMORY_BUDGET:
-        # the held part only: the peak counts a block per CPU
         raise ConfigError(
             f"mesh: resolution {list(shape)} holds an estimated "
             f"{held / 2**30:.1f} GiB once built, and more while it is built, "
@@ -485,16 +482,15 @@ def _refined_pass(chart, amb, shape, spacing, refined_axes):
         metric = np.empty(lattice + [m, m]) if slots else None
         density = np.empty(lattice) if all(parity) else None
 
-        def put(lo, geom, r=r.reshape(-1), metric=metric, density=density):
+        for lo, geom in stream_geometry(chart, amb,
+                                        partial(_lattice_points, axes),
+                                        r.size, METRIC):
             hi = lo + len(geom.r)
-            r[lo:hi] = geom.r
+            r.reshape(-1)[lo:hi] = geom.r
             if metric is not None:
                 metric.reshape(-1, m, m)[lo:hi] = geom.metric
             if density is not None:
                 density.reshape(-1)[lo:hi] = geom.sqrt_det_g
-
-        stream_geometry(chart, amb, partial(_lattice_points, axes), r.size,
-                        METRIC, put)
         refined_r[tuple(slice(p, None, 2) for p in parity)] = r
         if density is not None:
             centre_density = density

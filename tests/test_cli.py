@@ -690,6 +690,16 @@ def test_commands_import_no_numpy_module(tmp_path):
     assert json.loads(out) == [[0, 0, 0, 0], []]
 
 
+def test_cli_import_loads_no_thread_pool():
+    """concurrent.futures and its thread module cost about 10 ms of import
+    time a run, and no command uses them."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, extgeo.cli; print(sorted(k for k "
+         "in sys.modules if k.split('.')[0] == 'concurrent'))"],
+        check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_truncation_override_rejected_for_inline(tmp_path):
     cfg = write_config(tmp_path, {"immersion": {"source": INLINE_PLANE},
                                   "resolution": 9})

@@ -2,8 +2,6 @@
 
 import dataclasses
 import math
-import os
-import sys
 
 import numpy as np
 import pytest
@@ -308,31 +306,41 @@ def test_short_trailing_chunks_match_the_default(chunk, block_points):
                                       getattr(base, name), err_msg=name)
 
 
-def test_blocks_from_more_threads_than_cores_fill_every_row(block_points,
-                                                            monkeypatch):
-    """Eight threads write one-point blocks into the shared outputs while
-    the interpreter switches threads every microsecond; a lost or torn
-    write would leave a row different from the one-block result."""
-    chart, pts = far_rotation_points()
-    base = xg.grid_geometry(chart, pts, level=xg.FRAME)
-    flat3, _ = xg.catalog_build("flat-subspace", m=3, n=4)
-    mesh = xg.build_mesh(flat3, 5)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        block_points(chart, xg.FRAME, 1)
-        chunked = xg.grid_geometry(chart, pts, level=xg.FRAME)
-        block_points(flat3, xg.METRIC, 1)
-        streamed = xg.build_mesh(flat3, 5)
-    finally:
-        sys.setswitchinterval(interval)
-    for name in _array_fields(base):
-        np.testing.assert_array_equal(getattr(chunked, name),
-                                      getattr(base, name), err_msg=name)
-    for name in ("refined_r", "refined_weight", "neighbour_lengths"):
-        np.testing.assert_array_equal(getattr(streamed, name),
-                                      getattr(mesh, name), err_msg=name)
+@pytest.mark.parametrize("build", ["grid", "mesh"])
+def test_stream_stops_at_the_first_failing_block(build, block_points,
+                                                 monkeypatch):
+    """A rank defect in the first block raises the error of the whole
+    batch, and no later block is evaluated."""
+    # singular along u2 = 0, the second point of the batch, and along
+    # u1 = -1, the first nodes of the mesh's first pass
+    chart = xg.parse_chart("""
+m = 2; n = 3; ambient = euclidean;
+x1 = (u1 + 1)^3; x2 = u2^3; x3 = 0;
+domain u1 in [-1, 1], u2 in [-1, 1];
+basepoint 0.5, 0.5
+""")
+    pts = np.array([[0.2, -0.5], [0.3, 0.0]] + [[0.5, 0.5]] * 7)
+
+    def run():
+        with pytest.raises(GeometryError) as err:
+            if build == "grid":
+                xg.grid_geometry(chart, pts, level=xg.METRIC)
+            else:
+                xg.build_mesh(chart, 9)
+        return str(err.value)
+
+    want = run()
+    calls, block = [], xg.immersion._geometry_block
+
+    def counted(chart, amb, pts, level):
+        calls.append(len(pts))
+        return block(chart, amb, pts, level)
+
+    monkeypatch.setattr(xg.immersion, "_geometry_block", counted)
+    # blocks of three: 3 of the batch, 27 of the mesh's first pass
+    block_points(chart, xg.METRIC, 3)
+    assert run() == want
+    assert calls == [3]
 
 
 METRIC_FIELDS = {"points", "metric", "sqrt_det_g", "r", "at_pole"}

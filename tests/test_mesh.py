@@ -305,6 +305,17 @@ def test_mesh_bytes_estimate_the_traced_bytes(name, params, res):
     assert peak <= most
 
 
+@pytest.mark.parametrize("shape,periodic", [
+    ((9, 9, 9), (False,) * 3), ((401, 64), (False, True)),
+    ((129, 129, 129), (False,) * 3)])
+def test_mesh_bytes_do_not_depend_on_the_cpu_count(shape, periodic,
+                                                   monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    one = xg.mesh.mesh_bytes(shape, periodic)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert xg.mesh.mesh_bytes(shape, periodic) == one
+
+
 def assert_refused_before_any_evaluation(immersion, res, match, prefix,
                                          tmp_path, monkeypatch):
     """``build_mesh`` and the CLI refuse the mesh with a ``ConfigError``
