@@ -419,18 +419,19 @@ def run_curvature(cfg: RunConfig, chart, gt):
 def _edge_extremes(mesh):
     """(the shortest edge length, the largest |rho(u) - rho(v)| - |uv|
     over the edges with finite rho at both ends or 0 if none is larger),
-    one slab of the grid at a time (``MeshGraph.forward_slots``), so no
+    one piece of the grid at a time (``MeshGraph.forward_slots``), so no
     edge list is built."""
     rho = mesh.rho.reshape(mesh.shape)
     table = mesh.neighbour_lengths.reshape(*mesh.shape, -1)
     shortest, viol = np.inf, 0.0
-    for slot, here, there in mesh.forward_slots():
-        lengths = table[..., slot][here]
-        near, far = rho[here], rho[there]
-        finite = np.isfinite(near) & np.isfinite(far)
-        shortest = np.min(lengths, initial=shortest)
-        viol = np.max(np.abs(near[finite] - far[finite]) - lengths[finite],
-                      initial=viol)
+    for slot, pieces in mesh.forward_slots():
+        for here, there in pieces:
+            lengths = table[..., slot][here]
+            near, far = rho[here], rho[there]
+            finite = np.isfinite(near) & np.isfinite(far)
+            shortest = np.min(lengths, initial=shortest)
+            viol = np.max(np.abs(near[finite] - far[finite]) - lengths[finite],
+                          initial=viol)
     return float(shortest), float(viol)
 
 
@@ -504,12 +505,14 @@ def _keep_block_memory() -> None:
 
     The blocks of a run free and allocate megabytes of temporaries over
     and over.  glibc's adaptive thresholds stay low while nothing large has
-    been freed, which the streamed build and rho solve never do, so it
-    gives that memory back after each block and the next one faults it in
-    again: 75,000 page faults and 40% more time in the rho solve of the
-    rotation hypersurface at [9, 24, 101] (2-core x86-64 host, glibc).
-    Pinned, an array of up to one block budget comes from the heap, and
-    the heap is trimmed only past four.
+    been freed, which the streamed build never does, so it gives that
+    memory back after each block and the next one faults it in again.
+    The churn is in the build's geometry blocks, not the rho rounds: the
+    rotation hypersurface at [9, 24, 101] builds with 25,000 minor page
+    faults (3,900 pinned) and solves rho with 1,200 (44 pinned), and flat
+    m = 3 at 41 with 16,000 (7,000) and 1,200 (330), on a 2-core x86-64
+    host with glibc.  Pinned, an array of up to one block budget comes
+    from the heap, and the heap is trimmed only past four.
     """
     import ctypes
     try:

@@ -15,16 +15,19 @@ The grid is the graph: the neighbour of a vertex at each offset of the
 eikonal stencil ``stencil(m)`` is index arithmetic on the vertex grid
 (wrapping on periodic axes), so no index table is stored.  The mesh
 stores the edge lengths over those slots, ``neighbour_lengths`` (N, S),
-inf where the offset leaves the grid.  Each edge is measured once, along
-its forward offset (first nonzero entry positive), and mirrored into the
-opposite slot.  ``edges`` and ``edge_lengths`` list the forward entries,
-slot by slot and in vertex order within a slot; ``forward_slots`` walks
-them as slabs of the grid (``_edge_slabs``) without the list.  The grid
-graph is connected; the components of {r > R}, which count the ends, come
-from the same slabs by pointer jumping.  ``ends_stability`` is the one
-end counter: it labels them at each radius of one window, outermost first
-and each pass from the labels of the one before, and returns an
-``EndsReport`` of the counts and the outermost components.
+inf where the offset leaves the grid.  One walker, ``_edge_slabs``, says
+where the edges lie: per forward offset (first nonzero entry positive),
+the pieces of the vertex grid that hold their start and end vertices, a
+periodic seam its own piece.  Each edge is measured once, along its
+forward offset, and mirrored into the opposite slot piece by piece;
+``forward_slots`` hands the pieces on, ``n_edges`` counts them, and
+``edges`` and ``edge_lengths`` list the forward entries from them, slot by
+slot and in vertex order within a slot.  The grid graph is connected; the
+components of {r > R}, which count the ends, come from the same pieces by
+pointer jumping.  ``ends_stability`` is the one end counter: it labels
+them at each radius of one window, outermost first and each pass from the
+labels of the one before, and returns an ``EndsReport`` of the counts and
+the outermost components.
 
 Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
 split that the invariants read).  The refined lattice is a ``METRIC``
@@ -138,41 +141,40 @@ class MeshGraph:
         return self.chart.periodic
 
     def forward_slots(self):
-        """The edges as slabs of the vertex grid, ``(slot, here, there)``
-        per forward slot (see ``_edge_slabs``).  Each edge is one entry of
-        one slab."""
+        """The edges as slabs of the vertex grid, ``(slot, pieces)`` per
+        forward slot (see ``_edge_slabs``).  Each edge is one entry of one
+        piece."""
         return _edge_slabs(self.shape, self.periodic)
 
-    def _slot_columns(self):
-        """Per forward slot: the slot, its offset and the slices of the
-        vertex grid where its edges start."""
-        st = stencil(self.m)
-        for slot in np.flatnonzero(st.forward):
-            delta = st.offsets[slot]
-            yield slot, delta, _slot_span(delta, self.shape, self.periodic)[0]
+    def _slot_edges(self):
+        """Per forward slot: the slot and the start and end vertices of its
+        edges, by start vertex."""
+        grid = np.arange(self.n_vertices).reshape(self.shape)
+        for slot, pieces in self.forward_slots():
+            start, end = (np.concatenate([grid[ix].reshape(-1) for ix in side])
+                          for side in zip(*pieces))
+            order = np.argsort(start, kind="stable")
+            yield slot, start[order], end[order]
 
     @property
     def edges(self) -> np.ndarray:
         """(E, 2) vertex pairs, each edge once along its forward offset,
         slot by slot and in vertex order within a slot."""
-        grid = np.arange(self.n_vertices)
-        return np.concatenate([
-            np.stack([x.reshape(-1) for x in _along(
-                grid, delta, self.shape, self.periodic)], axis=1)
-            for _slot, delta, _here in self._slot_columns()])
+        return np.concatenate([np.stack([start, end], axis=1)
+                               for _slot, start, end in self._slot_edges()])
 
     @property
     def edge_lengths(self) -> np.ndarray:
         """(E,) lengths of ``edges`` in the same order."""
-        table = self.neighbour_lengths.reshape(*self.shape, -1)
-        return np.concatenate([table[..., slot][here].reshape(-1)
-                               for slot, _delta, here in self._slot_columns()])
+        return np.concatenate([self.neighbour_lengths[start, slot]
+                               for slot, start, _end in self._slot_edges()])
 
     @property
     def n_edges(self) -> int:
         """Number of edges: the in-grid entries of the forward slots."""
         return sum(math.prod(s.stop - s.start for s in here)
-                   for _slot, _delta, here in self._slot_columns())
+                   for _slot, pieces in self.forward_slots()
+                   for here, _there in pieces)
 
     @property
     def rho(self) -> np.ndarray:
@@ -304,41 +306,20 @@ def _axis_layout(chart: ChartBase, resolution):
 
 def _speed(metric, d) -> np.ndarray:
     """Speed |d|_g of the offset d under each (m, m) metric of a stack.
-    Its bits follow the stack's length, so every caller contracts one
-    slot's whole stack at once."""
+    Its bits follow the stack's length and each entry's position in it
+    (rolling the stack by one can move an entry's last bit), so every
+    caller contracts one slot's whole stack, in the order it reads it."""
     q = np.einsum("...ij,i,j->...", metric, d, d, optimize=True)
     return np.sqrt(np.maximum(q, 0.0))
 
 
-def _slot_span(delta, shape, periodic):
-    """Slices of the vertex grid for the edges along ``delta``: where they
-    start, and where they end on the open axes (a periodic axis wraps and
-    keeps the whole range)."""
-    here, there = [], []
-    for d, k, p in zip(delta, shape, periodic):
-        lo, hi = (0, k) if p else (max(0, -d), k - max(0, d))
-        here.append(slice(lo, hi))
-        there.append(slice(None) if p else slice(lo + d, hi + d))
-    return tuple(here), tuple(there)
-
-
-def _along(values, delta, shape, periodic):
-    """The entries of a per-vertex array at the start and at the end of
-    each edge along ``delta``, as grid-shaped arrays in edge order: by
-    start vertex, wrapping on periodic axes."""
-    here, there = _slot_span(delta, shape, periodic)
-    wrap = [a for a, (d, p) in enumerate(zip(delta, periodic)) if p and d]
-    values = values.reshape(shape)
-    ahead = np.roll(values, -delta[wrap], axis=wrap) if wrap else values
-    return values[here], ahead[there]
-
-
 def _edge_slabs(shape, periodic):
-    """The edges of the grid graph as slabs of the vertex grid,
-    ``(slot, here, there)`` per forward slot of ``stencil(m)``: ``here``
-    and ``there`` slice each edge's start and end vertex at the same
-    position.  A periodic axis that the offset moves along splits into
-    the run inside the grid and the seam that closes it."""
+    """The one walk over the edges of the grid graph: per forward slot of
+    ``stencil(m)``, ``(slot, pieces)``, each piece a pair ``(here,
+    there)`` of slices of the vertex grid that hold the start and the end
+    vertex of each of its edges at the same position.  A periodic axis
+    that the offset moves along splits into the run inside the grid and
+    the seam that closes it; each edge lies in exactly one piece."""
     st = stencil(len(shape))
     for slot in np.flatnonzero(st.forward):
         runs = []
@@ -350,33 +331,31 @@ def _edge_slabs(shape, periodic):
                 end = (start + d) % k
                 runs[-1].append((slice(start, start + 1),
                                  slice(end, end + 1)))
-        for pieces in itertools.product(*runs):
-            yield slot, *zip(*pieces)
+        yield slot, [tuple(zip(*axes)) for axes in itertools.product(*runs)]
 
 
 def _neighbour_table(shape, periodic, spacing, metric, lengths):
     """Turns the midpoint speeds that ``_refined_pass`` left in the forward
     slots of ``lengths`` (N, S) into Simpson edge lengths, in place, and
-    mirrors each into the opposite slot of the edge's end vertex.
+    mirrors each into the opposite slot of the edge's end vertex, piece by
+    piece of ``_edge_slabs``.
 
     The arc length of each edge weighs the speed at both endpoints, from
-    the vertex metric, and at the midpoint.
+    the vertex metric (one contraction over every vertex per slot), and
+    at the midpoint.
     """
     st = stencil(len(shape))
     table = lengths.reshape(*shape, -1)
-    for fwd in np.flatnonzero(st.forward):
-        delta = st.offsets[fwd]
-        mid = table[..., fwd][_slot_span(delta, shape, periodic)[0]]
-        # endpoint speeds at every vertex
-        start, end = _along(_speed(metric, delta * spacing), delta, shape,
-                            periodic)
-        mid[...] = (start + 4.0 * mid + end) / 6.0
+    for fwd, pieces in _edge_slabs(shape, periodic):
+        speed = _speed(metric, st.offsets[fwd] * spacing).reshape(shape)
+        for here, there in pieces:
+            mid = table[..., fwd][here]
+            mid[...] = (speed[here] + 4.0 * mid + speed[there]) / 6.0
+            table[..., st.opposite[fwd]][there] = mid
         if np.any(lengths[:, fwd] <= 0.0):
             raise GeometryError(
                 f"degenerate edge of zero length at vertex index "
                 f"{int(np.argmax(lengths[:, fwd] <= 0.0))}")
-    for fwd, here, there in _edge_slabs(shape, periodic):
-        table[..., st.opposite[fwd]][there] = table[..., fwd][here]
 
 
 def _cell_nodes(shape, periodic):
@@ -496,11 +475,14 @@ def _refined_pass(chart, amb, shape, spacing, refined_axes):
             centre_density = density
         for fwd, delta in slots:
             # in edge order: a periodic axis stepped back starts its edges
-            # at the midpoint that closes the seam
+            # at the midpoint that closes the seam.  The metric is rolled,
+            # not the speeds, because the contraction's bits follow each
+            # entry's position in the stack (``_speed``)
             back = [a for a, (d, p) in enumerate(zip(delta, periodic))
                     if p and d < 0]
             g = np.roll(metric, 1, axis=back) if back else metric
-            here = _slot_span(delta, shape, periodic)[0]
+            here = tuple(slice(0, k) if p else slice(max(0, -d), k - max(0, d))
+                         for d, k, p in zip(delta, shape, periodic))
             table[..., fwd][here] = _speed(
                 g.reshape(-1, m, m), delta * spacing).reshape(lattice)
     return refined_r, centre_density, lengths
@@ -570,7 +552,7 @@ def _components(shape, periodic, keep, seed=None) -> np.ndarray:
     its component no larger than its own vertex, so at the fixed point
     they agree across every edge and equal the component's least vertex.
     A round hooks each vertex to the least label among its neighbours
-    slab by slab over the grid (``_edge_slabs``), both ways along each
+    piece by piece over the grid (``_edge_slabs``), both ways along each
     edge, so no neighbour index is formed.
 
     ``seed`` may hold the labels of a pass over a subset of ``keep``; they
@@ -578,7 +560,8 @@ def _components(shape, periodic, keep, seed=None) -> np.ndarray:
     """
     n = len(keep)
     drop = ~keep
-    slabs = list(_edge_slabs(shape, periodic))
+    slabs = [piece for _slot, pieces in _edge_slabs(shape, periodic)
+             for piece in pieces]
     # slot N stands for a vertex outside ``keep``
     label = np.full(n + 1, n, dtype=np.int32)
     label[:n] = np.arange(n)
@@ -589,7 +572,7 @@ def _components(shape, periodic, keep, seed=None) -> np.ndarray:
     while True:
         np.copyto(low, label)
         grid, hooked = label[:n].reshape(shape), low[:n].reshape(shape)
-        for _slot, here, there in slabs:
+        for here, there in slabs:
             np.minimum(hooked[here], grid[there], out=hooked[here])
             np.minimum(hooked[there], grid[here], out=hooked[there])
         low[:n][drop] = n

@@ -18,7 +18,7 @@ import extgeo.mesh
 from extgeo import eikonal, jets
 from extgeo.errors import ConfigError, DomainError, GeometryError
 from extgeo.catalog import CATALOG
-from extgeo.mesh import _components
+from extgeo.mesh import _components, _edge_slabs
 from extgeo.reporting import CSV_CHUNK, write_csv
 from oracles import (antipodal_distance, csv_text, every_update_distances,
                      full_order_mesh, graph_components, graph_distances,
@@ -481,7 +481,7 @@ def test_neighbour_table_mirrors_each_edge(name, params, res):
     assert i.size == 2 * len(rows)
 
 
-@pytest.mark.parametrize("shape,periodic", [
+grid_shapes = pytest.mark.parametrize("shape,periodic", [
     ((3,), (False,)), ((5,), (True,)), ((3,), (True,)),
     ((3, 4), (False, False)), ((4, 3), (False, True)),
     ((3, 5), (True, True)), ((3, 4, 5), (False, False, False)),
@@ -491,6 +491,9 @@ def test_neighbour_table_mirrors_each_edge(name, params, res):
     ((3, 3, 4, 3), (True, True, True, True)),
 ], ids=lambda x: "x".join(map(str, x)) if isinstance(x[0], int)
     else "".join("p" if p else "o" for p in x))
+
+
+@grid_shapes
 def test_neighbour_rows_equal_the_explicit_table(shape, periodic):
     # every vertex, m = 1 to 4, open and periodic axes of length 3 and more
     rows = eikonal.NeighbourRows(shape, periodic)
@@ -503,6 +506,29 @@ def test_neighbour_rows_equal_the_explicit_table(shape, periodic):
     # any subset of rows, in any order
     pick = np.random.default_rng(3).permutation(n)[: n // 2 + 1]
     np.testing.assert_array_equal(rows(pick), got[pick])
+
+
+@grid_shapes
+def test_edge_slabs_hold_each_forward_edge_once(shape, periodic):
+    # the slabs against the explicit table: every forward slot in stencil
+    # order, every in-grid edge in exactly one piece, no piece off the grid
+    nb = lattice_neighbours(shape, periodic)
+    n = math.prod(shape)
+    grid = np.arange(n).reshape(shape)
+    slots = []
+    for slot, pieces in _edge_slabs(shape, periodic):
+        slots.append(slot)
+        seen = np.zeros(n, dtype=int)
+        for here, there in pieces:
+            assert len(here) == len(there) == len(shape)
+            assert all(0 <= s.start < s.stop <= k and s.step is None
+                       for ix in (here, there) for s, k in zip(ix, shape))
+            start, end = grid[here].reshape(-1), grid[there].reshape(-1)
+            np.testing.assert_array_equal(nb[start, slot], end)
+            np.add.at(seen, start, 1)
+        np.testing.assert_array_equal(seen, nb[:, slot] < n)
+    st = eikonal.stencil(len(shape))
+    assert slots == np.flatnonzero(st.forward).tolist()
 
 
 @pytest.mark.parametrize("name,params,res", [
