@@ -416,8 +416,8 @@ class RotationChart(ChartBase):
                 + y1 * (3.0 * t2 - 2.0 * t3) + d1 * (t3 - t2))
 
     def _scalar_jets(self, s: Jet2):
-        x1 = jets.sqrt(jets.cosh(s * 2.0) * self.a - 0.5)
-        w = jets.sqrt(jets.cosh(s * 2.0) * self.a + 0.5)
+        ca = jets.cosh(s * 2.0) * self.a
+        x1, w = jets.sqrt(ca - 0.5), jets.sqrt(ca + 0.5)
         ddot = None if s.order == 1 else self.theta_ddot(s.value)
         th = jets.compose_scalar(s, self.theta_value(s.value),
                                  self.theta_dot(s.value), ddot, op="theta")
@@ -430,9 +430,9 @@ class RotationChart(ChartBase):
             t1 = us[0]
             return [x1 * jets.cos(t1), x1 * jets.sin(t1), y, z]
         t1, t2 = us[0], us[1]
-        sin1 = jets.sin(t1)
-        return [x1 * sin1 * jets.cos(t2), x1 * sin1 * jets.sin(t2),
-                x1 * jets.cos(t1), y, z]
+        x1s = x1 * jets.sin(t1)
+        return [x1s * jets.cos(t2), x1s * jets.sin(t2), x1 * jets.cos(t1),
+                y, z]
 
     def profile_residuals(self):
         """Worst constraint violations of the generating curve, measured

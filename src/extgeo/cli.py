@@ -56,7 +56,7 @@ from .catalog import CATALOG, catalog_build
 from .errors import (ConfigError, DomainError, ExtGeoError, GeometryError,
                      HypothesisViolatedError, ParseError)
 from .exprchart import parse_chart
-from .immersion import (BLOCK_BYTES, FRAME, ambient_of, block_len,
+from .immersion import (FRAME, ambient_of, block_len,
                         extrinsic_sphere_curvature, grid_geometry, point_bytes,
                         uniform_draws)
 from .invariants import (DeltaModel, default_tail_radii, invariant_tails,
@@ -496,33 +496,6 @@ _COMMANDS = {
 }
 
 
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_block_memory() -> None:
-    """Keep freed block temporaries mapped for the next block (glibc only).
-
-    The blocks of a run free and allocate megabytes of temporaries over
-    and over.  glibc's adaptive thresholds stay low while nothing large has
-    been freed, which the streamed build never does, so it gives that
-    memory back after each block and the next one faults it in again.
-    The churn is in the build's geometry blocks, not the rho rounds: the
-    rotation hypersurface at [9, 24, 101] builds with 25,000 minor page
-    faults (3,900 pinned) and solves rho with 1,200 (44 pinned), and flat
-    m = 3 at 41 with 16,000 (7,000) and 1,200 (330), on a 2-core x86-64
-    host with glibc.  Pinned, an array of up to one block budget comes
-    from the heap, and the heap is trimmed only past four.
-    """
-    import ctypes
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, BLOCK_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, 4 * BLOCK_BYTES)
-
-
 def _run(args) -> dict:
     """One analysis command, from the command line to its payload and,
     with ``--out``, its report files."""
@@ -534,7 +507,6 @@ def _run(args) -> dict:
         if args.command != "curvature":
             # before the chart is evaluated anywhere, the pole included
             check_budget(chart, cfg.resolution)
-            _keep_block_memory()
         try:
             pole = ambient_of(chart, cfg.pole).pole
         except (DomainError, GeometryError) as exc:

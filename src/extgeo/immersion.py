@@ -13,12 +13,12 @@ form and run on second-order jets.  Values and first derivatives agree bit
 for bit across the levels.  Bulk evaluation runs in blocks, one after the
 other in the calling thread (``stream_geometry``), each block written into
 its part of preallocated outputs, so nothing is concatenated.  A block
-takes ``BLOCK_BYTES`` of working memory at most: its length follows the
-level, the chart dimension and the coordinate count (about 2 KB a point
-for ``BENDING`` at m = 3, a fifth of that for ``METRIC``).  The same
-budget sizes the streamed mesh passes and the rows of a rho round.  The
-result does not depend on the block length, and one point alone gets the
-same bits as in any batch.
+takes ``BLOCK_BYTES`` (4 MiB) of working memory at most: its length
+follows the level, the chart dimension and the coordinate count (about
+2.3 KB a point for ``BENDING`` at m = 3, 0.35 KB for ``METRIC``, which
+builds no radial gradient).  The rows of a rho round have their own
+budget (``eikonal.ROW_BLOCK_BYTES``).  The result does not depend on the
+block length, and one point alone gets the same bits as in any batch.
 The curvature functions take a ``FRAME`` geometry of any batch shape: a
 batch gets arrays and a mask of the points that failed, a single point a
 float or a typed error.
@@ -50,9 +50,9 @@ RANK_TOL = 1e-10
 CRITICAL_TOL = 1e-8
 PLANE_TOL = 1e-8
 
-# working memory of one block of bulk work: the geometry blocks of
-# ``stream_geometry``, the streamed mesh passes and the rows of a rho round
-BLOCK_BYTES = 8 * 2**20
+# working memory of one geometry block of ``stream_geometry``: the streamed
+# mesh passes and the curvature rounds
+BLOCK_BYTES = 4 * 2**20
 # geometry request levels, each keeping the fields of the one before
 METRIC, BENDING, FRAME = 1, 2, 3
 
@@ -65,10 +65,13 @@ def block_len(item_bytes: int) -> int:
 def point_bytes(level: int, m: int, ncoords: int) -> int:
     """Working bytes of one point of a geometry block at ``level``, for a
     chart of dimension m with ``ncoords`` ambient coordinates: the jets and
-    the arrays derived from them (fitted to tracemalloc peaks of the
-    catalog charts, m = 2 to 5, within 20% above them)."""
+    the arrays derived from them, fitted to tracemalloc peaks of the
+    catalog charts, m = 2 to 5: ``METRIC`` 2-16% above them (24% on the
+    totally geodesic chart at m = 2, which shares m and ``ncoords`` with
+    the heavier rotation hypersurface), ``BENDING`` from 6% below to 21%
+    above."""
     if level == METRIC:
-        return 8 * (2 * ncoords * (1 + m) + m * m + 8)
+        return 8 * (2 * ncoords * (1 + m) + m * m + 2)
     return 8 * (5 * ncoords * (1 + m + m * m) + m ** 3)
 
 
@@ -190,15 +193,17 @@ def _geometry_block(chart, amb, pts, level):
         bad = _first_rank_defect(g, pts)
         raise GeometryError(
             f"chart '{chart.name}' is not an immersion near {bad}")
-    diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    if np.any(np.min(diag, axis=-1) <= RANK_TOL * np.max(diag, axis=-1)):
+    # the diagonal's columns, reduced in index order as numpy reduces its axis
+    diag = [chol[..., i, i] for i in range(pts.shape[-1])]
+    if np.any(reduce(np.minimum, diag)
+              <= RANK_TOL * reduce(np.maximum, diag)):
         bad = _first_rank_defect(g, pts)
         raise GeometryError(
             f"chart '{chart.name}' is rank-deficient near {bad}")
-    r, grad_amb, at_pole = pole_field(amb, pos)
+    r, grad_amb, at_pole = pole_field(amb, pos, gradient=level != METRIC)
     frame = level == FRAME
     geom = PointGeometry(amb=amb, points=pts, metric=g,
-                         sqrt_det_g=np.prod(diag, axis=-1), r=r,
+                         sqrt_det_g=reduce(np.multiply, diag), r=r,
                          at_pole=at_pole, position=pos if frame else None,
                          jacobian=jac if frame else None)
     if level == METRIC:

@@ -63,12 +63,12 @@ from functools import partial
 
 import numpy as np
 
-from .eikonal import stencil, upwind_distances
+from .eikonal import ROW_BLOCK_BYTES, stencil, upwind_distances
 from .errors import ConfigError, DomainError, GeometryError
 from .exprchart import ChartBase
 from .immersion import (BLOCK_BYTES, METRIC, PointGeometry, ambient_of,
                         grid_geometry, stream_geometry)
-from .reporting import write_csv
+from .reporting import CSV_CHUNK, write_csv
 from .spaceform import Ambient
 
 __all__ = ["MeshGraph", "EndsReport", "build_mesh", "check_budget",
@@ -86,8 +86,6 @@ ENDS_MARGIN_FRACTION = 0.2
 # exhaustion and volume radii stay below this fraction of the truncation
 # radius
 RADIUS_CAP_FRACTION = 0.9
-# rows converted to Python numbers at once when dumping a mesh
-DUMP_BLOCK = 4096
 # the largest estimated peak (``mesh_bytes``) of a mesh build and its rho
 # solve; a larger mesh is refused before any chart evaluation
 MEMORY_BUDGET = 2 * 2**30
@@ -237,11 +235,14 @@ class MeshGraph:
         a cell's sub-lattice, among the cells where r varies.  Computed on
         first use."""
         if self._fd_step is None:
-            nodes = _cell_nodes(self.shape, self.periodic)
-            rmin = rmax = self.refined_r[next(nodes)]
-            for ix in nodes:
-                sub = self.refined_r[ix]
-                rmin, rmax = np.minimum(rmin, sub), np.maximum(rmax, sub)
+            cells = [k if p else k - 1
+                     for k, p in zip(self.shape, self.periodic)]
+            rmin, rmax = np.full(cells, np.inf), np.full(cells, -np.inf)
+            for pieces in _cell_nodes(self.shape, self.periodic):
+                for here, there in pieces:
+                    sub = self.refined_r[there]
+                    np.minimum(rmin[here], sub, out=rmin[here])
+                    np.maximum(rmax[here], sub, out=rmax[here])
             spans = (rmax - rmin).reshape(-1)
             spans = spans[spans > 0.0]
             if spans.size == 0:
@@ -359,13 +360,22 @@ def _neighbour_table(shape, periodic, spacing, metric, lengths):
 
 
 def _cell_nodes(shape, periodic):
-    """Index tuples into the refined lattice, one per sub-lattice offset d
-    in {0, 1, 2}^m (in ``itertools.product`` order): each picks node 2c + d
-    of every grid cell c, in cell order, wrapping on periodic axes."""
-    cells = [np.arange(k if p else k - 1) for k, p in zip(shape, periodic)]
+    """Per sub-lattice offset d in {0, 1, 2}^m (in ``itertools.product``
+    order), the pieces ``(cells, nodes)`` of slices of the cell grid and of
+    the refined lattice that put node 2c + d of each grid cell c at the
+    cell's position, wrapping on periodic axes.  On a periodic axis the
+    offset 2 splits into the run inside the lattice and the last cell,
+    whose node closes the seam; each cell lies in exactly one piece."""
     for delta in itertools.product((0, 1, 2), repeat=len(shape)):
-        yield np.ix_(*[(2 * c + d) % (2 * k)
-                       for c, d, k in zip(cells, delta, shape)])
+        runs = []
+        for d, k, p in zip(delta, shape, periodic):
+            if p and d == 2:
+                runs.append([(slice(0, k - 1), slice(2, 2 * k - 1, 2)),
+                             (slice(k - 1, k), slice(0, 1))])
+            else:
+                c = k if p else k - 1
+                runs.append([(slice(0, c), slice(d, d + 2 * c - 1, 2))])
+        yield [tuple(zip(*axes)) for axes in itertools.product(*runs)]
 
 
 def _refined_shape(shape, periodic):
@@ -380,8 +390,9 @@ def _node_weights(shape, periodic, centre_density, measure) -> np.ndarray:
     nodes = list(_cell_nodes(shape, periodic))
     share = centre_density * measure / len(nodes)
     weight = np.zeros(_refined_shape(shape, periodic))
-    for ix in nodes:
-        weight[ix] += share
+    for pieces in nodes:
+        for here, there in pieces:
+            weight[there] += share[here]
     return weight
 
 
@@ -405,7 +416,7 @@ def mesh_bytes(shape, periodic) -> tuple:
     # the rho solve: the factoring fields, the values, the boundary codes,
     # the least face cosine and two int32 round stamps, and one block of
     # rows, which computes its own neighbours, stretches and facet margins
-    solve = n * (8 * (2 * m + 10) + 1) + BLOCK_BYTES
+    solve = n * (8 * (2 * m + 10) + 1) + ROW_BLOCK_BYTES
     return held, held + max(build, solve)
 
 
@@ -631,8 +642,8 @@ def mesh_dump(mesh: MeshGraph, path) -> None:
     def rows():
         # plain Python numbers, a block of columns at a time: indexing
         # numpy arrays one cell at a time costs more than formatting it
-        for lo in range(0, mesh.n_vertices, DUMP_BLOCK):
-            hi = min(lo + DUMP_BLOCK, mesh.n_vertices)
+        for lo in range(0, mesh.n_vertices, CSV_CHUNK):
+            hi = min(lo + CSV_CHUNK, mesh.n_vertices)
             yield from zip(range(lo, hi),
                            *[c[lo:hi].tolist() for c in columns])
 

@@ -18,8 +18,9 @@ import numpy as np
 
 __all__ = ["sanitize", "write_csv", "write_json", "dumps_json"]
 
-# rows formatted into one string and written at a time by ``write_csv``
-CSV_CHUNK = 4096
+# rows formatted into one string and written at a time by ``write_csv``,
+# and converted to Python numbers at a time by ``mesh.mesh_dump``
+CSV_CHUNK = 1024
 
 
 def write_csv(path, header, rows, row_format) -> None:

@@ -175,35 +175,36 @@ def hyperbolic(n: int, kappa: float = -1.0, pole=None) -> Ambient:
     return Ambient(n, kappa, pole)
 
 
-def pole_field(amb: Ambient, p):
+def pole_field(amb: Ambient, p, gradient: bool = True):
     """``(r, grad, at_pole)`` for a batch of model points (..., ncoords):
-    the distance to the pole, its unit ambient gradient, and the mask of
-    points within ``POLE_TOL`` of the pole, where r and grad are 0."""
+    the distance to the pole, its unit ambient gradient (None unless
+    ``gradient``), and the mask of points within ``POLE_TOL`` of the pole,
+    where r and grad are 0."""
     p = np.asarray(p, dtype=float)
     if amb.kappa == 0.0:
         d = p - amb.pole
-        r = np.sqrt(np.einsum("...a,...a->...", d, d))
-        at_pole = r <= POLE_TOL
-        grad = d / np.where(at_pole, 1.0, r)[..., None]
+        r = norm = np.sqrt(np.einsum("...a,...a->...", d, d))
     else:
         c = amb.kappa * np.einsum("...a,a,a->...", p, amb.signature(),
                                   amb.pole, optimize=True)
         c = np.maximum(c, 1.0)
         sk = np.sqrt(-amb.kappa)
         r = _acosh_stable(c) / sk
-        at_pole = r <= POLE_TOL
-        denom = np.sqrt(np.maximum(c * c - 1.0, 0.0))
-        grad = (sk * (c[..., None] * p - amb.pole)
-                / np.where(at_pole, 1.0, denom)[..., None])
-    r = np.where(at_pole, 0.0, r)
-    grad = np.where(at_pole[..., None], 0.0, grad)
-    return r, grad, at_pole
+        norm = np.sqrt(np.maximum(c * c - 1.0, 0.0))
+    at_pole = r <= POLE_TOL
+    grad = None
+    if gradient:
+        if amb.kappa != 0.0:
+            d = sk * (c[..., None] * p - amb.pole)
+        grad = np.where(at_pole[..., None], 0.0,
+                        d / np.where(at_pole, 1.0, norm)[..., None])
+    return np.where(at_pole, 0.0, r), grad, at_pole
 
 
 def ambient_distance(amb: Ambient, p):
     """Distance from the pole, for a single point or a batch (..., ncoords)."""
     amb.check_point(p)
-    out = pole_field(amb, p)[0]
+    out = pole_field(amb, p, gradient=False)[0]
     return out if out.ndim else float(out)
 
 

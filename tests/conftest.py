@@ -29,6 +29,16 @@ def block_points(monkeypatch):
     return set_budget
 
 
+@pytest.fixture
+def row_blocks(monkeypatch):
+    """``row_blocks(m, count)`` shrinks the row budget so that the blocks
+    of a rho round on an m-dimensional mesh hold ``count`` rows."""
+    def set_budget(m, count):
+        monkeypatch.setattr(xg.eikonal, "ROW_BLOCK_BYTES",
+                            count * xg.eikonal.row_bytes(m))
+    return set_budget
+
+
 @pytest.fixture(scope="session")
 def flat2_mesh():
     chart, _gt = xg.catalog_build("flat-subspace", m=2, n=3, truncation=2.0)

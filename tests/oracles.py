@@ -30,10 +30,14 @@ sliced out of it, and the edge lengths gathered from that lattice's
 stored metric (``full_lattice_table``) over an explicit neighbour table
 (``lattice_neighbours``), the reference for the grid's index arithmetic.
 
-``cell_fraction_ball_volumes`` integrates ball volumes cell by cell: each
-grid cell contributes its center density times its parameter measure,
-scaled by the fraction of its 3^m sub-lattice of refined r values inside
-the ball.  ``cell_r_spans`` gives the r-span of each such sub-lattice.
+``cell_nodes`` gathers each cell's 3^m sub-lattice of the refined lattice
+with ``np.ix_`` index arrays, the reference for the slices that
+``mesh._node_weights`` and ``MeshGraph.fd_step`` walk; ``node_weights``
+splits the cell volumes over it.  ``cell_fraction_ball_volumes``
+integrates ball volumes cell by cell: each grid cell contributes its
+center density times its parameter measure, scaled by the fraction of its
+sub-lattice of refined r values inside the ball.  ``cell_r_spans`` gives
+the r-span of each such sub-lattice.
 
 ``csv_text`` is a CSV file spelled cell by cell, the reference for the
 one-format-per-row writer ``reporting.write_csv``.
@@ -51,7 +55,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from extgeo.eikonal import LOWER_TOL, _Update, stencil
 from extgeo.errors import GeometryError
 from extgeo.immersion import METRIC, ambient_of, grid_geometry
-from extgeo.mesh import MeshGraph, _axis_layout, _cell_nodes, _node_weights
+from extgeo.mesh import MeshGraph, _axis_layout, _refined_shape
 
 QUAD_TOL = 1e-13
 # integrands decay like 1/(k sinh v)^2; past this the tail is below 1e-34
@@ -145,30 +149,46 @@ def graph_components(mesh, keep):
     return np.where(keep, labels, -1)
 
 
-def _cells(mesh):
+def _cells(shape, periodic):
     """Cell indices per axis: every vertex starts a cell on a periodic
     axis, all but the last on the others."""
-    return [np.arange(k if p else k - 1)
-            for k, p in zip(mesh.shape, mesh.periodic)]
+    return [np.arange(k if p else k - 1) for k, p in zip(shape, periodic)]
+
+
+def cell_nodes(shape, periodic):
+    """Index tuples into the refined lattice, one per sub-lattice offset d
+    in {0, 1, 2}^m (in ``itertools.product`` order): each gathers node
+    2c + d of every grid cell c, in cell order, wrapping on periodic axes.
+    The reference for the slices of ``mesh._cell_nodes``."""
+    cells = _cells(shape, periodic)
+    for delta in itertools.product((0, 1, 2), repeat=len(shape)):
+        yield np.ix_(*[(2 * c + d) % (2 * k)
+                       for c, d, k in zip(cells, delta, shape)])
+
+
+def node_weights(shape, periodic, centre_density, measure):
+    """``mesh._node_weights`` through the gathers of ``cell_nodes``: each
+    cell's share added to its 3^m nodes, one offset after the other."""
+    nodes = list(cell_nodes(shape, periodic))
+    share = centre_density * measure / len(nodes)
+    weight = np.zeros(_refined_shape(shape, periodic))
+    for ix in nodes:
+        weight[ix] += share
+    return weight
 
 
 def _cell_sublattice_r(mesh):
     """(C, 3^m) refined r values on the sub-lattice of every cell."""
-    cells = _cells(mesh)
-    cols = []
-    for delta in itertools.product((0, 1, 2), repeat=mesh.m):
-        ix = np.ix_(*[(2 * c + d) % (2 * k)
-                      for c, d, k in zip(cells, delta, mesh.shape)])
-        cols.append(mesh.refined_r[ix].reshape(-1))
-    return np.stack(cols, axis=1)
+    return np.stack([mesh.refined_r[ix].reshape(-1)
+                     for ix in cell_nodes(mesh.shape, mesh.periodic)], axis=1)
 
 
 def cell_fraction_ball_volumes(mesh, radii):
     """Volume of {r < t} for each t: the sum over cells of the center
     density (evaluated afresh at the cell centers) times ``cell_measure``
     times the fraction of the cell's sub-lattice with r < t."""
-    axes = [o + h * (c + 0.5)
-            for o, h, c in zip(mesh.origin, mesh.spacing, _cells(mesh))]
+    axes = [o + h * (c + 0.5) for o, h, c in zip(
+        mesh.origin, mesh.spacing, _cells(mesh.shape, mesh.periodic))]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     density = grid_geometry(mesh.chart, centers, level=METRIC,
                             amb=mesh.amb).sqrt_det_g.reshape(-1)
@@ -255,16 +275,16 @@ def full_order_mesh(chart, resolution, pole=None):
         arr[evens].reshape((-1,) + arr.shape[arr.ndim - k:])))
     _neighbours, lengths = full_lattice_table(
         shape, chart.periodic, spacing, vertices.metric, refined.metric)
-    nodes = list(_cell_nodes(shape, chart.periodic))
+    nodes = list(cell_nodes(shape, chart.periodic))
     centre = nodes[len(nodes) // 2]          # the offset (1, ..., 1)
     return MeshGraph(
         chart=chart, amb=amb, shape=shape, origin=origin, spacing=spacing,
         points=vertices.points, vertices=vertices, neighbour_lengths=lengths,
         basepoint=int(np.argmin(vertices.r)),
         refined_r=np.ascontiguousarray(refined.r),
-        refined_weight=_node_weights(shape, chart.periodic,
-                                     refined.sqrt_det_g[centre],
-                                     float(np.prod(spacing))))
+        refined_weight=node_weights(shape, chart.periodic,
+                                    refined.sqrt_det_g[centre],
+                                    float(np.prod(spacing))))
 
 
 def csv_cell(x) -> str:

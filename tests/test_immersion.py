@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import extgeo as xg
+import extgeo.immersion
 from extgeo.errors import (CriticalPointError, DegeneratePlaneError,
                            DomainError, EvaluationError, GeometryError)
 
@@ -369,6 +370,34 @@ def test_each_level_is_a_part_of_the_frame(level):
         xg.sectional_curvature(geom, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     with pytest.raises(DomainError, match=kept):
         xg.extrinsic_sphere_curvature(geom, mode="bounds")
+
+
+@pytest.mark.parametrize("name,params", [
+    ("flat-subspace", {"m": 3, "n": 4}),
+    ("rotation-hypersurface", {"n": 3}),
+], ids=["flat", "hyperbolic"])
+def test_metric_requests_build_no_radial_gradient(name, params, monkeypatch):
+    # only the radial split of BENDING and FRAME reads the ambient gradient
+    # of r, so a METRIC block, the refined lattice's included, never
+    # builds it
+    chart, _ = xg.catalog_build(name, **params)
+    field, built = extgeo.immersion.pole_field, []
+
+    def spy(*args, **kwargs):
+        out = field(*args, **kwargs)
+        built.append(out[1] is not None)
+        return out
+
+    monkeypatch.setattr(extgeo.immersion, "pole_field", spy)
+    pts = chart.basepoint + np.linspace(0.05, 0.3, 3 * chart.m).reshape(3, -1)
+    for level in (xg.METRIC, xg.BENDING, xg.FRAME):
+        built.clear()
+        xg.grid_geometry(chart, pts, level=level)
+        assert built == [level != xg.METRIC]
+    built.clear()
+    xg.build_mesh(chart, 5)
+    # one block per parity class of the refined lattice, then the vertices
+    assert built == [False] * 2 ** chart.m + [True]
 
 
 @pytest.mark.parametrize("level", [xg.METRIC, xg.BENDING, xg.FRAME],

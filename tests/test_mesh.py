@@ -18,11 +18,12 @@ import extgeo.mesh
 from extgeo import eikonal, jets
 from extgeo.errors import ConfigError, DomainError, GeometryError
 from extgeo.catalog import CATALOG
-from extgeo.mesh import _components, _edge_slabs
+from extgeo.mesh import (MeshGraph, _components, _edge_slabs, _node_weights,
+                         _refined_shape)
 from extgeo.reporting import CSV_CHUNK, write_csv
-from oracles import (antipodal_distance, csv_text, every_update_distances,
-                     full_order_mesh, graph_components, graph_distances,
-                     lattice_neighbours)
+from oracles import (antipodal_distance, cell_r_spans, csv_text,
+                     every_update_distances, full_order_mesh, graph_components,
+                     graph_distances, lattice_neighbours, node_weights)
 
 LINE = """
 m = 1; n = 2; ambient = euclidean;
@@ -208,7 +209,8 @@ BLOCK_CASES = [
 @pytest.mark.parametrize("name,params,res", BLOCK_CASES,
                          ids=[c[0] for c in BLOCK_CASES])
 def test_block_size_does_not_change_the_mesh(name, params, res, blocks,
-                                             block_points, monkeypatch):
+                                             block_points, row_blocks,
+                                             monkeypatch):
     chart, _ = xg.catalog_build(name, **params)
     want = mesh_arrays(xg.build_mesh(chart, res))
     seen = {"points": [], "rows": []}
@@ -228,8 +230,7 @@ def test_block_size_does_not_change_the_mesh(name, params, res, blocks,
     if blocks == "build-7":
         block_points(chart, xg.METRIC, 7)
     else:
-        monkeypatch.setattr(extgeo.immersion, "BLOCK_BYTES",
-                            7 * eikonal.row_bytes(chart.m))
+        row_blocks(chart.m, 7)
     got = mesh_arrays(xg.build_mesh(chart, res))
     assert got.keys() == want.keys()
     for key in want:
@@ -282,6 +283,27 @@ def test_rho_and_ends_memory_at_flat3_res41():
         tracemalloc.stop()
     assert peaks[0] <= 20e6
     assert peaks[1] <= 22e6
+
+
+@pytest.mark.parametrize("name,params,res", [
+    ("catenoid", {}, [401, 64]),
+    ("rotation-hypersurface", {"n": 3}, [9, 24, 101]),
+], ids=["catenoid", "rotation-hypersurface"])
+def test_build_peaks_within_one_geometry_block_of_the_mesh(name, params, res):
+    """The build peaks at most one 4 MiB geometry block and 1 MB of slack
+    above what the mesh holds: 3.3 and 4.0 MB above it (6.8 and 7.3 MB with
+    8 MiB blocks and ``METRIC`` blocks that built the radial gradient)."""
+    chart, _ = xg.catalog_build(name, **params)
+    xg.build_mesh(chart, 5)              # stencil and other caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mesh = xg.build_mesh(chart, res)
+        held, peak = (x - start for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_vertices == math.prod(res)
+    assert peak <= held + 4 * 2**20 + 1e6
 
 
 @pytest.mark.parametrize("name,params,res", [
@@ -529,6 +551,26 @@ def test_edge_slabs_hold_each_forward_edge_once(shape, periodic):
         np.testing.assert_array_equal(seen, nb[:, slot] < n)
     st = eikonal.stencil(len(shape))
     assert slots == np.flatnonzero(st.forward).tolist()
+
+
+@grid_shapes
+def test_cell_node_slices_equal_the_gathers(shape, periodic):
+    # the refined weights and fd_step walk each cell's sub-lattice in
+    # slices, a periodic seam its own piece; bit for bit the np.ix_
+    # gathers, offset by offset, on random densities and radii
+    rng = np.random.default_rng(5)
+    cells = tuple(k if p else k - 1 for k, p in zip(shape, periodic))
+    density = rng.random(cells)
+    np.testing.assert_array_equal(
+        _node_weights(shape, periodic, density, 0.3),
+        node_weights(shape, periodic, density, 0.3))
+    mesh = MeshGraph(chart=type("Chart", (), {"periodic": periodic}),
+                     amb=None, shape=shape, origin=None, spacing=None,
+                     points=None, vertices=None, neighbour_lengths=None,
+                     basepoint=0,
+                     refined_r=rng.random(_refined_shape(shape, periodic)))
+    spans = cell_r_spans(mesh)
+    assert mesh.fd_step == 2.0 * float(np.median(spans[spans > 0.0]))
 
 
 @pytest.mark.parametrize("name,params,res", [
