@@ -66,7 +66,7 @@ def point_bytes(level: int, m: int, ncoords: int) -> int:
     """Working bytes of one point of a geometry block at ``level``, for a
     chart of dimension m with ``ncoords`` ambient coordinates: the jets and
     the arrays derived from them, fitted to tracemalloc peaks of the
-    catalog charts, m = 2 to 5: ``METRIC`` 2-16% above them (24% on the
+    catalog charts, m = 2 to 5: ``METRIC`` 2-16% above them (25% on the
     totally geodesic chart at m = 2, which shares m and ``ncoords`` with
     the heavier rotation hypersurface), ``BENDING`` from 6% below to 21%
     above."""

@@ -190,12 +190,12 @@ def pole_field(amb: Ambient, p, gradient: bool = True):
         c = np.maximum(c, 1.0)
         sk = np.sqrt(-amb.kappa)
         r = _acosh_stable(c) / sk
-        norm = np.sqrt(np.maximum(c * c - 1.0, 0.0))
     at_pole = r <= POLE_TOL
     grad = None
     if gradient:
         if amb.kappa != 0.0:
             d = sk * (c[..., None] * p - amb.pole)
+            norm = np.sqrt(np.maximum(c * c - 1.0, 0.0))
         grad = np.where(at_pole[..., None], 0.0,
                         d / np.where(at_pole, 1.0, norm)[..., None])
     return np.where(at_pole, 0.0, r), grad, at_pole
