@@ -11,9 +11,15 @@ before (see `PointGeometry`), and the record carries its ``Ambient``.
 no Hessian anywhere; ``BENDING`` and ``FRAME`` need the second fundamental
 form and run on second-order jets.  Values and first derivatives agree bit
 for bit across the levels.  Bulk evaluation runs in blocks, one after the
-other in the calling thread (``stream_geometry``), each block written into
-its part of preallocated outputs, so nothing is concatenated.  A block
-takes ``BLOCK_BYTES`` (4 MiB) of working memory at most: its length
+other in the calling thread, each block written into its part of
+preallocated outputs (``collect_geometry``), so nothing is concatenated.
+A batch of points streams in flat ranges (``stream_geometry``).  A
+lattice, the product of one coordinate array per axis, streams as boxes
+(``stream_lattice``): their jets are seeded one per axis, so numpy
+broadcasting evaluates each factor of the chart, such as cosh(2s) or
+sin t1, over the axes it depends on, and only the stacked jets take the
+box's full shape.  A box gets the bits of its points listed one by one.
+A block takes ``BLOCK_BYTES`` (4 MiB) of working memory at most: its length
 follows the level, the chart dimension and the coordinate count (about
 2.3 KB a point for ``BENDING`` at m = 3, 0.35 KB for ``METRIC``, which
 builds no radial gradient).  The rows of a rho round have their own
@@ -26,6 +32,7 @@ float or a typed error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
@@ -38,8 +45,9 @@ from .errors import (CriticalPointError, DegeneratePlaneError, DomainError,
 from .exprchart import ChartBase, check_point
 from .spaceform import Ambient, c_kappa, pole_field, s_kappa
 
-__all__ = ["METRIC", "BENDING", "FRAME", "BLOCK_BYTES", "PointGeometry",
-           "ambient_of", "point_geometry", "grid_geometry", "stream_geometry",
+__all__ = ["METRIC", "BENDING", "FRAME", "BLOCK_BYTES", "Box",
+           "PointGeometry", "ambient_of", "point_geometry", "grid_geometry",
+           "stream_geometry", "stream_lattice", "collect_geometry",
            "uniform_draws",
            "sectional_curvature", "extrinsic_sphere_curvature",
            "level_set_tangent_plane", "hypersurface_principal_curvatures"]
@@ -50,8 +58,8 @@ RANK_TOL = 1e-10
 CRITICAL_TOL = 1e-8
 PLANE_TOL = 1e-8
 
-# working memory of one geometry block of ``stream_geometry``: the streamed
-# mesh passes and the curvature rounds
+# working memory of one geometry block of ``stream_geometry`` and
+# ``stream_lattice``: the streamed mesh passes and the curvature rounds
 BLOCK_BYTES = 4 * 2**20
 # geometry request levels, each keeping the fields of the one before
 METRIC, BENDING, FRAME = 1, 2, 3
@@ -162,23 +170,62 @@ def ambient_of(chart: ChartBase, pole=None) -> Ambient:
 # ---------------------------------------------------------------------------
 # core jet -> geometry pipeline
 
-def _geometry_block(chart, amb, pts, level):
-    """The geometry of a flat (N, m) block of chart points, up to
-    ``level``."""
-    if len(pts) == 1:
+@dataclass(frozen=True, eq=False)
+class Box:
+    """A box of a lattice: the product of one 1-D coordinate array per
+    chart axis, its points in C order."""
+
+    axes: tuple
+
+    @property
+    def shape(self):
+        return tuple(len(ax) for ax in self.axes)
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def points(self) -> np.ndarray:
+        """The (N, m) points in C order."""
+        return np.stack(np.meshgrid(*self.axes, indexing="ij"),
+                        axis=-1).reshape(-1, len(self.axes))
+
+
+def _geometry_block(chart, amb, block, level):
+    """The geometry of a block of chart points up to ``level``, flat in
+    the block's order: a (N, m) array of points, or a `Box`, whose jets
+    are seeded one per axis (``jets.seed_axes``), so that each factor of
+    the chart is evaluated over the axes it depends on.  The input type
+    picks the seeding; the bits are those of the points either way."""
+    box = isinstance(block, Box)
+    if len(block) == 1:
         # einsum drops a batch axis of length one: it picks another path and
         # hands matmul other strides, which round differently.  One point
         # is computed as a batch of two, so it matches every batched call.
+        pts = block.points() if box else block
         return _geometry_block(chart, amb, np.repeat(pts, 2, axis=0),
                                level).take(slice(0, 1))
     # a METRIC block reads first derivatives only: its jets carry no Hessian
-    out_jets = chart.eval_jets(jets.seed_point(pts, 1 if level == METRIC else 2))
-    eta = amb.signature()
-    pos = np.stack([j.value for j in out_jets], axis=-1)          # (N, a)
-    jac = np.stack([j.grad for j in out_jets], axis=-2)           # (N, a, m)
+    order = 1 if level == METRIC else 2
+    if box:
+        pts, batch = block.points(), block.shape
+        out_jets = chart.eval_jets(jets.seed_axes(block.axes, order))
+    else:
+        pts, batch = block, (len(block),)
+        out_jets = chart.eval_jets(jets.seed_point(pts, order))
+    n, m, a = len(pts), pts.shape[-1], len(out_jets)
+
+    def stack(parts, tail):
+        # the first arrays over every point of the block: a jet that does
+        # not vary along an axis is broadcast along it here
+        return np.stack([np.broadcast_to(p, batch + tail) for p in parts],
+                        axis=-1 - len(tail)).reshape((n, a) + tail)
+
+    pos = stack([j.value for j in out_jets], ())              # (N, a)
+    jac = stack([j.grad for j in out_jets], (m,))             # (N, a, m)
     if level != METRIC:
-        hess = np.stack([j.hess for j in out_jets], axis=-3)      # (N, a, m, m)
+        hess = stack([j.hess for j in out_jets], (m, m))      # (N, a, m, m)
     del out_jets                      # the stacks above copied every part
+    eta = amb.signature()
 
     g = np.einsum("...ai,...aj,a->...ij", jac, jac, eta, optimize=True)
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
@@ -190,16 +237,12 @@ def _geometry_block(chart, amb, pts, level):
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        bad = _first_rank_defect(g, pts)
-        raise GeometryError(
-            f"chart '{chart.name}' is not an immersion near {bad}")
+        raise _rank_error(chart, g, pts) from None
     # the diagonal's columns, reduced in index order as numpy reduces its axis
-    diag = [chol[..., i, i] for i in range(pts.shape[-1])]
+    diag = [chol[..., i, i] for i in range(m)]
     if np.any(reduce(np.minimum, diag)
               <= RANK_TOL * reduce(np.maximum, diag)):
-        bad = _first_rank_defect(g, pts)
-        raise GeometryError(
-            f"chart '{chart.name}' is rank-deficient near {bad}")
+        raise _rank_error(chart, g, pts)
     r, grad_amb, at_pole = pole_field(amb, pos, gradient=level != METRIC)
     frame = level == FRAME
     geom = PointGeometry(amb=amb, points=pts, metric=g,
@@ -220,7 +263,6 @@ def _geometry_block(chart, amb, pts, level):
     else:
         work = hess
     t_cov = np.einsum("...aij,a,...al->...ijl", work, eta, jac, optimize=True)
-    m = pts.shape[-1]
     b = np.moveaxis(t_cov, -1, -3).reshape(pts.shape[:-1] + (m, m * m))
     coeff = (ginv @ b).reshape(pts.shape[:-1] + (m, m, m))
     alpha = work - np.einsum("...kij,...ak->...aij", coeff, jac, optimize=True)
@@ -235,12 +277,23 @@ def _geometry_block(chart, amb, pts, level):
                    grad_perp_r=grad_perp)
 
 
-def _first_rank_defect(g, pts):
-    eig = np.linalg.eigvalsh(g.reshape((-1,) + g.shape[-2:]))
-    ratio = np.sqrt(np.maximum(eig[:, 0], 0.0)
-                    / np.maximum(eig[:, -1], np.finfo(float).tiny))
-    k = int(np.argmin(ratio))
-    return np.array2string(pts.reshape(-1, pts.shape[-1])[k], precision=6)
+def _rank_error(chart, g, pts) -> GeometryError:
+    """The error of a block that fails the rank checks, named after its
+    first point, in batch order, that fails one: a metric with no Cholesky
+    factor is not an immersion, and one whose factor's diagonal spans a
+    ratio below ``RANK_TOL`` is rank-deficient.  A factor of one metric
+    has the bits it has in any batch."""
+    for k in range(len(g)):
+        try:
+            diag = np.diagonal(np.linalg.cholesky(g[k]))
+        except np.linalg.LinAlgError:
+            kind = "is not an immersion"
+        else:
+            if diag.min() > RANK_TOL * diag.max():
+                continue
+            kind = "is rank-deficient"
+        return GeometryError(f"chart '{chart.name}' {kind} near "
+                             + np.array2string(pts[k], precision=6))
 
 
 def _radial_split(amb, jac, ginv, grad_amb, at_pole, keep_vectors):
@@ -292,21 +345,69 @@ def _resolve_ambient(chart: ChartBase, amb) -> Ambient:
     return amb
 
 
-def stream_geometry(chart: ChartBase, amb: Ambient, points_of, n_pts: int,
-                    level):
-    """Geometry of ``n_pts`` chart points as ``(lo, geometry)`` blocks, in
-    order.
+def _block_size(chart: ChartBase, amb: Ambient, level) -> int:
+    return block_len(point_bytes(level, chart.m, len(amb.pole)))
 
-    ``points_of(lo, hi)`` gives the (hi - lo, m) points of a block.  The
-    fewest blocks of ``BLOCK_BYTES`` or less, of near-equal length, so that
-    no block is a short remainder.  A failing block raises its error, and
-    no later block is evaluated.
+
+def stream_geometry(chart: ChartBase, amb: Ambient, points, level):
+    """Geometry of the (N, m) chart points ``points`` as ``(lo, geometry)``
+    blocks, in order.
+
+    The fewest blocks of ``BLOCK_BYTES`` or less, of near-equal length, so
+    that no block is a short remainder.  A failing block raises its error,
+    and no later block is evaluated.
     """
-    size = block_len(point_bytes(level, chart.m, len(amb.pole)))
-    count = -(-n_pts // size)
+    n_pts = len(points)
+    count = -(-n_pts // _block_size(chart, amb, level))
     for i in range(count):
         lo, hi = n_pts * i // count, n_pts * (i + 1) // count
-        yield lo, _geometry_block(chart, amb, points_of(lo, hi), level)
+        yield lo, _geometry_block(chart, amb, points[lo:hi], level)
+
+
+def stream_lattice(chart: ChartBase, amb: Ambient, axes, level):
+    """Geometry of the lattice that is the product of the 1-D coordinate
+    arrays ``axes``, flat in C order, as ``(lo, geometry)`` blocks, in
+    order, each evaluated as a `Box`.
+
+    A box holds the points of ``BLOCK_BYTES`` or less: fixed indices on
+    the leading axes, a range of the first axis whose trailing plane fits
+    a block, split into the fewest near-equal ranges, and every trailing
+    axis whole.  A failing block raises its error, and no later block is
+    evaluated.
+    """
+    shape = [len(ax) for ax in axes]
+    size = _block_size(chart, amb, level)
+    split = next(i for i in range(len(shape))
+                 if math.prod(shape[i + 1:]) <= size)
+    k = shape[split]
+    count = -(-k // (size // math.prod(shape[split + 1:])))
+    lo = 0
+    for lead in itertools.product(*map(range, shape[:split])):
+        fixed = [ax[i:i + 1] for ax, i in zip(axes, lead)]
+        for c in range(count):
+            box = Box(tuple(fixed + [axes[split][k * c // count:
+                                                 k * (c + 1) // count]]
+                            + list(axes[split + 1:])))
+            yield lo, _geometry_block(chart, amb, box, level)
+            lo += len(box)
+
+
+def collect_geometry(blocks, n_pts: int) -> PointGeometry:
+    """The flat geometry of ``n_pts`` points from the ``(lo, geometry)``
+    blocks of a stream, each written into its rows of arrays laid out like
+    the first block; that block is the result when it holds every
+    point."""
+    for lo, block in blocks:
+        if lo == 0:
+            geom = block if len(block.points) == n_pts else block.map_arrays(
+                lambda arr, k: np.empty((n_pts,) + arr.shape[1:], arr.dtype))
+        if geom is not block:
+            hi = lo + len(block.points)
+            for f in fields(block):
+                arr = getattr(block, f.name)
+                if isinstance(arr, np.ndarray):
+                    getattr(geom, f.name)[lo:hi] = arr
+    return geom
 
 
 def grid_geometry(chart: ChartBase, points, level=BENDING,
@@ -323,19 +424,7 @@ def grid_geometry(chart: ChartBase, points, level=BENDING,
     n_pts = flat.shape[0]
     if n_pts == 0:
         raise DomainError("grid_geometry needs at least one point")
-    for lo, block in stream_geometry(chart, amb, lambda lo, hi: flat[lo:hi],
-                                     n_pts, level):
-        if lo == 0:
-            # the first block gives the layout, unless it is the whole batch
-            geom = block if len(block.points) == n_pts else block.map_arrays(
-                lambda arr, k: np.empty((n_pts,) + arr.shape[1:], arr.dtype))
-        if geom is not block:
-            hi = lo + len(block.points)
-            for f in fields(block):
-                arr = getattr(block, f.name)
-                if isinstance(arr, np.ndarray) and f.name != "points":
-                    getattr(geom, f.name)[lo:hi] = arr
-    geom = replace(geom, points=flat)
+    geom = collect_geometry(stream_geometry(chart, amb, flat, level), n_pts)
     if batch != (n_pts,):
         geom = geom.map_arrays(
             lambda arr, k: arr.reshape(batch + arr.shape[arr.ndim - k:]))

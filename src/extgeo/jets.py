@@ -4,7 +4,10 @@ A Jet2 carries a value together with its gradient and Hessian with respect
 to m seed variables.  Values may be scalars or numpy arrays of any batch
 shape S; then grad has shape S + (m,) and hess has shape S + (m, m).
 Propagating a whole grid of points through one expression this way keeps
-the arithmetic in vectorized numpy.
+the arithmetic in vectorized numpy.  Jets of different batch shapes
+combine by numpy broadcasting.  Every rule works entry by entry, so an
+entry gets the bits it gets from operands of equal shapes, and the jets
+of a lattice can be seeded one per axis (``seed_axes``).
 
 The order is set when the variables are seeded.  An order-1 jet has
 ``hess`` None, and every rule then skips the Hessian: values and gradients
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 __all__ = [
-    "Jet2", "seed_variable", "seed_point", "constant",
+    "Jet2", "seed_variable", "seed_point", "seed_axes", "constant",
     "sqrt", "exp", "log", "sin", "cos", "sinh", "cosh", "tanh", "powc",
     "compose_scalar",
 ]
@@ -190,6 +193,24 @@ def seed_point(point, order: int = 2) -> list[Jet2]:
     """All m coordinate jets at once."""
     point = np.asarray(point, dtype=float)
     return [seed_variable(i, point, order) for i in range(point.shape[-1])]
+
+
+def seed_axes(axes, order: int = 2) -> list[Jet2]:
+    """The m coordinate jets over the lattice that is the product of the
+    1-D coordinate arrays ``axes``, one per axis: jet i has its values
+    along batch axis i only, shape (1, ..., k_i, ..., 1), gradient e_i
+    and a zero Hessian.  Broadcasting then evaluates each subexpression
+    over the axes it depends on, with the bits it gets at each point of
+    the lattice."""
+    m = len(axes)
+    out = []
+    for i, ax in enumerate(axes):
+        batch = (1,) * i + (len(ax),) + (1,) * (m - 1 - i)
+        grad = np.zeros(batch + (m,))
+        grad[..., i] = 1.0
+        out.append(Jet2(np.array(ax, dtype=float).reshape(batch), grad,
+                        _zero_hess(batch, m, order)))
+    return out
 
 
 def constant(value, m: int, batch_shape=(), order: int = 2) -> Jet2:

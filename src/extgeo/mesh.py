@@ -30,14 +30,18 @@ labels of the one before, and returns an ``EndsReport`` of the counts and
 the outermost components.
 
 Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
-split that the invariants read).  The refined lattice is a ``METRIC``
-request, streamed in blocks of ``immersion.BLOCK_BYTES`` one parity class
-at a time (``_refined_pass``): each block writes r in place, and the cell
-centres their sqrt det g.  A class holds the midpoints of the edges along
-the offsets with its odd axes, so its metric gives their midpoint speeds,
-written straight into the forward slots of the length table, and is
-dropped; no refined metric is stored.  ``_neighbour_table`` then turns
-those speeds into Simpson lengths in place.  A mesh holds per vertex its
+split that the invariants read).  Both lattices stream as boxes of
+``immersion.stream_lattice``, with chart jets seeded per axis.  The
+refined lattice is a ``METRIC`` request, streamed in blocks of
+``immersion.BLOCK_BYTES`` one parity class at a time (``_refined_pass``),
+and the vertex lattice is written box by box into the vertex geometry
+(``immersion.collect_geometry``).  Each block of a class writes r in
+place, and the cell centres their sqrt det g.  A class holds the
+midpoints of the edges along the offsets with its odd axes, so its metric
+gives their midpoint speeds, written straight into the forward slots of
+the length table, and is dropped; no refined metric is stored.
+``_neighbour_table`` then turns those speeds into Simpson lengths in
+place.  A mesh holds per vertex its
 ``BENDING`` fields, the lengths of its 3^m - 1 edges, and rho, and per
 refined node r and a volume weight.  ``mesh_bytes`` estimates
 that and the peak of the build and rho solve from the shape alone, and
@@ -59,15 +63,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .eikonal import ROW_BLOCK_BYTES, stencil, upwind_distances
 from .errors import ConfigError, DomainError, GeometryError
 from .exprchart import ChartBase
-from .immersion import (BLOCK_BYTES, METRIC, PointGeometry, ambient_of,
-                        grid_geometry, stream_geometry)
+from .immersion import (BENDING, BLOCK_BYTES, METRIC, PointGeometry,
+                        ambient_of, collect_geometry, stream_lattice)
 from .reporting import CSV_CHUNK, write_csv
 from .spaceform import Ambient
 
@@ -438,13 +441,6 @@ def check_budget(chart: ChartBase, resolution) -> None:
             f"is too large to build")
 
 
-def _lattice_points(axes, lo, hi) -> np.ndarray:
-    """(hi - lo, m) points of the lattice ``axes`` with flat indices
-    lo..hi-1 in C order."""
-    idx = np.unravel_index(np.arange(lo, hi), [len(ax) for ax in axes])
-    return np.stack([ax[i] for ax, i in zip(axes, idx)], axis=-1)
-
-
 def _refined_pass(chart, amb, shape, spacing, refined_axes):
     """The ``METRIC`` geometry of the refined lattice, streamed: refined r,
     the cell-centre sqrt det g (in cell order) and the (N, S) length table
@@ -472,9 +468,7 @@ def _refined_pass(chart, amb, shape, spacing, refined_axes):
         metric = np.empty(lattice + [m, m]) if slots else None
         density = np.empty(lattice) if all(parity) else None
 
-        for lo, geom in stream_geometry(chart, amb,
-                                        partial(_lattice_points, axes),
-                                        r.size, METRIC):
+        for lo, geom in stream_lattice(chart, amb, axes, METRIC):
             hi = lo + len(geom.r)
             r.reshape(-1)[lo:hi] = geom.r
             if metric is not None:
@@ -516,8 +510,9 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
     # the whole lattice first, so its checks fire before the vertices'
     refined_r, centre_density, lengths = _refined_pass(
         chart, amb, shape, spacing, refined_axes)
-    vertices = grid_geometry(chart, _lattice_points(
-        [ax[::2] for ax in refined_axes], 0, math.prod(shape)), amb=amb)
+    vertices = collect_geometry(stream_lattice(
+        chart, amb, [ax[::2] for ax in refined_axes], BENDING),
+        math.prod(shape))
     _neighbour_table(shape, chart.periodic, spacing, vertices.metric, lengths)
 
     return MeshGraph(

@@ -39,6 +39,12 @@ center density times its parameter measure, scaled by the fraction of its
 sub-lattice of refined r values inside the ball.  ``cell_r_spans`` gives
 the r-span of each such sub-lattice.
 
+``flat_lattice_geometry`` is the geometry of a lattice evaluated the way
+the mesh build first did: its points listed one by one in C order and
+sent through ``grid_geometry``, whose jets are seeded per point; the
+reference for the lattice boxes of ``immersion.stream_lattice``, whose
+jets are seeded per axis.
+
 ``csv_text`` is a CSV file spelled cell by cell, the reference for the
 one-format-per-row writer ``reporting.write_csv``.
 """
@@ -259,6 +265,19 @@ def full_lattice_table(shape, periodic, spacing, metric, refined_metric):
                 f"degenerate edge of zero length at vertex index {int(u[bad])}")
         lengths[u, fwd] = lengths[v, st.opposite[fwd]] = edge
     return neighbours, lengths
+
+
+def lattice_points(axes):
+    """(N, m) points of the lattice that is the product of the 1-D arrays
+    ``axes``, in C order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"),
+                    axis=-1).reshape(-1, len(axes))
+
+
+def flat_lattice_geometry(chart, axes, level, amb):
+    """The geometry of the lattice ``axes``, flat in C order, from its
+    points one by one."""
+    return grid_geometry(chart, lattice_points(axes), level=level, amb=amb)
 
 
 def full_order_mesh(chart, resolution, pole=None):

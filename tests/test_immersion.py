@@ -10,6 +10,7 @@ import extgeo as xg
 import extgeo.immersion
 from extgeo.errors import (CriticalPointError, DegeneratePlaneError,
                            DomainError, EvaluationError, GeometryError)
+from oracles import flat_lattice_geometry, lattice_points
 
 TWO_PI = 6.283185307179586
 
@@ -333,15 +334,107 @@ basepoint 0.5, 0.5
     want = run()
     calls, block = [], xg.immersion._geometry_block
 
-    def counted(chart, amb, pts, level):
-        calls.append(len(pts))
-        return block(chart, amb, pts, level)
+    def counted(chart, amb, points, level):
+        calls.append(len(points))
+        return block(chart, amb, points, level)
 
     monkeypatch.setattr(xg.immersion, "_geometry_block", counted)
     # blocks of three: 3 of the batch, 27 of the mesh's first pass
     block_points(chart, xg.METRIC, 3)
     assert run() == want
     assert calls == [3]
+
+
+# every jet rule, a variable exponent and a constant coordinate
+EVERY_RULE = """
+m = 3; n = 5; ambient = euclidean;
+x1 = u1 + 0.1 * sqrt(2 + u2) * cos(u3);
+x2 = u2 + 0.1 * exp(0.3 * u1) * sin(u3) / (3 + tanh(u2));
+x3 = u3 - 0.1 * log(2 + u1) * sinh(u2)^2;
+x4 = cosh(u1 / 2) + (2 + u2)^u3 - 1 / (2 + u1);
+x5 = 0;
+domain u1 in [-1, 1], u2 in [-1, 1], u3 in [-1, 1]
+"""
+
+LATTICE_CHARTS = [(name, {}) for name in xg.catalog_names()] + [
+    ("rotation-hypersurface", {"n": 3}), ("flat-subspace", {"m": 3, "n": 4})]
+
+
+def lattice_chart(name, params):
+    if name == "every-rule":
+        return xg.parse_chart(EVERY_RULE)
+    return xg.catalog_build(name, **params)[0]
+
+
+def lattice_axes(chart, shape):
+    """Uneven coordinates inside the domain, ``shape`` of them per axis."""
+    rng = np.random.default_rng(11)
+    return [lo + (hi - lo) * np.sort(rng.uniform(0.05, 0.95, k))
+            for (lo, hi), k in zip(chart.domain, shape)]
+
+
+def lattice_geometry(chart, axes, level, amb):
+    return xg.immersion.collect_geometry(
+        xg.immersion.stream_lattice(chart, amb, axes, level),
+        math.prod(len(ax) for ax in axes))
+
+
+@pytest.mark.parametrize("count", [None, 7], ids=["one-box", "boxes-of-7"])
+@pytest.mark.parametrize("level", [xg.METRIC, xg.BENDING],
+                         ids=["metric", "bending"])
+@pytest.mark.parametrize(
+    "name,params", LATTICE_CHARTS + [("every-rule", {})],
+    ids=[f"{n}-{p}" if p else n for n, p in LATTICE_CHARTS] + ["every-rule"])
+def test_lattice_boxes_equal_the_points_bit_for_bit(name, params, level,
+                                                    count, block_points):
+    chart = lattice_chart(name, params)
+    amb = xg.ambient_of(chart)
+    axes = lattice_axes(chart, [6, 5, 4][:chart.m])
+    want = flat_lattice_geometry(chart, axes, level, amb)
+    if count is not None:
+        block_points(chart, level, count)
+    got = lattice_geometry(chart, axes, level, amb)
+    _assert_same_ambient(got, want)
+    for field in _array_fields(want):
+        if getattr(want, field) is None:
+            assert getattr(got, field) is None, field
+        else:
+            np.testing.assert_array_equal(getattr(got, field),
+                                          getattr(want, field), err_msg=field)
+
+
+@pytest.mark.parametrize("count", [1, 3, 7])
+@pytest.mark.parametrize("shape", [(4, 9), (3, 4, 5)], ids=["4x9", "3x4x5"])
+def test_lattice_boxes_cover_the_lattice_once_in_order(shape, count,
+                                                       block_points,
+                                                       monkeypatch):
+    # the plane behind the first axis exceeds every block, so the boxes
+    # split an inner axis
+    m = len(shape)
+    chart = xg.catalog_build("flat-subspace", m=m, n=m + 1)[0]
+    amb = xg.ambient_of(chart)
+    axes = lattice_axes(chart, shape)
+    boxes, block = [], xg.immersion._geometry_block
+
+    def record(chart, amb, points, level):
+        # a box of one point is evaluated as two flat copies of it
+        if isinstance(points, xg.immersion.Box):
+            boxes.append(points)
+        return block(chart, amb, points, level)
+
+    monkeypatch.setattr(xg.immersion, "_geometry_block", record)
+    block_points(chart, xg.METRIC, count)
+    seen, starts = [], []
+    for lo, geom in xg.immersion.stream_lattice(chart, amb, axes, xg.METRIC):
+        starts.append(lo)
+        seen.append(geom.points)
+    assert max(len(box) for box in boxes) <= count
+    assert all(box.shape[0] == 1 for box in boxes)
+    assert starts == np.cumsum([0] + [len(box) for box in boxes[:-1]]).tolist()
+    want = lattice_points(axes)
+    np.testing.assert_array_equal(
+        np.concatenate([box.points() for box in boxes]), want)
+    np.testing.assert_array_equal(np.concatenate(seen), want)
 
 
 METRIC_FIELDS = {"points", "metric", "sqrt_det_g", "r", "at_pole"}
@@ -465,6 +558,23 @@ def test_first_order_geometry_checks_the_rank(src, u2, message):
         with pytest.raises(GeometryError) as err:
             xg.grid_geometry(chart, pts, level=level)
         assert str(err.value) == f"chart 'chart' is {message}"
+
+
+@pytest.mark.parametrize("count", [1, 2, None], ids=["1", "2", "default"])
+def test_a_rank_error_names_the_first_failing_point(count, block_points):
+    # rank-deficient at the first point, singular at the last: every split
+    # names the first, with its own kind
+    chart = xg.parse_chart("m = 2; n = 3; ambient = euclidean; x1 = u1^3; "
+                           "x2 = u2; x3 = 0; "
+                           "domain u1 in [-1, 1], u2 in [-1, 1]")
+    pts = np.array([[1e-6, 0.0], [0.5, 0.1], [0.6, 0.2], [0.0, 0.3]])
+    for level in (xg.METRIC, xg.BENDING, xg.FRAME):
+        if count is not None:
+            block_points(chart, level, count)
+        with pytest.raises(GeometryError) as err:
+            xg.grid_geometry(chart, pts, level=level)
+        assert str(err.value) == ("chart 'chart' is rank-deficient near "
+                                  "[1.e-06 0.e+00]")
 
 
 # ---------------------------------------------------------------------------

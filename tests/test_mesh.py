@@ -149,17 +149,17 @@ def test_second_order_geometry_only_at_the_vertices(monkeypatch):
 
 
 def test_first_order_jets_only_off_the_vertices(monkeypatch):
-    seed = jets.seed_point
+    seed = jets.seed_axes
     seeded = {1: 0, 2: 0}
 
-    def count(points, order=2):
-        seeded[order] += len(points)
-        return seed(points, order)
+    def count(axes, order=2):
+        seeded[order] += math.prod(len(ax) for ax in axes)
+        return seed(axes, order)
 
     chart, _ = xg.catalog_build("rotation-hypersurface", n=3)
     # the pole given, so the basepoint is not evaluated inside build_mesh
     pole = chart.eval_positions(chart.basepoint)
-    monkeypatch.setattr(jets, "seed_point", count)
+    monkeypatch.setattr(jets, "seed_axes", count)
     mesh = xg.build_mesh(chart, [5, 8, 21], pole=pole)
     assert seeded[2] == mesh.n_vertices
     assert seeded[1] == mesh.refined_r.size == 9 * 16 * 41
@@ -216,10 +216,10 @@ def test_block_size_does_not_change_the_mesh(name, params, res, blocks,
     seen = {"points": [], "rows": []}
     block, values = extgeo.immersion._geometry_block, eikonal._Update._values
 
-    def geometry(chart, amb, pts, level):
+    def geometry(chart, amb, points, level):
         if level == xg.METRIC:
-            seen["points"].append(len(pts))
-        return block(chart, amb, pts, level)
+            seen["points"].append(len(points))
+        return block(chart, amb, points, level)
 
     def rows(self, idx, *args):
         seen["rows"].append(len(idx))
@@ -347,11 +347,11 @@ def assert_refused_before_any_evaluation(immersion, res, match, prefix,
     def never(*args, **kwargs):
         raise AssertionError("evaluated before the budget check")
 
-    for module, name in [(extgeo.mesh, "grid_geometry"),
-                         (extgeo.mesh, "stream_geometry"),
+    for module, name in [(extgeo.mesh, "stream_lattice"),
+                         (extgeo.mesh, "collect_geometry"),
                          (extgeo.mesh, "stencil"), (extgeo.mesh, "ambient_of"),
                          (extgeo.cli, "ambient_of"), (jets, "seed_point"),
-                         (eikonal, "stencil")]:
+                         (jets, "seed_axes"), (eikonal, "stencil")]:
         monkeypatch.setattr(module, name, never)
     with pytest.raises(ConfigError, match=match):
         xg.build_mesh(chart, res)
