@@ -1,5 +1,12 @@
 """Command line entry point: one JSON config in, reports out.
 
+An analysis command reads a config file (--config FILE) or a catalog entry
+at its default settings (--immersion NAME); --out DIR also writes report
+files.  A flag is spelled in full and takes the next token or the text
+after ``=`` as its value, even one that starts with ``-``; the last of a
+repeated flag wins.  ``-h`` or ``--help`` anywhere prints the usage line
+and this text.  A bad command line is a malformed config.
+
 Config schema (all keys optional unless marked):
 
     {
@@ -40,7 +47,6 @@ JSON object on stderr; identical configs give byte-identical output files.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -49,6 +55,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -524,10 +531,13 @@ def _run(args) -> dict:
         {"category": w.category.__name__, "message": str(w.message)}
         for w in caught]}
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        for name, write in files.items():
-            write(os.path.join(args.out, name))
-        write_json(os.path.join(args.out, f"{args.command}.json"), payload)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            for name, write in files.items():
+                write(os.path.join(args.out, name))
+            write_json(os.path.join(args.out, f"{args.command}.json"), payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write reports to {args.out!r}: {exc}")
     return payload
 
 
@@ -553,47 +563,53 @@ def run_catalog_list() -> dict:
 # argument handling
 
 def _parse_resolution(text: str):
-    parts = text.replace("x", ",").split(",")
-    try:
-        vals = [int(p) for p in parts if p != ""]
-    except ValueError:
-        raise ConfigError(f"cannot parse resolution {text!r}")
+    vals = [int(p) for p in text.replace("x", ",").split(",") if p != ""]
     if not vals:
-        raise ConfigError(f"cannot parse resolution {text!r}")
+        raise ValueError(text)
     return vals[0] if len(vals) == 1 else vals
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a bad command line as a ConfigError (exit code 2, one JSON
-    object on stderr) instead of printing usage text."""
-
-    def error(self, message):
-        raise ConfigError(message)
+# flag -> converter of its value; every analysis command takes every flag
+_FLAGS = {"--config": str, "--immersion": str, "--out": str,
+          "--resolution": _parse_resolution, "--truncation": float,
+          "--seed": int}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = _ArgumentParser(
-        prog="extgeo",
-        description="Numerical invariants of immersed submanifolds of "
-                    "nonpositively curved space forms")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("invariants", "bending tail invariants and classification"),
-            ("volume", "volume curves and growth-bound verdicts"),
-            ("ends", "end counting with a stability window"),
-            ("curvature", "distance-sphere curvature samples"),
-            ("verify", "internal check battery for one immersion")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--immersion", help="catalog entry name (shortcut "
-                                           "when no config file is given)")
-        p.add_argument("--out", help="directory for report files")
-        p.add_argument("--resolution", type=_parse_resolution)
-        p.add_argument("--truncation", type=float)
-        p.add_argument("--seed", type=int)
-    pc = sub.add_parser("catalog", help="catalog inspection")
-    pc.add_argument("action", choices=["list"])
-    return ap
+def _usage() -> str:
+    flags = " ".join(f"[{flag} {flag[2:].upper()}]" for flag in _FLAGS)
+    return (f"usage: extgeo {{{','.join(_COMMANDS)}}} {flags}\n"
+            f"       extgeo catalog list\n\n{__doc__ or ''}")
+
+
+def _parse_args(argv):
+    """The command line as ``args`` (``command`` and one field per flag,
+    None when not given), or None if it asks for help."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    commands = [*_COMMANDS, "catalog"]
+    if not argv or argv[0] not in commands:
+        raise ConfigError(f"expected a command, one of {commands}, got "
+                          f"{argv[:1]}")
+    command, *rest = argv
+    if command == "catalog":
+        if rest != ["list"]:
+            raise ConfigError(f"catalog takes only 'list', got {rest}")
+        return SimpleNamespace(command=command)
+    args = SimpleNamespace(command=command, **{f[2:]: None for f in _FLAGS})
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if flag not in _FLAGS:
+            raise ConfigError(f"unrecognized argument {token!r}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise ConfigError(f"argument {flag}: expected a value")
+        try:
+            setattr(args, flag[2:], _FLAGS[flag](text))
+        except ValueError:
+            raise ConfigError(f"argument {flag}: invalid value {text!r}")
+    return args
 
 
 _DEFAULT_RESOLUTION = 33
@@ -635,7 +651,10 @@ def _emit_error(exc: Exception) -> None:
 def main(argv=None) -> int:
     try:
         # inside the try: a bad command line raises ConfigError
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            sys.stdout.write(_usage())
+            return 0
         if args.command == "catalog":
             payload = run_catalog_list()
         else:

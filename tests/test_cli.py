@@ -579,11 +579,70 @@ def test_unknown_catalog_name():
 @pytest.mark.parametrize("flag,value,needle", [
     ("--threads", "2", "unrecognized"),
     ("--truncation", "-2", "positive"),
+    ("--seed", "x", "--seed"),
+    ("--truncation", "abc", "--truncation"),
+    ("--seed", None, "--seed"),
+    ("--resolution", "9y", "--resolution"),
+    ("--conf", "x", "unrecognized"),
 ])
 def test_bad_flag_values(flag, value, needle):
+    # a value of None leaves the flag as the last token
     body = error_of(["invariants", "--immersion", "flat-subspace",
-                     "--resolution", "9", flag, value], expect_code=2)
+                     "--resolution", "9", flag,
+                     *([] if value is None else [value])], expect_code=2)
+    assert body["error"] == "ConfigError"
     assert needle in body["message"]
+
+
+@pytest.mark.parametrize("argv,needle", [
+    ([], "expected a command"),
+    (["--seed", "1"], "'--seed'"),
+    (["bogus"], "'bogus'"),
+    (["catalog"], "catalog takes only 'list'"),
+    (["catalog", "show"], "'show'"),
+    (["catalog", "list", "extra"], "'extra'"),
+], ids=["no-command", "flag-first", "unknown-command", "bare-catalog",
+        "catalog-action", "catalog-extra"])
+def test_bad_command_lines_are_config_errors(argv, needle):
+    body = error_of(argv, expect_code=2)
+    assert body["error"] == "ConfigError"
+    assert needle in body["message"]
+
+
+def test_module_without_arguments_is_a_config_error():
+    # main(None) reads sys.argv[1:], here empty
+    proc = subprocess.run([sys.executable, "-m", "extgeo"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "-h"],
+                                  ["catalog", "--help"],
+                                  ["volume", "--seed", "x", "-h"]])
+def test_help_prints_the_usage_and_returns_zero(argv):
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: extgeo {invariants,volume,ends,curvature,"
+                          "verify} [--config CONFIG]")
+    assert out.endswith(extgeo.cli.__doc__)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--resolution=17,9"], ["--resolution", "5", "--resolution", "17,9"],
+    ["--immersion=sphere", "--immersion", "catenoid", "--resolution=17,9"]],
+    ids=["equals", "last-wins", "mixed"])
+def test_flag_forms_give_the_same_bytes(flags):
+    base = ["invariants", "--immersion", "catenoid"]
+    assert run_cli(base + flags) == run_cli(base + ["--resolution", "17,9"])
+
+
+def test_unwritable_out_is_a_config_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    body = error_of(["ends", "--immersion", "flat-subspace", "--resolution",
+                     "9", "--out", str(tmp_path / "file" / "dir")],
+                    expect_code=2)
+    assert body["message"].startswith("cannot write reports to ")
 
 
 @pytest.mark.parametrize("extra,flags", [
@@ -653,8 +712,8 @@ def test_import_leaves_out_scipy():
     assert out.strip() == "[]"
 
 
-# runs each command through main after the import and prints the exit codes
-# and the numpy modules that the commands imported
+# runs each command through main after the import and prints the exit codes,
+# the modules that the import loaded and those that the commands loaded
 LAZY_IMPORT_PROBE = """
 import contextlib, io, json, sys
 import extgeo.cli
@@ -663,14 +722,16 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(extgeo.cli.main(argv))
-print(json.dumps([codes, sorted(k for k in set(sys.modules) - before
-                                if k.split(".")[0] == "numpy")]))
+print(json.dumps([codes, sorted(before), sorted(set(sys.modules) - before)]))
 """
 
 
-def test_commands_import_no_numpy_module(tmp_path):
-    """numpy.random, and numpy.ma through np.union1d or np.median, cost
-    their import time in every run of a command; none of them loads."""
+@pytest.fixture(scope="module")
+def lazy_imports(tmp_path_factory):
+    """(exit codes, modules after the import, modules the commands loaded)
+    of LAZY_IMPORT_PROBE over the four benchmark commands, catalog list
+    and --help."""
+    tmp_path = tmp_path_factory.mktemp("lazy")
     # small grids on which verify passes and volume has a radius window
     rot3 = {"immersion": ROT3, "resolution": [9, 12, 25], "samples": 20}
     flat3 = {"immersion": {"catalog": "flat-subspace",
@@ -683,11 +744,29 @@ def test_commands_import_no_numpy_module(tmp_path):
         ["volume", "--config", str(tmp_path / "flat3.json"), "--seed", "5"],
         ["invariants", "--immersion", "catenoid", "--resolution", "17,9",
          "--out", str(tmp_path / "reports")],
+        ["catalog", "list"],
+        ["--help"],
     ]
     out = subprocess.run([sys.executable, "-c", LAZY_IMPORT_PROBE,
                           json.dumps(runs)], check=True, capture_output=True,
                          text=True).stdout
-    assert json.loads(out) == [[0, 0, 0, 0], []]
+    codes, imported, loaded = json.loads(out)
+    assert codes == [0] * len(runs)
+    return imported, loaded
+
+
+def test_commands_import_no_numpy_module(lazy_imports):
+    """numpy.random, and numpy.ma through np.union1d or np.median, cost
+    their import time in every run of a command; none of them loads."""
+    _, loaded = lazy_imports
+    assert [k for k in loaded if k.split(".")[0] == "numpy"] == []
+
+
+def test_cli_loads_no_argument_parser(lazy_imports):
+    """argparse, and gettext and locale through its help strings, cost
+    about 2.5 ms a run; neither the import nor a command loads them."""
+    for modules in lazy_imports:
+        assert {"argparse", "gettext", "locale"}.isdisjoint(modules)
 
 
 def test_cli_import_loads_no_thread_pool():
