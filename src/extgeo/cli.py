@@ -5,7 +5,7 @@ at its default settings (--immersion NAME); --out DIR also writes report
 files.  A flag is spelled in full and takes the next token or the text
 after ``=`` as its value, even one that starts with ``-``; the last of a
 repeated flag wins.  ``-h`` or ``--help`` anywhere prints the usage line
-and this text.  A bad command line is a malformed config.
+and this text.
 
 Config schema (all keys optional unless marked):
 
@@ -40,9 +40,10 @@ its candidates in rounds of at most one geometry block of ``FRAME`` points
 round.  A mesh whose estimated memory exceeds ``mesh.MEMORY_BUDGET`` is
 refused before the chart is evaluated.
 
-Exit codes: 0 success, 1 verification checks failed, 2 malformed config
-(a pole off the model too), 3 numeric pipeline failure.  Errors print one
-JSON object on stderr; identical configs give byte-identical output files.
+Exit codes: 0 success (help too), 1 verification checks failed, 2
+malformed config or command line (a pole off the model and an --out that
+cannot be written too), 3 numeric pipeline failure.  Errors print one JSON
+object on stderr; identical configs give byte-identical output files.
 """
 
 from __future__ import annotations

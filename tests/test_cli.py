@@ -728,9 +728,9 @@ print(json.dumps([codes, sorted(before), sorted(set(sys.modules) - before)]))
 
 @pytest.fixture(scope="module")
 def lazy_imports(tmp_path_factory):
-    """(exit codes, modules after the import, modules the commands loaded)
-    of LAZY_IMPORT_PROBE over the four benchmark commands, catalog list
-    and --help."""
+    """(modules after the import, modules the commands loaded) of
+    LAZY_IMPORT_PROBE over the four benchmark commands, catalog list and
+    --help, each of which exits 0."""
     tmp_path = tmp_path_factory.mktemp("lazy")
     # small grids on which verify passes and volume has a radius window
     rot3 = {"immersion": ROT3, "resolution": [9, 12, 25], "samples": 20}
