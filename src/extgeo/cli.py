@@ -17,7 +17,6 @@ Config schema (all keys optional unless marked):
       "truncation": null | positive number (catalog override),
       "exhaustion_radii": null | [increasing positive reals],
       "volume_radii": null | [increasing positive reals],
-      "epsilon_crit": 0.001,
       "delta": {"kind": "zero"} | {"kind": "power", "d0": x, "t0": y},
       "seed": 0,                                              (non-negative)
       "samples": 48
@@ -69,7 +68,7 @@ from .immersion import (FRAME, ambient_of, block_len,
                         uniform_draws)
 from .invariants import (DeltaModel, default_tail_radii, invariant_tails,
                          pinching_functions, threshold_c_star)
-from .mesh import (EPSILON_CRIT, MIN_RESOLUTION, build_mesh, check_budget,
+from .mesh import (MIN_RESOLUTION, build_mesh, check_budget,
                    critical_free_radius, ends_stability, mesh_dump)
 from .reporting import dumps_json, write_csv, write_json
 from .spaceform import c_kappa, s_kappa
@@ -87,7 +86,6 @@ class RunConfig:
     truncation: float = None
     exhaustion_radii: list = None
     volume_radii: list = None
-    epsilon_crit: float = EPSILON_CRIT
     delta: DeltaModel = field(default_factory=DeltaModel)
     seed: int = 0
     samples: int = 48
@@ -126,8 +124,7 @@ def _radius_list(value, name):
 def parse_config(data: dict) -> RunConfig:
     _require(isinstance(data, dict), "config must be a JSON object")
     known = {"immersion", "resolution", "pole", "truncation",
-             "exhaustion_radii", "volume_radii", "epsilon_crit", "delta",
-             "seed", "samples"}
+             "exhaustion_radii", "volume_radii", "delta", "seed", "samples"}
     extra = set(data) - known
     _require(not extra, f"unknown config keys: {sorted(extra)}")
 
@@ -172,10 +169,6 @@ def parse_config(data: dict) -> RunConfig:
     if vradii is not None:
         vradii = _radius_list(vradii, "volume_radii")
 
-    eps = data.get("epsilon_crit", EPSILON_CRIT)
-    _require(_finite(eps) and eps > 0,
-             "epsilon_crit must be a positive finite number")
-
     delta_raw = data.get("delta", {"kind": "zero"})
     _require(isinstance(delta_raw, dict), "delta must be an object")
     d0, t0 = delta_raw.get("d0", 0.0), delta_raw.get("t0", 1.0)
@@ -196,8 +189,8 @@ def parse_config(data: dict) -> RunConfig:
 
     return RunConfig(immersion=imm, resolution=res, pole=pole,
                      truncation=trunc, exhaustion_radii=radii,
-                     volume_radii=vradii, epsilon_crit=float(eps),
-                     delta=delta, seed=seed, samples=samples)
+                     volume_radii=vradii, delta=delta, seed=seed,
+                     samples=samples)
 
 
 def _read_config(path: str):
@@ -271,7 +264,7 @@ def run_invariants(cfg: RunConfig, mesh, gt):
     report = _tails(cfg, mesh)
     sections = {
         "invariants": report.summary(),
-        "critical_free_radius": critical_free_radius(mesh, cfg.epsilon_crit),
+        "critical_free_radius": critical_free_radius(mesh),
         "delta_model": cfg.delta.label,
     }
 
@@ -306,7 +299,7 @@ def run_volume(cfg: RunConfig, mesh, gt):
     report = _tails(cfg, mesh)
 
     try:
-        ends = ends_stability(mesh, epsilon_crit=cfg.epsilon_crit)
+        ends = ends_stability(mesh)
     except ExtGeoError as exc:
         stab = {"error": str(exc)}
         growth = GrowthVerdict(
@@ -341,7 +334,7 @@ def run_volume(cfg: RunConfig, mesh, gt):
 
 
 def run_ends(cfg: RunConfig, mesh, gt):
-    ends = ends_stability(mesh, epsilon_crit=cfg.epsilon_crit)
+    ends = ends_stability(mesh)
     sections = {"ends": {
         "count": ends.n_ends,
         "bounded_components": ends.n_bounded,
@@ -485,7 +478,7 @@ def run_verify(cfg: RunConfig, mesh, gt):
               {"expected": gt.expected_class, "got": report.classification})
     if gt is not None and gt.ends is not None:
         try:
-            ends = ends_stability(mesh, epsilon_crit=cfg.epsilon_crit)
+            ends = ends_stability(mesh)
             check("ends-expected", ends.stable and ends.n_ends == gt.ends,
                   {"expected": gt.ends, "got": ends.n_ends,
                    "stable": ends.stable})

@@ -140,17 +140,16 @@ class PointGeometry:
     def norm_alpha(self) -> np.ndarray:
         return np.sqrt(self.norm_alpha_sq)
 
-    def map_arrays(self, fn, *others) -> "PointGeometry":
+    def map_arrays(self, fn) -> "PointGeometry":
         """A copy with every array field replaced by ``fn(array,
-        trailing_dims, *same_field_of_others)``; ``trailing_dims`` counts
-        the axes after the batch shape.  Fields left None stay None."""
+        trailing_dims)``; ``trailing_dims`` counts the axes after the batch
+        shape.  Fields left None stay None."""
         lead = len(self.batch_shape)
         out = {}
         for f in fields(self):
             arr = getattr(self, f.name)
             if isinstance(arr, (np.ndarray, np.generic)):
-                out[f.name] = fn(arr, np.ndim(arr) - lead,
-                                 *(getattr(o, f.name) for o in others))
+                out[f.name] = fn(arr, np.ndim(arr) - lead)
         return replace(self, **out)
 
     def take(self, idx) -> "PointGeometry":

@@ -27,7 +27,9 @@ components of {r > R}, which count the ends, come from the same pieces by
 pointer jumping.  ``ends_stability`` is the one end counter: it labels
 them at each radius of one window, outermost first and each pass from the
 labels of the one before, and returns an ``EndsReport`` of the counts and
-the outermost components.
+the outermost components.  The window starts past the largest r of a
+PL-critical vertex (``critical_vertices``, a link test on the Kuhn
+triangulation of the grid).
 
 Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
 split that the invariants read).  Both lattices stream as boxes of
@@ -60,6 +62,7 @@ give ``fd_step``, the radial step of the sphere-volume differences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -75,11 +78,10 @@ from .reporting import CSV_CHUNK, write_csv
 from .spaceform import Ambient
 
 __all__ = ["MeshGraph", "EndsReport", "build_mesh", "check_budget",
-           "critical_free_radius", "ends_stability", "mesh_bytes", "mesh_dump"]
+           "critical_free_radius", "critical_vertices", "ends_stability",
+           "kuhn_link", "mesh_bytes", "mesh_dump"]
 
 MIN_RESOLUTION = 3
-# default threshold on |grad_M r| below which a vertex counts as critical
-EPSILON_CRIT = 1e-3
 # ends are only probed strictly inside the sampled region
 ENDS_WINDOW_FRACTION = 0.8
 # the end-count window: this many radii, the first this fraction of the way
@@ -534,20 +536,73 @@ def build_mesh(chart: ChartBase, resolution, pole=None) -> MeshGraph:
 # ---------------------------------------------------------------------------
 # radial machinery
 
-def critical_free_radius(mesh: MeshGraph,
-                         epsilon_crit: float = EPSILON_CRIT) -> float:
-    """Largest sampled radius whose vertex has |grad_M r| below the
-    threshold; zero when no vertex is flagged.
+@functools.lru_cache(maxsize=None)
+def kuhn_link(m: int):
+    """``(offsets, faces)``: the link of a vertex in the Kuhn (Freudenthal)
+    triangulation of the grid, which splits each cell into the m!
+    simplices of its monotone corner-to-corner paths.  Each face is a
+    tuple of indices into ``offsets``, closed under subsets and ordered by
+    size: 12 faces at m = 2, 74 at m = 3."""
+    centre, tops = (0,) * m, set()
+    for lower in itertools.product((-1, 0), repeat=m):
+        for order in itertools.permutations(range(m)):
+            path = [lower]
+            for axis in order:
+                path.append(tuple(c + (a == axis)
+                                  for a, c in enumerate(path[-1])))
+            if centre in path:
+                tops.add(frozenset(path) - {centre})
+    offsets = tuple(sorted(set().union(*tops)))
+    faces = {tuple(sorted(offsets.index(d) for d in sub)) for top in tops
+             for k in range(1, m + 1) for sub in itertools.combinations(top, k)}
+    return offsets, tuple(sorted(faces, key=lambda f: (len(f), f)))
 
-    The radial distance is guaranteed critical-point free past this value
-    only as far as the sampling can see; the estimate is resolution
-    dependent near saddle points that fall between vertices.
-    """
-    flagged = mesh.vertices.grad_r_tan_norm < epsilon_crit
-    flagged &= ~mesh.vertices.at_pole
-    if not flagged.any():
-        return 0.0
-    return float(np.max(mesh.vertices.r[flagged]))
+
+def critical_vertices(mesh: MeshGraph) -> np.ndarray:
+    """Indices of the PL-critical vertices of r, in vertex order: those
+    whose upper link does not have the Euler characteristic 1 of a ball
+    (Banchoff, J. Diff. Geom. 1, 1967).  The minimum has the whole link, a
+    maximum none, and a saddle two or more pieces.  The link is
+    ``kuhn_link(m)``, and a neighbour is upper when its r is larger, ties
+    going to the larger vertex index.  Only the vertices whose link lies
+    in the grid (periodic axes wrapping) are tested, all at once on
+    shifted views of the r grid."""
+    offsets, faces = kuhn_link(mesh.m)
+    shape, periodic = mesh.shape, mesh.periodic
+    pad = [(1, 1) if p else (0, 0) for p in periodic]
+    r = np.pad(mesh.r.reshape(shape), pad, mode="wrap")
+    here = r[tuple(slice(1, k - 1) for k in r.shape)]
+    # the tested vertices' coordinates: all of them on a periodic axis
+    rows = [np.arange(k) if p else np.arange(1, k - 1)
+            for k, p in zip(shape, periodic)]
+
+    def upper(d):
+        there = r[tuple(slice(1 + e, k - 1 + e) for e, k in zip(d, r.shape))]
+        # a tie goes by index: the neighbour's is the larger when its
+        # coordinate is, along the first axis that d moves
+        a = next(i for i, e in enumerate(d) if e)
+        later = ((rows[a] + d[a]) % shape[a] > rows[a]).reshape(
+            (-1,) + (1,) * (len(d) - a - 1))
+        return (there > here) | ((there == here) & later)
+
+    uppers = [upper(d) for d in offsets]
+    # faces by size: each partial sum is the Euler characteristic of a
+    # skeleton of the upper link, within int8 up to m = 4
+    chi = np.zeros(here.shape, dtype=np.int8)
+    for face in faces:
+        inside = functools.reduce(np.logical_and, [uppers[i] for i in face])
+        if len(face) % 2:
+            chi += inside
+        else:
+            chi -= inside
+    return np.ravel_multi_index(
+        [row[i] for row, i in zip(rows, np.nonzero(chi != 1))], shape)
+
+
+def critical_free_radius(mesh: MeshGraph) -> float:
+    """Largest r of a critical vertex (``critical_vertices``), 0 when there
+    is none: past it r has no critical point that the mesh can see."""
+    return float(np.max(mesh.r[critical_vertices(mesh)], initial=0.0))
 
 
 def _components(shape, periodic, keep, seed=None) -> np.ndarray:
@@ -588,8 +643,7 @@ def _components(shape, periodic, keep, seed=None) -> np.ndarray:
         label = new
 
 
-def ends_stability(mesh: MeshGraph,
-                   epsilon_crit: float = EPSILON_CRIT) -> EndsReport:
+def ends_stability(mesh: MeshGraph) -> EndsReport:
     """End counts across a window of radii clear of both the critical
     region and the truncation faces.
 
@@ -598,7 +652,7 @@ def ends_stability(mesh: MeshGraph,
     components that stay interior are bounded pockets, reported at the
     outermost radius and not counted.
     """
-    r0 = critical_free_radius(mesh, epsilon_crit)
+    r0 = critical_free_radius(mesh)
     r_hi = ENDS_WINDOW_FRACTION * mesh.r_reliable
     r_lo = r0 + ENDS_MARGIN_FRACTION * (r_hi - r0)
     if not r0 < r_lo < r_hi:

@@ -102,7 +102,8 @@ def test_verify_flat_passes():
     assert all(c["passed"] for c in pay["checks"])
 
 
-@pytest.mark.parametrize("name", ["catenoid", "flat-subspace", "sphere",
+@pytest.mark.parametrize("name", ["catenoid", "cylinder", "flat-subspace",
+                                  "rotation-hypersurface", "sphere",
                                   "totally-geodesic"])
 def test_verify_passes_at_the_default_resolution(name):
     code, out, err = run_cli(["verify", "--immersion", name])
@@ -110,20 +111,19 @@ def test_verify_passes_at_the_default_resolution(name):
                        if not c["passed"]]
 
 
-def test_verify_failure_exits_one(tmp_path):
-    # epsilon_crit = 2 marks every vertex critical, so the end count is
-    # unavailable and exactly that check must go red
-    cfg = write_config(tmp_path, {
-        "immersion": {"catalog": "flat-subspace"},
-        "resolution": 13,
-        "epsilon_crit": 2.0,
-    })
-    code, out, err = run_cli(["verify", "--config", cfg])
+def test_verify_failure_exits_one():
+    # truncated at height 1, the cylinder's saddle at r = 2 lies past the
+    # ends window's top (0.8), so the end count is unavailable and exactly
+    # that check must go red
+    code, out, err = run_cli(["verify", "--immersion", "cylinder",
+                              "--truncation", "1"])
     assert code == 1
     pay = json.loads(out)
     assert pay["passed"] is False
-    failed = {c["check"] for c in pay["checks"] if not c["passed"]}
-    assert failed == {"ends-expected"}
+    failed = [c for c in pay["checks"] if not c["passed"]]
+    assert failed == [{"check": "ends-expected", "passed": False, "detail": {
+        "error": "no radius window clear of the critical region: estimate "
+                 "1.99773 against usable maximum 0.8"}}]
 
 
 def identity_check(seed):
@@ -560,6 +560,16 @@ def test_config_unknown_key(tmp_path):
     assert "bogus" in body["message"]
 
 
+def test_retired_epsilon_crit_key_is_refused(tmp_path):
+    # the critical radius has no threshold any more; an old config that
+    # still sets one fails loudly
+    cfg = write_config(tmp_path, {"immersion": {"catalog": "flat-subspace"},
+                                  "resolution": 9, "epsilon_crit": 0.001})
+    body = error_of(["volume", "--config", cfg], expect_code=2)
+    assert body == {"error": "ConfigError",
+                    "message": "unknown config keys: ['epsilon_crit']"}
+
+
 def test_config_bad_catalog_parameter(tmp_path):
     cfg = write_config(tmp_path, {
         "immersion": {"catalog": "rotation-hypersurface",
@@ -652,11 +662,10 @@ def test_unwritable_out_is_a_config_error(tmp_path):
     ({}, ["--truncation", "inf"]),
     ({"volume_radii": [2.0, 2.5, math.nan]}, []),
     ({"exhaustion_radii": [1.0, -math.inf]}, []),
-    ({"epsilon_crit": math.inf}, []),
     ({"delta": {"kind": "power", "d0": math.nan, "t0": 1.0}}, []),
     ({"delta": {"kind": "power", "d0": 0.1, "t0": math.inf}}, []),
 ], ids=["pole-nan", "truncation-inf", "flag-nan", "flag-inf",
-        "volume-radii-nan", "exhaustion-radii-inf", "epsilon-inf",
+        "volume-radii-nan", "exhaustion-radii-inf",
         "delta-d0-nan", "delta-t0-inf"])
 def test_non_finite_numbers_are_config_errors(tmp_path, extra, flags):
     # json.dumps writes NaN and Infinity, which json.load reads back

@@ -117,7 +117,6 @@ OPTIONAL = {
                                  unique=True).map(sorted),
     "volume_radii": st.lists(number(0, 5), max_size=4,
                              unique=True).map(sorted),
-    "epsilon_crit": number(0, 1),
     "delta": st.fixed_dictionaries(
         {"kind": st.sampled_from(["zero", "power", "nope"])},
         optional={"d0": number(-1, 2), "t0": number(-1, 2)}),

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -955,6 +956,63 @@ def test_circle_with_central_pole_is_all_critical():
         xg.ends_stability(mesh)
 
 
+def _cell_span_at(mesh, vertex):
+    """The largest span of r over the 2^m grid cells at an interior
+    vertex."""
+    r, at = mesh.r.reshape(mesh.shape), np.unravel_index(vertex, mesh.shape)
+    spans = []
+    for lower in itertools.product((-1, 0), repeat=mesh.m):
+        corners = [r[tuple((a + lo + c) % k for a, lo, c, k
+                           in zip(at, lower, corner, mesh.shape))]
+                   for corner in itertools.product((0, 1), repeat=mesh.m)]
+        spans.append(max(corners) - min(corners))
+    return max(spans)
+
+
+@pytest.mark.parametrize("name,params,res,saddle", [
+    pytest.param(name, params, res, saddle, id="-".join(
+        [name, *(f"{k}{v}" for k, v in params.items()), str(res)]))
+    for name, params, saddle, resolutions in [
+        ("flat-subspace", {}, None, (17, 33, 65)),
+        ("totally-geodesic", {}, None, (17, 33, 65)),
+        ("cylinder", {}, 2.0, (17, 33, 65)),
+        ("catenoid", {}, 2.0, (17, 33, 65)),
+        ("sphere", {}, 2.0, (17, 33, 65)),
+        ("rotation-hypersurface", {}, math.acosh(2.0), (17, 33, 65)),
+        ("flat-subspace", {"m": 3, "n": 4}, None, (17, 33)),
+        ("totally-geodesic", {"m": 3, "n": 4}, None, (17, 33)),
+        ("rotation-hypersurface", {"n": 3}, math.acosh(2.0), (17, 33))]
+    for res in resolutions])
+def test_link_test_finds_the_critical_points(name, params, res, saddle):
+    # the basepoint minimum, and on the cylinder, the catenoid and the
+    # rotation hypersurface the saddle of r on the waist opposite the
+    # basepoint (cosh r = 2a there in hyperbolic space), on the sphere its
+    # maximum at the antipode; flat charts have no other critical point
+    mesh = xg.build_mesh(xg.catalog_build(name, **params)[0], res)
+    crit = xg.mesh.critical_vertices(mesh).tolist()
+    assert mesh.basepoint in crit
+    others = [v for v in crit if v != mesh.basepoint]
+    if saddle is None:
+        assert others == []
+        assert xg.critical_free_radius(mesh) == 0.0
+    else:
+        assert len(others) == 1
+        [v] = others
+        assert abs(mesh.r[v] - saddle) <= _cell_span_at(mesh, v), mesh.r[v]
+        assert xg.critical_free_radius(mesh) == mesh.r[v]
+
+
+def test_kuhn_link_is_a_sphere():
+    # the link of a vertex in a triangulated m-manifold is an
+    # (m-1)-sphere: 12 faces (a hexagon) at m = 2, 74 at m = 3, and Euler
+    # characteristic 1 + (-1)^(m-1)
+    for m, size in [(1, 2), (2, 12), (3, 74)]:
+        offsets, faces = xg.mesh.kuhn_link(m)
+        assert len(faces) == size
+        assert len(offsets) == 2 * (2 ** m - 1)
+        assert sum((-1) ** (len(f) - 1) for f in faces) == 1 + (-1) ** (m - 1)
+
+
 def test_count_ends_plane(flat2_mesh):
     report = xg.ends_stability(flat2_mesh)
     assert report.n_ends == 1
@@ -1000,9 +1058,8 @@ def test_ends_match_the_component_oracle(name, params, res):
     assert [(c["vertices"], c["end"]) for c in ends.component_sizes] == want
     assert ends.n_bounded == len(want) - ends.n_ends
     if name == "cylinder":
-        # no vertex sits on the saddle at r = 2 (33 angles), so the window
-        # straddles it
-        assert ends.counts == [1, 1, 2, 2, 2] and not ends.stable
+        # the window starts past the saddle at r = 2
+        assert ends.counts == [2] * 5 and ends.stable
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
@@ -1020,6 +1077,11 @@ def test_warm_end_passes_equal_passes_from_scratch(name, monkeypatch):
         return got
 
     monkeypatch.setattr(extgeo.mesh, "_components", checked)
+    if name == "sphere":
+        # its maximum at the antipode, r = 2, tops the window
+        with pytest.raises(DomainError, match="no radius window"):
+            xg.ends_stability(mesh)
+        return
     ends = xg.ends_stability(mesh)
     assert len(passes) == len(ends.radii)
     assert [first for _, first in passes] == [True] + [False] * (
