@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -1000,6 +1001,44 @@ def test_link_test_finds_the_critical_points(name, params, res, saddle):
         [v] = others
         assert abs(mesh.r[v] - saddle) <= _cell_span_at(mesh, v), mesh.r[v]
         assert xg.critical_free_radius(mesh) == mesh.r[v]
+
+
+def _critical_by_loop(r, shape, periodic):
+    """Reference for ``critical_vertices``: the upper link of each vertex
+    from explicit neighbour indices, one vertex at a time."""
+    offsets, faces = xg.mesh.kuhn_link(len(shape))
+    critical = []
+    for v in range(r.size):
+        at = np.unravel_index(v, shape)
+        ahead = [[a + e for a, e in zip(at, d)] for d in offsets]
+        if any(not p and not 0 <= x < k for c in ahead
+               for x, k, p in zip(c, shape, periodic)):
+            continue
+        up = [(r[j], j) > (r[v], v) for j in
+              np.ravel_multi_index(np.transpose(ahead), shape, mode="wrap")]
+        chi = sum((-1) ** (len(f) - 1) for f in faces
+                  if all(up[i] for i in f))
+        if chi != 1:
+            critical.append(v)
+    return critical
+
+
+@pytest.mark.parametrize("shape,periodic", [
+    ((7,), (True,)), ((5, 6), (False, False)), ((5, 6), (True, False)),
+    ((5, 6), (False, True)), ((4, 3), (True, True)),
+    ((4, 5, 3), (False, True, False)), ((3, 4, 5), (True, True, True))],
+    ids=["circle", "open", "periodic-first", "periodic-last", "torus",
+         "m3-one-periodic", "m3-torus"])
+def test_link_test_matches_a_vertex_loop(shape, periodic):
+    # r takes three values, so most neighbours tie, across the periodic
+    # seams too, and the index decides
+    rng = np.random.default_rng(len(shape) + sum(periodic))
+    for r in [np.zeros(math.prod(shape)),
+              *rng.integers(0, 3, (20, math.prod(shape))).astype(float)]:
+        mesh = types.SimpleNamespace(m=len(shape), shape=shape,
+                                     periodic=periodic, r=r)
+        assert (xg.mesh.critical_vertices(mesh).tolist()
+                == _critical_by_loop(r, shape, periodic))
 
 
 def test_kuhn_link_is_a_sphere():
