@@ -22,14 +22,23 @@ periodic seam its own piece.  Each edge is measured once, along its
 forward offset, and mirrored into the opposite slot piece by piece;
 ``forward_slots`` hands the pieces on, ``n_edges`` counts them, and
 ``edges`` and ``edge_lengths`` list the forward entries from them, slot by
-slot and in vertex order within a slot.  The grid graph is connected; the
-components of {r > R}, which count the ends, come from the same pieces by
-pointer jumping.  ``ends_stability`` is the one end counter: it labels
-them at each radius of one window, outermost first and each pass from the
-labels of the one before, and returns an ``EndsReport`` of the counts and
-the outermost components.  The window starts past the largest r of a
-PL-critical vertex (``critical_vertices``, a link test on the Kuhn
-triangulation of the grid).
+slot and in vertex order within a slot.  The grid graph is connected.
+
+The topology of r reads one sparser complex on the same vertices: the
+Kuhn (Freudenthal) triangulation of the grid, which splits each cell into
+the m! simplices of its monotone corner-to-corner paths.  Its edges are
+the offsets in {0, 1}^m and their negatives (``kuhn_link``), 2^m - 1 of
+the forward slots.  ``critical_vertices`` tests each vertex's link in it,
+and the components of {r > R}, which count the ends, come from the pieces
+of its forward slots by pointer jumping (``_components``).  With one
+complex for both, a vertex whose upper link is one ball neither starts a
+component nor merges two, and the two can be checked against each
+other; the full stencil would also join vertices across anti-diagonals,
+which no simplex does.  ``ends_stability`` is the one end counter: it
+labels the components at each radius of one window, outermost first and
+each pass from the labels of the one before, and returns an
+``EndsReport`` of the counts and the outermost components.  The window
+starts past the largest r of a PL-critical vertex (``critical_vertices``).
 
 Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
 split that the invariants read).  Both lattices stream as boxes of
@@ -606,23 +615,33 @@ def critical_free_radius(mesh: MeshGraph) -> float:
 
 
 def _components(shape, periodic, keep, seed=None) -> np.ndarray:
-    """(N,) int32 component labels of the grid graph restricted to
-    ``keep``: the least vertex index of each component, N outside
-    ``keep``.  Hooking and pointer jumping (Shiloach & Vishkin,
-    J. Algorithms 3, 1982): labels only fall, and each stays a vertex of
-    its component no larger than its own vertex, so at the fixed point
-    they agree across every edge and equal the component's least vertex.
-    A round hooks each vertex to the least label among its neighbours
-    piece by piece over the grid (``_edge_slabs``), both ways along each
-    edge, so no neighbour index is formed.
+    """(N,) int32 component labels of the Kuhn triangulation's 1-skeleton
+    restricted to ``keep``: the least vertex index of each component, N
+    outside ``keep``.  Its edges are the offsets of ``kuhn_link(m)``, so
+    the components and the link test of ``critical_vertices`` read one
+    complex: adding a vertex whose upper link is one ball to a superlevel
+    set neither starts a component nor merges two.  A mask joined only
+    through an anti-diagonal offset such as (1, -1) is two components
+    here.
+
+    Hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 3,
+    1982): labels only fall, and each stays a vertex of its component no
+    larger than its own vertex, so at the fixed point they agree across
+    every edge and equal the component's least vertex.  A round hooks each
+    vertex to the least label among its neighbours piece by piece over the
+    grid (``_edge_slabs``, the slots of the 2^m - 1 forward Kuhn offsets,
+    those in {0, 1}^m), both ways along each edge, so no neighbour index
+    is formed.
 
     ``seed`` may hold the labels of a pass over a subset of ``keep``; they
     have both properties, so the pass may start from them.
     """
     n = len(keep)
     drop = ~keep
-    slabs = [piece for _slot, pieces in _edge_slabs(shape, periodic)
-             for piece in pieces]
+    offsets = stencil(len(shape)).offsets
+    kuhn = {d for d in kuhn_link(len(shape))[0] if min(d) >= 0}
+    slabs = [piece for slot, pieces in _edge_slabs(shape, periodic)
+             if tuple(offsets[slot]) in kuhn for piece in pieces]
     # slot N stands for a vertex outside ``keep``
     label = np.full(n + 1, n, dtype=np.int32)
     label[:n] = np.arange(n)

@@ -22,7 +22,9 @@ holds.
 ``graph_distances`` is the other reference: Dijkstra over the mesh edges,
 an upper bound on the intrinsic distance that tends to the polyhedral norm
 of the neighbour stencil instead of converging to it.  ``graph_components``
-labels the components of the mesh graph restricted to a vertex mask.
+labels the components of a graph on the vertices restricted to a vertex
+mask: by default the Kuhn 1-skeleton of ``kuhn_edges``, the vertex pairs
+along the offsets in {0, 1}^m, which is what ``mesh._components`` walks.
 
 ``full_order_mesh`` is ``build_mesh`` the way it first worked:
 second-order geometry over the whole refined lattice, its vertices
@@ -145,11 +147,29 @@ def graph_distances(mesh, source=None):
     return dijkstra(graph, directed=False, indices=source)
 
 
-def graph_components(mesh, keep):
-    """scipy's component labels of the mesh graph restricted to the vertex
-    mask ``keep``; -1 outside ``keep``."""
+def kuhn_edges(mesh):
+    """(E, 2) vertex pairs of the Kuhn triangulation's 1-skeleton: each
+    vertex and its neighbour at every offset in {0, 1}^m (other than 0)
+    that stays in the grid, from the explicit table of
+    ``lattice_neighbours``."""
+    st = stencil(mesh.m)
+    nb = lattice_neighbours(mesh.shape, mesh.periodic)
     n = mesh.n_vertices
-    u, v = mesh.edges[keep[mesh.edges].all(axis=1)].T
+    pairs = []
+    for slot in np.flatnonzero(np.all(st.offsets >= 0, axis=1)):
+        u = np.flatnonzero(nb[:, slot] < n)
+        pairs.append(np.stack([u, nb[u, slot]], axis=1))
+    return np.concatenate(pairs)
+
+
+def graph_components(mesh, keep, edges=None):
+    """scipy's component labels of a graph on the mesh vertices restricted
+    to the vertex mask ``keep``; -1 outside ``keep``.  The graph's
+    ``edges`` default to the Kuhn 1-skeleton (``kuhn_edges``); the full
+    stencil graph is ``mesh.edges``."""
+    n = mesh.n_vertices
+    edges = kuhn_edges(mesh) if edges is None else edges
+    u, v = edges[keep[edges].all(axis=1)].T
     graph = csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     return np.where(keep, labels, -1)

@@ -738,8 +738,8 @@ print(json.dumps([codes, sorted(before), sorted(set(sys.modules) - before)]))
 @pytest.fixture(scope="module")
 def lazy_imports(tmp_path_factory):
     """(modules after the import, modules the commands loaded) of
-    LAZY_IMPORT_PROBE over the four benchmark commands, catalog list and
-    --help, each of which exits 0."""
+    LAZY_IMPORT_PROBE over the four benchmark commands, a hyperbolic
+    volume, catalog list and --help, each of which exits 0."""
     tmp_path = tmp_path_factory.mktemp("lazy")
     # small grids on which verify passes and volume has a radius window
     rot3 = {"immersion": ROT3, "resolution": [9, 12, 25], "samples": 20}
@@ -751,6 +751,8 @@ def lazy_imports(tmp_path_factory):
         ["curvature", "--config", str(tmp_path / "rot3.json"), "--seed", "3"],
         ["verify", "--config", str(tmp_path / "rot3.json")],
         ["volume", "--config", str(tmp_path / "flat3.json"), "--seed", "5"],
+        # hyperbolic model balls integrate with the Gauss-Legendre rule
+        ["volume", "--immersion", "totally-geodesic", "--resolution", "25"],
         ["invariants", "--immersion", "catenoid", "--resolution", "17,9",
          "--out", str(tmp_path / "reports")],
         ["catalog", "list"],
@@ -765,8 +767,9 @@ def lazy_imports(tmp_path_factory):
 
 
 def test_commands_import_no_numpy_module(lazy_imports):
-    """numpy.random, and numpy.ma through np.union1d or np.median, cost
-    their import time in every run of a command; none of them loads."""
+    """numpy.random, numpy.ma through np.union1d or np.median, and
+    numpy.polynomial through leggauss, cost their import time in every run
+    of a command; none of them loads."""
     _, loaded = lazy_imports
     assert [k for k in loaded if k.split(".")[0] == "numpy"] == []
 

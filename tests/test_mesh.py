@@ -452,6 +452,35 @@ def test_components_join_diagonal_neighbours():
     assert np.all(_components(mesh.shape, mesh.periodic, keep)[keep] == 0)
 
 
+def test_components_split_along_an_anti_diagonal():
+    # two blocks that meet only across the offset (1, -1): not a Kuhn
+    # edge, so two components
+    mesh = xg.build_mesh(flat_chart(), 6)
+    keep = np.zeros(mesh.shape, dtype=bool)
+    keep[:3, 3:] = keep[3:, :3] = True
+    keep = keep.reshape(-1)
+    assert_same_partition(mesh, keep)
+    labels = _components(mesh.shape, mesh.periodic, keep)
+    assert np.unique(labels[keep]).tolist() == [3, 18]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_components_walk_the_forward_kuhn_offsets(m):
+    # the centre of a 3^m grid and one neighbour share a component exactly
+    # when their offset d or -d is a forward offset of kuhn_link(m), one in
+    # {0, 1}^m: 2^m - 1 of the 3^m - 1 stencil slots
+    shape, periodic = (3,) * m, (False,) * m
+    forward = {d for d in xg.mesh.kuhn_link(m)[0] if min(d) >= 0}
+    assert forward == set(itertools.product((0, 1), repeat=m)) - {(0,) * m}
+    centre = np.ravel_multi_index((1,) * m, shape)
+    for d in eikonal.stencil(m).offsets:
+        keep = np.zeros(3 ** m, dtype=bool)
+        keep[[centre, np.ravel_multi_index(tuple(1 + d), shape)]] = True
+        labels = _components(shape, periodic, keep)[keep]
+        joined = tuple(d) in forward or tuple(-d) in forward
+        assert (labels[0] == labels[1]) == joined, d
+
+
 @pytest.mark.parametrize("name,params,res", [
     (None, {}, 5),
     ("sphere", {"m": 1, "n": 2}, 6),
@@ -1041,6 +1070,29 @@ def test_link_test_matches_a_vertex_loop(shape, periodic):
                 == _critical_by_loop(r, shape, periodic))
 
 
+@pytest.mark.parametrize("name,params,res", [
+    *[pytest.param(name, {}, res, id=f"{name}-{res}")
+      for name in ("cylinder", "catenoid", "sphere", "rotation-hypersurface")
+      for res in (17, 33, 65)],
+    *[pytest.param("rotation-hypersurface", {"n": 3}, res,
+                   id=f"rotation3-{res}") for res in (17, 33)],
+])
+def test_last_critical_vertex_merges_its_superlevel_set(name, params, res):
+    # the link test and the components read one complex: with the vertices
+    # ordered by (r, index), the link test's tie-break, adding the last
+    # critical vertex to its strict superlevel set joins two components
+    # into one at a saddle, and starts the first at the sphere's maximum
+    mesh = xg.build_mesh(xg.catalog_build(name, **params)[0], res)
+    r = mesh.r
+    v = max(xg.mesh.critical_vertices(mesh).tolist(), key=lambda j: (r[j], j))
+    above = (r > r[v]) | ((r == r[v]) & (np.arange(r.size) > v))
+    with_v = above.copy()
+    with_v[v] = True
+    counts = [np.unique(_components(mesh.shape, mesh.periodic, keep)[keep])
+              .size for keep in (above, with_v)]
+    assert counts == ([0, 1] if name == "sphere" else [2, 1])
+
+
 def test_kuhn_link_is_a_sphere():
     # the link of a vertex in a triangulated m-manifold is an
     # (m-1)-sphere: 12 faces (a hexagon) at m = 2, 74 at m = 3, and Euler
@@ -1081,15 +1133,18 @@ def test_count_ends_catenoid(catenoid_mesh):
 ], ids=["cylinder", "rotation3", "catenoid", "flat3"])
 def test_ends_match_the_component_oracle(name, params, res):
     # at every window radius, the ends are the oracle's components of
-    # {r > R} that reach a truncation face
+    # {r > R} that reach a truncation face, on the Kuhn 1-skeleton and on
+    # the full stencil graph alike: no end count moved when the components
+    # went onto the Kuhn edges
     mesh = xg.build_mesh(xg.catalog_build(name, **params)[0], res)
     ends = xg.ends_stability(mesh)
     boundary = mesh.boundary_vertex_mask()
     for R, count in zip(ends.radii, ends.counts):
         far = mesh.r > R
-        labels = graph_components(mesh, far)
-        touching = set(labels[far & boundary].tolist())
-        assert count == len(touching), R
+        for edges in (mesh.edges, None):
+            labels = graph_components(mesh, far, edges)
+            touching = set(labels[far & boundary].tolist())
+            assert count == len(touching), R
     uniq, sizes = np.unique(labels[far], return_counts=True)
     want = sorted(((int(k), lab in touching)
                    for lab, k in zip(uniq.tolist(), sizes.tolist())),

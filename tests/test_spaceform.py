@@ -7,7 +7,8 @@ import pytest
 
 import extgeo as xg
 from extgeo.errors import DomainError, SingularityError
-from extgeo.spaceform import distance_gradient_hessian, radial_gradient
+from extgeo.spaceform import (GAUSS_NODES, _gauss_rule,
+                              distance_gradient_hessian, radial_gradient)
 
 KAPPAS = (0.0, -0.25, -1.0, -2.0, -4.0)
 
@@ -254,6 +255,17 @@ def test_model_volumes_hyperbolic_ball_matches_adaptive_quadrature(m):
                            limit=200)
             ball, _ = xg.model_volumes(kappa, m, float(t))
             assert ball == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_gauss_rule_integrates_even_powers():
+    # 64 nodes integrate every polynomial of degree up to 127 exactly; the
+    # odd powers vanish by the rule's symmetry
+    x, w = _gauss_rule()
+    assert len(x) == GAUSS_NODES and np.all(np.diff(x) > 0.0)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    for k in range(GAUSS_NODES):
+        assert abs(w @ x ** (2 * k) - 2.0 / (2 * k + 1)) <= 1e-14, k
 
 
 def test_model_volumes_scaling():
