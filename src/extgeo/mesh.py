@@ -617,21 +617,17 @@ def critical_free_radius(mesh: MeshGraph) -> float:
 def _components(shape, periodic, keep, seed=None) -> np.ndarray:
     """(N,) int32 component labels of the Kuhn triangulation's 1-skeleton
     restricted to ``keep``: the least vertex index of each component, N
-    outside ``keep``.  Its edges are the offsets of ``kuhn_link(m)``, so
-    the components and the link test of ``critical_vertices`` read one
-    complex: adding a vertex whose upper link is one ball to a superlevel
-    set neither starts a component nor merges two.  A mask joined only
-    through an anti-diagonal offset such as (1, -1) is two components
-    here.
+    outside ``keep``.  Its edges are the offsets of ``kuhn_link(m)``, the
+    complex of the link test in ``critical_vertices``, so a mask joined
+    only across an anti-diagonal such as (1, -1) is two components.
 
     Hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 3,
     1982): labels only fall, and each stays a vertex of its component no
     larger than its own vertex, so at the fixed point they agree across
     every edge and equal the component's least vertex.  A round hooks each
     vertex to the least label among its neighbours piece by piece over the
-    grid (``_edge_slabs``, the slots of the 2^m - 1 forward Kuhn offsets,
-    those in {0, 1}^m), both ways along each edge, so no neighbour index
-    is formed.
+    grid (the slots of ``_edge_slabs`` whose offsets lie in {0, 1}^m),
+    both ways along each edge, so no neighbour index is formed.
 
     ``seed`` may hold the labels of a pass over a subset of ``keep``; they
     have both properties, so the pass may start from them.
