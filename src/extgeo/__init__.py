@@ -24,8 +24,7 @@ from .immersion import (BENDING, FRAME, METRIC, PointGeometry, ambient_of,
 from .invariants import (DecayProfile, DeltaModel, InvariantReport,
                          c_star_bisection, c_star_closed_form,
                          default_tail_radii, invariant_tails, kasue_bound,
-                         kasue_closed_form, pinching_functions,
-                         threshold_c_star)
+                         kasue_closed_form, pinching_functions)
 from .mesh import (EndsReport, MeshGraph, build_mesh, critical_free_radius,
                    ends_stability, mesh_dump)
 from .spaceform import (Ambient, ambient_distance, c_kappa, euclidean,

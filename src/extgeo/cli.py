@@ -66,8 +66,8 @@ from .exprchart import parse_chart
 from .immersion import (FRAME, ambient_of, block_len,
                         extrinsic_sphere_curvature, grid_geometry, point_bytes,
                         uniform_draws)
-from .invariants import (DeltaModel, default_tail_radii, invariant_tails,
-                         pinching_functions, threshold_c_star)
+from .invariants import (DeltaModel, c_star_closed_form, default_tail_radii,
+                         invariant_tails, pinching_functions)
 from .mesh import (MIN_RESOLUTION, build_mesh, check_budget,
                    critical_free_radius, ends_stability, mesh_dump)
 from .reporting import dumps_json, write_csv, write_json
@@ -270,7 +270,7 @@ def run_invariants(cfg: RunConfig, mesh, gt):
 
     kappa = mesh.vertices.kappa
     if kappa < 0.0:
-        block = {"c_star": threshold_c_star()}
+        block = {"c_star": c_star_closed_form()}
         c_val = report.a_estimate
         t_last = float(report.a_tail.x[-1])
         try:

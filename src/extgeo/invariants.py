@@ -26,13 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve
-from .errors import DomainError, EvaluationError, TruncationError
+from .errors import DomainError, TruncationError
 from .mesh import RADIUS_CAP_FRACTION, MeshGraph
 from .spaceform import c_kappa, gauss_legendre, s_kappa
 
 __all__ = ["DecayProfile", "DeltaModel", "PinchingValues", "InvariantReport",
            "kasue_bound", "kasue_closed_form", "pinching_functions",
-           "c_star_closed_form", "c_star_bisection", "threshold_c_star",
+           "c_star_closed_form", "c_star_bisection",
            "invariant_tails", "default_tail_radii"]
 
 # a_estimate below this counts as asymptotically flat
@@ -41,7 +41,6 @@ FLAT_TOL = 0.05
 OSC_TOL = 0.10
 # scale factor of the "flat slope" tolerance
 SLOPE_FRACTION = 0.05
-C_STAR_AGREEMENT = 1e-10
 C_STAR_TOL = 1e-12          # bracket width that ends the c* bisection
 TAIL_RADII = 12             # radii in the default tail window
 
@@ -210,17 +209,6 @@ def c_star_bisection() -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def threshold_c_star() -> float:
-    """Threshold amplitude, cross-validated between both routes."""
-    closed = c_star_closed_form()
-    rooted = c_star_bisection()
-    if abs(closed - rooted) > C_STAR_AGREEMENT:
-        raise EvaluationError(
-            "threshold", f"closed form {closed!r} and bisection {rooted!r} "
-            f"disagree beyond {C_STAR_AGREEMENT:g}")
-    return closed
 
 
 # ---------------------------------------------------------------------------

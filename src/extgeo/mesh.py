@@ -24,21 +24,19 @@ forward offset, and mirrored into the opposite slot piece by piece;
 ``edges`` and ``edge_lengths`` list the forward entries from them, slot by
 slot and in vertex order within a slot.  The grid graph is connected.
 
-The topology of r reads one sparser complex on the same vertices: the
-Kuhn (Freudenthal) triangulation of the grid, which splits each cell into
-the m! simplices of its monotone corner-to-corner paths.  Its edges are
-the offsets in {0, 1}^m and their negatives (``kuhn_link``), 2^m - 1 of
-the forward slots.  ``critical_vertices`` tests each vertex's link in it,
-and the components of {r > R}, which count the ends, come from the pieces
-of its forward slots by pointer jumping (``_components``).  With one
-complex for both, a vertex whose upper link is one ball neither starts a
-component nor merges two, and the two can be checked against each
-other; the full stencil would also join vertices across anti-diagonals,
-which no simplex does.  ``ends_stability`` is the one end counter: it
-labels the components at each radius of one window, outermost first and
-each pass from the labels of the one before, and returns an
-``EndsReport`` of the counts and the outermost components.  The window
-starts past the largest r of a PL-critical vertex (``critical_vertices``).
+The topology of r reads one order and one sparser complex.  The order is
+``MeshGraph.r_rank``, r with ties going to the larger index; the complex
+is the Kuhn (Freudenthal) triangulation of the grid, which splits each
+cell into the m! simplices of its monotone corner-to-corner paths (its
+edges are the offsets in {0, 1}^m and their negatives, ``kuhn_link``).
+``critical_vertices`` tests each vertex's link in it, and ``_climb``
+steps each vertex up to its latest neighbour until it reaches a peak, so
+the components of {r > R} are basins of peaks joined at known ranks.
+Every peak and every merge of two components is then a vertex that the
+link test flags.  ``ends_stability`` is the one end counter: it counts
+the components that reach a truncation face at each radius of a window
+that starts past the largest r of a critical vertex, and returns an
+``EndsReport`` of the counts and the outermost components.
 
 Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
 split that the invariants read).  Both lattices stream as boxes of
@@ -126,6 +124,7 @@ class MeshGraph:
     neighbour_lengths: np.ndarray
     basepoint: int
     _rho: np.ndarray = field(default=None, repr=False)
+    _r_rank: np.ndarray = field(default=None, init=False, repr=False)
     refined_r: np.ndarray = field(default=None, repr=False)
     refined_weight: np.ndarray = field(default=None, repr=False)
     _fd_step: float = field(default=None, repr=False)
@@ -199,6 +198,16 @@ class MeshGraph:
                 self.neighbour_lengths, self.basepoint)
         return self._rho
 
+    @property
+    def r_rank(self) -> np.ndarray:
+        """(N,) each vertex's place in the order of r, ties going to the
+        larger index; made on first use."""
+        if self._r_rank is None:
+            self._r_rank = np.empty(self.n_vertices, dtype=np.intp)
+            self._r_rank[np.argsort(self.r, kind="stable")] = np.arange(
+                self.n_vertices)
+        return self._r_rank
+
     def boundary_vertex_mask(self) -> np.ndarray:
         """Vertices on a truncation face.
 
@@ -208,14 +217,8 @@ class MeshGraph:
         """
         mask = np.zeros(self.shape, dtype=bool)
         for axis, is_trunc in enumerate(self.chart.truncation_axis_flags()):
-            if not is_trunc:
-                continue
-            sl_lo = [slice(None)] * self.m
-            sl_lo[axis] = 0
-            mask[tuple(sl_lo)] = True
-            sl_hi = [slice(None)] * self.m
-            sl_hi[axis] = self.shape[axis] - 1
-            mask[tuple(sl_hi)] = True
+            if is_trunc:
+                mask[(slice(None),) * axis + ([0, -1],)] = True
         return mask.reshape(-1)
 
     @property
@@ -412,17 +415,17 @@ def _node_weights(shape, periodic, centre_density, measure) -> np.ndarray:
 
 def mesh_bytes(shape, periodic) -> tuple:
     """``(held, peak)`` estimated bytes of a mesh of this shape: what the
-    built mesh holds once rho is solved, and that plus the most its build
-    or its rho solve holds on top at once.  It reads the shape alone; no
+    built mesh holds once rho and ``r_rank`` are made, and that plus the
+    most its build or its rho solve holds on top at once.  It reads the shape alone; no
     chart is evaluated and no stencil built."""
     m, n = len(shape), math.prod(shape)
     n_refined = math.prod(_refined_shape(shape, periodic))
     slots = 3 ** m - 1
-    # per vertex the BENDING fields (at_pole a bool) and rho, the edge
-    # lengths per slot (held from the refined pass on, which writes the
-    # midpoint speeds into them) and, per refined node, r and the volume
-    # weight
-    held = n * (8 * (m * m + m + 6) + 1 + 8 * slots) + 16 * n_refined
+    # per vertex the BENDING fields (at_pole a bool), rho and the r rank,
+    # the edge lengths per slot (held from the refined pass on, which
+    # writes the midpoint speeds into them) and, per refined node, r and
+    # the volume weight
+    held = n * (8 * (m * m + m + 7) + 1 + 8 * slots) + 16 * n_refined
     # the build: one parity class's metric with its rolled copy and the
     # contraction's own, the vertex points and the Simpson temporaries of
     # one slot, and one geometry block
@@ -572,29 +575,18 @@ def critical_vertices(mesh: MeshGraph) -> np.ndarray:
     whose upper link does not have the Euler characteristic 1 of a ball
     (Banchoff, J. Diff. Geom. 1, 1967).  The minimum has the whole link, a
     maximum none, and a saddle two or more pieces.  The link is
-    ``kuhn_link(m)``, and a neighbour is upper when its r is larger, ties
-    going to the larger vertex index.  Only the vertices whose link lies
-    in the grid (periodic axes wrapping) are tested, all at once on
-    shifted views of the r grid."""
+    ``kuhn_link(m)``, and a neighbour is upper when it is later in
+    ``MeshGraph.r_rank``.  Only the vertices whose link lies in the grid
+    (periodic axes wrapping) are tested, all at once on shifted views of
+    the rank grid."""
     offsets, faces = kuhn_link(mesh.m)
     shape, periodic = mesh.shape, mesh.periodic
     pad = [(1, 1) if p else (0, 0) for p in periodic]
-    r = np.pad(mesh.r.reshape(shape), pad, mode="wrap")
-    here = r[tuple(slice(1, k - 1) for k in r.shape)]
-    # the tested vertices' coordinates: all of them on a periodic axis
-    rows = [np.arange(k) if p else np.arange(1, k - 1)
-            for k, p in zip(shape, periodic)]
-
-    def upper(d):
-        there = r[tuple(slice(1 + e, k - 1 + e) for e, k in zip(d, r.shape))]
-        # a tie goes by index: the neighbour's is the larger when its
-        # coordinate is, along the first axis that d moves
-        a = next(i for i, e in enumerate(d) if e)
-        later = ((rows[a] + d[a]) % shape[a] > rows[a]).reshape(
-            (-1,) + (1,) * (len(d) - a - 1))
-        return (there > here) | ((there == here) & later)
-
-    uppers = [upper(d) for d in offsets]
+    rank = np.pad(mesh.r_rank.reshape(shape), pad, mode="wrap")
+    here = rank[tuple(slice(1, k - 1) for k in rank.shape)]
+    uppers = [rank[tuple(slice(1 + e, k - 1 + e)
+                         for e, k in zip(d, rank.shape))] > here
+              for d in offsets]
     # faces by size: each partial sum is the Euler characteristic of a
     # skeleton of the upper link, within int8 up to m = 4
     chi = np.zeros(here.shape, dtype=np.int8)
@@ -604,6 +596,9 @@ def critical_vertices(mesh: MeshGraph) -> np.ndarray:
             chi += inside
         else:
             chi -= inside
+    # the tested vertices' coordinates: all of them on a periodic axis
+    rows = [np.arange(k) if p else np.arange(1, k - 1)
+            for k, p in zip(shape, periodic)]
     return np.ravel_multi_index(
         [row[i] for row, i in zip(rows, np.nonzero(chi != 1))], shape)
 
@@ -614,48 +609,47 @@ def critical_free_radius(mesh: MeshGraph) -> float:
     return float(np.max(mesh.r[critical_vertices(mesh)], initial=0.0))
 
 
-def _components(shape, periodic, keep, seed=None) -> np.ndarray:
-    """(N,) int32 component labels of the Kuhn triangulation's 1-skeleton
-    restricted to ``keep``: the least vertex index of each component, N
-    outside ``keep``.  Its edges are the offsets of ``kuhn_link(m)``, the
-    complex of the link test in ``critical_vertices``, so a mask joined
-    only across an anti-diagonal such as (1, -1) is two components.
+def _climb(mesh: MeshGraph):
+    """``(basin, joins)``: the superlevel sets of r on the Kuhn edges (the
+    pieces of ``_edge_slabs`` with offsets in {0, 1}^m, both ways).
 
-    Hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 3,
-    1982): labels only fall, and each stays a vertex of its component no
-    larger than its own vertex, so at the fixed point they agree across
-    every edge and equal the component's least vertex.  A round hooks each
-    vertex to the least label among its neighbours piece by piece over the
-    grid (the slots of ``_edge_slabs`` whose offsets lie in {0, 1}^m),
-    both ways along each edge, so no neighbour index is formed.
-
-    ``seed`` may hold the labels of a pass over a subset of ``keep``; they
-    have both properties, so the pass may start from them.
+    Each vertex steps to its latest neighbour in ``r_rank``, or stays at a
+    peak, and pointer jumping takes it to its peak, its entry of ``basin``
+    (N,).  A climb only rises, so the components of {r > R} are the basins
+    of the peaks above R, joined along the edges between basins whose
+    lower end lies above R.  ``joins`` (K, 3) holds per pair of adjacent
+    basins the lower end of its latest edge and the two peaks, latest
+    first.
     """
-    n = len(keep)
-    drop = ~keep
-    offsets = stencil(len(shape)).offsets
-    kuhn = {d for d in kuhn_link(len(shape))[0] if min(d) >= 0}
-    slabs = [piece for slot, pieces in _edge_slabs(shape, periodic)
+    shape, n = mesh.shape, mesh.n_vertices
+    offsets = stencil(mesh.m).offsets
+    kuhn = {d for d in kuhn_link(mesh.m)[0] if min(d) >= 0}
+    slabs = [piece for slot, pieces in _edge_slabs(shape, mesh.periodic)
              if tuple(offsets[slot]) in kuhn for piece in pieces]
-    # slot N stands for a vertex outside ``keep``
-    label = np.full(n + 1, n, dtype=np.int32)
-    label[:n] = np.arange(n)
-    if seed is not None:
-        np.minimum(label[:n], seed, out=label[:n])
-    label[:n][drop] = n
-    low = np.empty_like(label)
-    while True:
-        np.copyto(low, label)
-        grid, hooked = label[:n].reshape(shape), low[:n].reshape(shape)
-        for here, there in slabs:
-            np.minimum(hooked[here], grid[there], out=hooked[here])
-            np.minimum(hooked[there], grid[here], out=hooked[there])
-        low[:n][drop] = n
-        new = label.take(low)
-        if np.array_equal(new, label):
-            return label[:n]
-        label = new
+    rank = mesh.r_rank.reshape(shape)
+    latest = rank.copy()
+    for here, there in slabs:
+        np.maximum(latest[here], rank[there], out=latest[here])
+        np.maximum(latest[there], rank[here], out=latest[there])
+    order = np.empty(n, dtype=np.intp)          # the vertex of each rank
+    order[mesh.r_rank] = np.arange(n)
+    basin = order[latest.reshape(-1)]
+    while not np.array_equal(top := basin[basin], basin):
+        basin = top
+    peak, found = basin.reshape(shape), []
+    for here, there in slabs:
+        a, b = peak[here], peak[there]
+        cross = a != b
+        found.append((np.minimum(a, b)[cross] * n + np.maximum(a, b)[cross],
+                      np.minimum(rank[here][cross], rank[there][cross])))
+    # per pair of peaks, the latest lower end of an edge between them
+    pairs, at = np.unique(np.concatenate([p for p, _ in found]),
+                          return_inverse=True)
+    latest = np.full(pairs.size, -1)
+    np.maximum.at(latest, at, np.concatenate([low for _, low in found]))
+    by = np.argsort(-latest)
+    return basin, np.stack([order[latest[by]], pairs[by] // n,
+                            pairs[by] % n], axis=1)
 
 
 def ends_stability(mesh: MeshGraph) -> EndsReport:
@@ -665,7 +659,8 @@ def ends_stability(mesh: MeshGraph) -> EndsReport:
     At each radius R an end is a component of {r > R} that reaches a
     truncation face (the discrete stand-in for being unbounded);
     components that stay interior are bounded pockets, reported at the
-    outermost radius and not counted.
+    outermost radius and not counted.  A union-find joins ``_climb``'s
+    basins.
     """
     r0 = critical_free_radius(mesh)
     r_hi = ENDS_WINDOW_FRACTION * mesh.r_reliable
@@ -675,19 +670,31 @@ def ends_stability(mesh: MeshGraph) -> EndsReport:
             f"no radius window clear of the critical region: estimate "
             f"{r0:g} against usable maximum {r_hi:g}")
     radii = [float(t) for t in np.linspace(r_lo, r_hi, ENDS_RADII)]
-    boundary = mesh.boundary_vertex_mask()
-    counts, labels, components = [], None, None
-    # outermost first: {r > R} grows inwards, so each pass starts from the
-    # labels of the one before
+    r, boundary = mesh.r, mesh.boundary_vertex_mask()
+    basin, joins = _climb(mesh)
+    peaks = np.flatnonzero(basin == np.arange(basin.size))
+    parent = {p: p for p in peaks.tolist()}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]       # path halving
+        return p
+
+    counts, components = [], None
+    # outermost first: {r > R} grows inwards, and each join holds from the
+    # first radius below its lower end on
     for t in reversed(radii):
-        far = mesh.vertices.r > t
-        labels = _components(mesh.shape, mesh.periodic, far, labels)
-        touching = set(labels[far & boundary].tolist())
+        for _, p, q in joins[r[joins[:, 0]] > t].tolist():
+            parent[find(p)] = find(q)
+        far = r > t
+        touching = {find(p) for p in set(basin[far & boundary].tolist())}
         counts.insert(0, len(touching))
         if components is None:
-            uniq, sizes = np.unique(labels[far], return_counts=True)
-            components = [{"vertices": cnt, "end": lab in touching}
-                          for lab, cnt in zip(uniq.tolist(), sizes.tolist())]
+            sizes, tally = {}, np.bincount(basin[far], minlength=r.size)
+            for p in peaks[r[peaks] > t].tolist():
+                sizes[find(p)] = sizes.get(find(p), 0) + int(tally[p])
+            components = [{"vertices": k, "end": p in touching}
+                          for p, k in sizes.items()]
             components.sort(key=lambda s: (-s["vertices"], not s["end"]))
     return EndsReport(radii=radii, counts=counts, critical_free_radius=r0,
                       n_bounded=len(components) - counts[-1],

@@ -73,10 +73,13 @@ class VolumeCurve:
     fd_step: float
 
     def __post_init__(self):
-        if np.any(np.diff(self.ball) <= 0.0):
+        flat = np.flatnonzero(np.diff(self.ball) <= 0.0)
+        if flat.size:
+            lo, hi = self.radii[flat[0]:flat[0] + 2]
             raise GeometryError(
-                "ball volume failed to increase strictly along the radii; "
-                "the radius list is finer than the mesh can resolve")
+                f"ball volume failed to increase strictly along the radii, "
+                f"first from {lo:g} to {hi:g} at fd_step {self.fd_step:g}: "
+                f"the mesh does not resolve the ball curve there")
 
     def coarea_max_dev(self) -> float:
         """Worst relative mismatch between the differentiated ball curve
@@ -107,7 +110,9 @@ def default_volume_radii(mesh: MeshGraph, n: int = 16) -> np.ndarray:
     hi = cap - 1.5 * dr
     lo = max(hi / 4.0, 2.0 * dr)
     if not lo < hi:
-        raise DomainError("mesh too coarse for a volume radius window")
+        raise DomainError(
+            f"mesh too coarse for a volume radius window: it would run from "
+            f"{lo:g} to {hi:g} at fd_step {dr:g}")
     return np.linspace(lo, hi, n)
 
 

@@ -12,6 +12,8 @@ import types
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import extgeo as xg
 import extgeo.cli
@@ -20,7 +22,7 @@ import extgeo.mesh
 from extgeo import eikonal, jets
 from extgeo.errors import ConfigError, DomainError, GeometryError
 from extgeo.catalog import CATALOG
-from extgeo.mesh import (MeshGraph, _components, _edge_slabs, _node_weights,
+from extgeo.mesh import (MeshGraph, _climb, _edge_slabs, _node_weights,
                          _refined_shape)
 from extgeo.reporting import CSV_CHUNK, write_csv
 from oracles import (antipodal_distance, cell_r_spans, csv_text,
@@ -320,7 +322,7 @@ def test_mesh_bytes_estimate_the_traced_bytes(name, params, res):
     try:
         start = tracemalloc.get_traced_memory()[0]
         mesh = xg.build_mesh(chart, res)
-        mesh.rho
+        mesh.rho, mesh.r_rank
         retained, peak = (x - start for x in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
@@ -415,53 +417,80 @@ def test_grid_graph_is_connected(name):
     assert np.all(np.isfinite(mesh.rho))
 
 
-def assert_same_partition(mesh, keep):
-    """``_components`` labels each kept vertex by the least vertex of its
-    component in the oracle's partition, and N outside ``keep``."""
-    n = mesh.n_vertices
-    ref = graph_components(mesh, keep)
-    least = np.full(n, n)
-    np.minimum.at(least, ref[keep], np.flatnonzero(keep))
-    want = np.full(n, n)
-    want[keep] = least[ref[keep]]
-    np.testing.assert_array_equal(
-        _components(mesh.shape, mesh.periodic, keep), want)
+def field_mesh(shape, periodic, r):
+    """A mesh of the grid ``shape`` that carries only the vertex field r."""
+    r = np.ravel(r).astype(float)
+    return MeshGraph(chart=types.SimpleNamespace(periodic=tuple(periodic)),
+                     amb=None, shape=tuple(shape), origin=None, spacing=None,
+                     points=None, vertices=types.SimpleNamespace(r=r),
+                     neighbour_lengths=None, basepoint=0)
 
 
-@pytest.mark.parametrize("name,params,res", [
-    (None, {}, 40),
-    ("cylinder", {}, [12, 16]),
-    ("flat-subspace", {"m": 3, "n": 4}, 9),
-], ids=["line", "cylinder", "flat3"])
-def test_components_match_the_oracle(name, params, res):
-    chart = (xg.parse_chart(LINE) if name is None
-             else xg.catalog_build(name, **params)[0])
-    mesh = xg.build_mesh(chart, res)
+def climb_components(mesh, t):
+    """Component labels of {r > t} from ``_climb``, -1 outside: each
+    vertex's peak, the peaks joined here (scipy's components of the peak
+    graph) along the basin pairs whose lower end lies above t.  The
+    partition must be the oracle's."""
+    basin, joins = _climb(mesh)
+    n, keep = mesh.n_vertices, mesh.r > t
+    # a climb only rises, and each basin holds its peak
+    assert np.all(mesh.r_rank[basin] >= mesh.r_rank)
+    np.testing.assert_array_equal(basin[basin], basin)
+    _, a, b = joins[mesh.r[joins[:, 0]] > t].T
+    graph = csr_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+    _, peak_label = connected_components(graph, directed=False)
+    labels = np.where(keep, peak_label[basin], -1)
+    want = graph_components(mesh, keep)[keep].tolist()
+    got = labels[keep].tolist()
+    assert len(set(zip(got, want))) == len(set(got)) == len(set(want)), t
+    return labels
+
+
+@pytest.mark.parametrize("shape,periodic", [
+    ((40,), (False,)), ((12, 16), (False, True)), ((9, 9, 9), (False,) * 3),
+    ((9, 12), (True, True))], ids=["line", "cylinder", "flat3", "torus"])
+def test_components_match_the_oracle(shape, periodic):
+    # integer r fields, so most neighbours tie and the index decides, at
+    # thresholds from all of the grid to none of it
     rng = np.random.default_rng(11)
-    for density in (0.0, 0.3, 0.5, 0.7, 1.0):
-        assert_same_partition(mesh, rng.random(mesh.n_vertices) < density)
+    for r in rng.integers(0, 4, (5, math.prod(shape))):
+        mesh = field_mesh(shape, periodic, r)
+        for t in (-1, 0, 1, 2, 3):
+            climb_components(mesh, t)
+
+
+@pytest.mark.parametrize("shape,periodic", [
+    ((40,), (False,)), ((6, 7), (True, False)), ((4, 5, 3), (False,) * 3)],
+    ids=["line", "periodic", "flat3"])
+def test_a_single_basin_has_no_joins(shape, periodic):
+    # r rising with the vertex index climbs every vertex to the last one
+    n = math.prod(shape)
+    basin, joins = _climb(field_mesh(shape, periodic, np.arange(n) // 2))
+    np.testing.assert_array_equal(basin, n - 1)
+    assert joins.shape == (0, 3)
 
 
 def test_components_join_diagonal_neighbours():
     # two blocks that meet at one corner: the diagonal offset is an edge
-    mesh = xg.build_mesh(flat_chart(), 6)
-    keep = np.zeros(mesh.shape, dtype=bool)
-    keep[:3, :3] = keep[3:, 3:] = True
-    keep = keep.reshape(-1)
-    assert_same_partition(mesh, keep)
-    assert np.all(_components(mesh.shape, mesh.periodic, keep)[keep] == 0)
+    r = np.zeros((6, 6))
+    r[:3, :3] = r[3:, 3:] = 1.0
+    labels = climb_components(field_mesh((6, 6), (False, False), r), 0.5)
+    assert np.unique(labels[r.reshape(-1) > 0.5]).size == 1
 
 
 def test_components_split_along_an_anti_diagonal():
     # two blocks that meet only across the offset (1, -1): not a Kuhn
-    # edge, so two components
-    mesh = xg.build_mesh(flat_chart(), 6)
-    keep = np.zeros(mesh.shape, dtype=bool)
-    keep[:3, 3:] = keep[3:, :3] = True
-    keep = keep.reshape(-1)
-    assert_same_partition(mesh, keep)
-    labels = _components(mesh.shape, mesh.periodic, keep)
-    assert np.unique(labels[keep]).tolist() == [3, 18]
+    # edge, so two basins, each climbing to its latest vertex, that join
+    # only below the blocks
+    r = np.zeros((6, 6))
+    r[:3, 3:] = r[3:, :3] = 1.0
+    mesh = field_mesh((6, 6), (False, False), r)
+    labels = climb_components(mesh, 0.5)
+    keep = r.reshape(-1) > 0.5
+    assert np.unique(labels[keep]).size == 2
+    basin, joins = _climb(mesh)
+    assert np.unique(basin[keep]).tolist() == [17, 32]
+    assert np.all(mesh.r[joins[:, 0]] == 0.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -474,11 +503,12 @@ def test_components_walk_the_forward_kuhn_offsets(m):
     assert forward == set(itertools.product((0, 1), repeat=m)) - {(0,) * m}
     centre = np.ravel_multi_index((1,) * m, shape)
     for d in eikonal.stencil(m).offsets:
-        keep = np.zeros(3 ** m, dtype=bool)
-        keep[[centre, np.ravel_multi_index(tuple(1 + d), shape)]] = True
-        labels = _components(shape, periodic, keep)[keep]
+        r = np.zeros(3 ** m)
+        r[[centre, np.ravel_multi_index(tuple(1 + d), shape)]] = 1.0
+        labels = climb_components(field_mesh(shape, periodic, r), 0.5)
+        pair = labels[r > 0.5]
         joined = tuple(d) in forward or tuple(-d) in forward
-        assert (labels[0] == labels[1]) == joined, d
+        assert (pair[0] == pair[1]) == joined, d
 
 
 @pytest.mark.parametrize("name,params,res", [
@@ -640,17 +670,16 @@ def test_components_across_a_periodic_seam_match_the_oracle(name, params,
                    & keep.reshape(mesh.shape).take(-1, axis=a))
             for a, p in enumerate(mesh.periodic) if p]
         assert any(crossing)
-        assert_same_partition(mesh, keep)
+        climb_components(mesh, t)
     # a band through the seam alone: one component, not two
-    keep = np.zeros(mesh.shape, dtype=bool)
+    band = np.zeros(mesh.shape)
     axis = mesh.periodic.index(True)
-    band = [slice(None)] * mesh.m
-    band[axis] = [0, 1, mesh.shape[axis] - 1]
-    keep[tuple(band)] = True
-    keep = keep.reshape(-1)
-    assert_same_partition(mesh, keep)
-    labels = _components(mesh.shape, mesh.periodic, keep)
-    assert np.unique(labels[keep]).tolist() == [0]
+    rows = [slice(None)] * mesh.m
+    rows[axis] = [0, 1, mesh.shape[axis] - 1]
+    band[tuple(rows)] = 1.0
+    labels = climb_components(field_mesh(mesh.shape, mesh.periodic, band),
+                              0.5)
+    assert np.unique(labels[band.reshape(-1) > 0.5]).size == 1
 
 
 @pytest.mark.parametrize("name,params,res", [
@@ -1064,8 +1093,7 @@ def test_link_test_matches_a_vertex_loop(shape, periodic):
     rng = np.random.default_rng(len(shape) + sum(periodic))
     for r in [np.zeros(math.prod(shape)),
               *rng.integers(0, 3, (20, math.prod(shape))).astype(float)]:
-        mesh = types.SimpleNamespace(m=len(shape), shape=shape,
-                                     periodic=periodic, r=r)
+        mesh = field_mesh(shape, periodic, r)
         assert (xg.mesh.critical_vertices(mesh).tolist()
                 == _critical_by_loop(r, shape, periodic))
 
@@ -1088,9 +1116,55 @@ def test_last_critical_vertex_merges_its_superlevel_set(name, params, res):
     above = (r > r[v]) | ((r == r[v]) & (np.arange(r.size) > v))
     with_v = above.copy()
     with_v[v] = True
-    counts = [np.unique(_components(mesh.shape, mesh.periodic, keep)[keep])
-              .size for keep in (above, with_v)]
+    counts = [np.unique(graph_components(mesh, keep)[keep]).size
+              for keep in (above, with_v)]
     assert counts == ([0, 1] if name == "sphere" else [2, 1])
+
+
+def merging_vertices(basin, joins):
+    """The peaks of ``_climb`` and the lower ends at which its joins, taken
+    latest first, meet two components of the superlevel set."""
+    peaks = np.flatnonzero(basin == np.arange(basin.size)).tolist()
+    parent = {p: p for p in peaks}
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    merges = []
+    for low, a, b in joins.tolist():
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+            merges.append(low)
+    return peaks, merges
+
+
+@pytest.mark.parametrize("name,params,res", [
+    *[pytest.param(name, {}, res, id=f"{name}-{res}")
+      for name in CATALOG for res in (17, 33, 65)],
+    *[pytest.param("rotation-hypersurface", {"n": 3}, res,
+                   id=f"rotation3-{res}") for res in (17, 33)],
+    pytest.param("flat-subspace", {"m": 3, "n": 4}, 41, id="flat3-volume"),
+    pytest.param("catenoid", {}, [401, 64], id="catenoid-invariants"),
+    pytest.param("rotation-hypersurface", {"n": 3}, [9, 24, 101],
+                 id="rot3-verify"),
+])
+def test_every_peak_and_merge_is_a_critical_vertex(name, params, res):
+    # the ends and the link test read one order on one complex: each
+    # peak of the climb and each vertex where two superlevel components
+    # merge is flagged wherever its link lies in the grid, and the only
+    # other flagged vertex is the basepoint minimum
+    mesh = xg.build_mesh(xg.catalog_build(name, **params)[0], res)
+    peaks, merges = merging_vertices(*_climb(mesh))
+    inside = np.ones(mesh.shape, dtype=bool)
+    for axis, (k, p) in enumerate(zip(mesh.shape, mesh.periodic)):
+        if not p:
+            inside[(slice(None),) * axis + ([0, k - 1],)] = False
+    inside = inside.reshape(-1)
+    want = {v for v in peaks + merges if inside[v]} | {mesh.basepoint}
+    assert xg.mesh.critical_vertices(mesh).tolist() == sorted(want)
 
 
 def test_kuhn_link_is_a_sphere():
@@ -1154,34 +1228,6 @@ def test_ends_match_the_component_oracle(name, params, res):
     if name == "cylinder":
         # the window starts past the saddle at r = 2
         assert ends.counts == [2] * 5 and ends.stable
-
-
-@pytest.mark.parametrize("name", list(CATALOG))
-def test_warm_end_passes_equal_passes_from_scratch(name, monkeypatch):
-    # ends_stability labels its radii outermost first, each pass seeded
-    # with the labels of the one before; every pass must end at the labels
-    # of a pass from scratch
-    mesh = xg.build_mesh(CATALOG[name].build()[0], 9)
-    passes = []
-
-    def checked(shape, periodic, keep, seed=None):
-        got = _components(shape, periodic, keep, seed)
-        np.testing.assert_array_equal(got, _components(shape, periodic, keep))
-        passes.append((keep.sum(), seed is None))
-        return got
-
-    monkeypatch.setattr(extgeo.mesh, "_components", checked)
-    if name == "sphere":
-        # its maximum at the antipode, r = 2, tops the window
-        with pytest.raises(DomainError, match="no radius window"):
-            xg.ends_stability(mesh)
-        return
-    ends = xg.ends_stability(mesh)
-    assert len(passes) == len(ends.radii)
-    assert [first for _, first in passes] == [True] + [False] * (
-        len(passes) - 1)
-    # outermost first, so the sets grow
-    assert [k for k, _ in passes] == sorted(k for k, _ in passes)
 
 
 # ---------------------------------------------------------------------------
