@@ -416,8 +416,8 @@ def _node_weights(shape, periodic, centre_density, measure) -> np.ndarray:
 def mesh_bytes(shape, periodic) -> tuple:
     """``(held, peak)`` estimated bytes of a mesh of this shape: what the
     built mesh holds once rho and ``r_rank`` are made, and that plus the
-    most its build or its rho solve holds on top at once.  It reads the shape alone; no
-    chart is evaluated and no stencil built."""
+    most its build or its rho solve holds on top at once.  It reads the
+    shape alone; no chart is evaluated and no stencil built."""
     m, n = len(shape), math.prod(shape)
     n_refined = math.prod(_refined_shape(shape, periodic))
     slots = 3 ** m - 1
@@ -643,10 +643,10 @@ def _climb(mesh: MeshGraph):
         found.append((np.minimum(a, b)[cross] * n + np.maximum(a, b)[cross],
                       np.minimum(rank[here][cross], rank[there][cross])))
     # per pair of peaks, the latest lower end of an edge between them
-    pairs, at = np.unique(np.concatenate([p for p, _ in found]),
-                          return_inverse=True)
+    pair, low = map(np.concatenate, zip(*found))
+    pairs, at = np.unique(pair, return_inverse=True)
     latest = np.full(pairs.size, -1)
-    np.maximum.at(latest, at, np.concatenate([low for _, low in found]))
+    np.maximum.at(latest, at, low)
     by = np.argsort(-latest)
     return basin, np.stack([order[latest[by]], pairs[by] // n,
                             pairs[by] % n], axis=1)
