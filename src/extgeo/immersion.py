@@ -17,8 +17,10 @@ A batch of points streams in flat ranges (``stream_geometry``).  A
 lattice, the product of one coordinate array per axis, streams as boxes
 (``stream_lattice``): their jets are seeded one per axis, so numpy
 broadcasting evaluates each factor of the chart, such as cosh(2s) or
-sin t1, over the axes it depends on, and only the stacked jets take the
-box's full shape.  A box gets the bits of its points listed one by one.
+sin t1, and each of its derivatives, over the axes it depends on.  The
+metric algebra then runs once per distinct Jacobian of the box, and only
+the position and what meets it take the box's full shape.  A box gets the
+bits of its points listed one by one.
 A block takes ``BLOCK_BYTES`` (4 MiB) of working memory at most: its length
 follows the level, the chart dimension and the coordinate count (about
 2.3 KB a point for ``BENDING`` at m = 3, 0.35 KB for ``METRIC``, which
@@ -194,12 +196,21 @@ def _geometry_block(chart, amb, block, level):
     the block's order: a (N, m) array of points, or a `Box`, whose jets
     are seeded one per axis (``jets.seed_axes``), so that each factor of
     the chart is evaluated over the axes it depends on.  The input type
-    picks the seeding; the bits are those of the points either way."""
+    picks the seeding; the bits are those of the points either way.
+
+    The metric algebra runs over the shape the derivatives vary over,
+    once per distinct Jacobian (and Hessian, above ``METRIC``), and its
+    results are broadcast onto the block: a flat chart's box factors at
+    most one metric per index of its lead axis, a cylinder's one per angle.  What
+    meets the position varies at every point and takes the block's full
+    shape: the radial split, and the position part of the Hessians in a
+    curved ambient, with all that follows from it."""
     box = isinstance(block, Box)
     if len(block) == 1:
         # einsum drops a batch axis of length one: it picks another path and
         # hands matmul other strides, which round differently.  One point
-        # is computed as a batch of two, so it matches every batched call.
+        # is computed as a batch of two, so it matches every batched call;
+        # a box with one Jacobian runs its metric algebra on two copies.
         pts = block.points() if box else block
         return _geometry_block(chart, amb, np.repeat(pts, 2, axis=0),
                                level).take(slice(0, 1))
@@ -212,17 +223,31 @@ def _geometry_block(chart, amb, block, level):
         pts, batch = block, (len(block),)
         out_jets = chart.eval_jets(jets.seed_point(pts, order))
     n, m, a = len(pts), pts.shape[-1], len(out_jets)
+    shape = np.broadcast_shapes(*[j.grad.shape[:-1] for j in out_jets], *(
+        [] if level == METRIC else [j.hess.shape[:-2] for j in out_jets]))
+    k = math.prod(shape)
+    # the first point of the block at each entry of ``shape``, in C order
+    first = pts.reshape(batch + (m,))[tuple(map(slice, shape))].reshape(-1, m)
 
-    def stack(parts, tail):
-        # the first arrays over every point of the block: a jet that does
-        # not vary along an axis is broadcast along it here
-        return np.stack([np.broadcast_to(p, batch + tail) for p in parts],
-                        axis=-1 - len(tail)).reshape((n, a) + tail)
+    def stack(parts, over, tail):
+        # the parts broadcast to the batch shape ``over``, flat: a jet that
+        # does not vary along an axis of it is broadcast along it here
+        return np.stack([np.broadcast_to(p, over + tail) for p in parts],
+                        axis=-1 - len(tail)).reshape((-1, a) + tail)
 
-    pos = stack([j.value for j in out_jets], ())              # (N, a)
-    jac = stack([j.grad for j in out_jets], (m,))             # (N, a, m)
+    def spread(x):
+        # an array over ``shape``, flat, onto every point of the block
+        if shape == batch:
+            return x
+        tail = x.shape[1:]
+        return np.broadcast_to(x[:k].reshape(shape + tail),
+                               batch + tail).reshape((n,) + tail)
+
+    over = shape if k > 1 else (2,) + shape[1:]
+    pos = stack([j.value for j in out_jets], batch, ())       # (N, a)
+    jac = stack([j.grad for j in out_jets], over, (m,))       # (K, a, m)
     if level != METRIC:
-        hess = stack([j.hess for j in out_jets], (m, m))      # (N, a, m, m)
+        hess = stack([j.hess for j in out_jets], over, (m, m))  # (K, a, m, m)
     del out_jets                      # the stacks above copied every part
     eta = amb.signature()
 
@@ -232,56 +257,63 @@ def _geometry_block(chart, amb, block, level):
         # finite jets can still overflow in the metric's products and sums
         bad = np.argmin(np.isfinite(g).all(axis=(-2, -1)))
         raise EvaluationError("metric", "non-finite result near "
-                              + np.array2string(pts[bad], precision=6))
+                              + np.array2string(first[bad], precision=6))
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise _rank_error(chart, g, pts) from None
+        raise _rank_error(chart, g, first) from None
     # the diagonal's columns, reduced in index order as numpy reduces its axis
     diag = [chol[..., i, i] for i in range(m)]
     if np.any(reduce(np.minimum, diag)
               <= RANK_TOL * reduce(np.maximum, diag)):
-        raise _rank_error(chart, g, pts)
+        raise _rank_error(chart, g, first)
     r, grad_amb, at_pole = pole_field(amb, pos, gradient=level != METRIC)
     frame = level == FRAME
-    geom = PointGeometry(amb=amb, points=pts, metric=g,
-                         sqrt_det_g=reduce(np.multiply, diag), r=r,
+    geom = PointGeometry(amb=amb, points=pts, metric=spread(g),
+                         sqrt_det_g=spread(reduce(np.multiply, diag)), r=r,
                          at_pole=at_pole, position=pos if frame else None,
-                         jacobian=jac if frame else None)
+                         jacobian=spread(jac) if frame else None)
     if level == METRIC:
         return geom
     # one inverse metric, applied by matmul: a batched solve per
     # right-hand side would factor every metric again
     ginv = np.linalg.inv(g)
+    jac_n = geom.jacobian if frame else spread(jac)
+    ginv_n = spread(ginv)
 
     # second fundamental form: strip the position part (curved ambient only),
     # then the part tangent to the immersion
     if amb.kappa != 0.0:
+        # the position part varies at every point, and the rest with it
+        jac, ginv, hess = jac_n, ginv_n, spread(hess)
         hp = np.einsum("...aij,a,...a->...ij", hess, eta, pos, optimize=True)
         work = hess - amb.kappa * hp[..., None, :, :] * pos[..., :, None, None]
     else:
         work = hess
     t_cov = np.einsum("...aij,a,...al->...ijl", work, eta, jac, optimize=True)
-    b = np.moveaxis(t_cov, -1, -3).reshape(pts.shape[:-1] + (m, m * m))
-    coeff = (ginv @ b).reshape(pts.shape[:-1] + (m, m, m))
+    b = np.moveaxis(t_cov, -1, -3).reshape((-1, m, m * m))
+    coeff = (ginv @ b).reshape((-1, m, m, m))
     alpha = work - np.einsum("...kij,...ak->...aij", coeff, jac, optimize=True)
 
     w = ginv[..., None, :, :] @ alpha
-    nasq = np.einsum("...aij,...aji,a->...", w, w, eta, optimize=True)
+    nasq = np.maximum(
+        np.einsum("...aij,...aji,a->...", w, w, eta, optimize=True), 0.0)
+    if amb.kappa == 0.0:
+        nasq, alpha = spread(nasq), spread(alpha) if frame else None
     tan_norm, perp_norm, grad_M, grad_perp = _radial_split(
-        amb, jac, ginv, grad_amb, at_pole, frame)
+        amb, jac_n, ginv_n, grad_amb, at_pole, frame)
     return replace(geom, grad_r_tan_norm=tan_norm, grad_r_perp_norm=perp_norm,
-                   norm_alpha_sq=np.maximum(nasq, 0.0),
-                   alpha=alpha if frame else None, grad_M_r=grad_M,
-                   grad_perp_r=grad_perp)
+                   norm_alpha_sq=nasq, alpha=alpha if frame else None,
+                   grad_M_r=grad_M, grad_perp_r=grad_perp)
 
 
 def _rank_error(chart, g, pts) -> GeometryError:
     """The error of a block that fails the rank checks, named after its
-    first point, in batch order, that fails one: a metric with no Cholesky
-    factor is not an immersion, and one whose factor's diagonal spans a
-    ratio below ``RANK_TOL`` is rank-deficient.  A factor of one metric
-    has the bits it has in any batch."""
+    first point, in batch order, that fails one; ``pts[k]`` is the first
+    point with the metric ``g[k]``.  A metric with no Cholesky factor is
+    not an immersion, and one whose factor's diagonal spans a ratio below
+    ``RANK_TOL`` is rank-deficient.  A factor of one metric has the bits
+    it has in any batch."""
     for k in range(len(g)):
         try:
             diag = np.diagonal(np.linalg.cholesky(g[k]))

@@ -2,12 +2,14 @@
 
 A Jet2 carries a value together with its gradient and Hessian with respect
 to m seed variables.  Values may be scalars or numpy arrays of any batch
-shape S; then grad has shape S + (m,) and hess has shape S + (m, m).
-Propagating a whole grid of points through one expression this way keeps
-the arithmetic in vectorized numpy.  Jets of different batch shapes
-combine by numpy broadcasting.  Every rule works entry by entry, so an
-entry gets the bits it gets from operands of equal shapes, and the jets
-of a lattice can be seeded one per axis (``seed_axes``).
+shape S; then grad has a shape that broadcasts to S + (m,), and hess one
+that broadcasts to S + (m, m).  Propagating a whole grid of points through
+one expression this way keeps the arithmetic in vectorized numpy.  Jets of
+different batch shapes combine by numpy broadcasting.  Every rule works
+entry by entry, so an entry gets the bits it gets from operands of equal
+shapes, and the jets of a lattice can be seeded one per axis
+(``seed_axes``): each derivative then varies only along the axes it
+depends on, and an affine coordinate keeps a constant gradient.
 
 The order is set when the variables are seeded.  An order-1 jet has
 ``hess`` None, and every rule then skips the Hessian: values and gradients
@@ -198,18 +200,20 @@ def seed_point(point, order: int = 2) -> list[Jet2]:
 def seed_axes(axes, order: int = 2) -> list[Jet2]:
     """The m coordinate jets over the lattice that is the product of the
     1-D coordinate arrays ``axes``, one per axis: jet i has its values
-    along batch axis i only, shape (1, ..., k_i, ..., 1), gradient e_i
-    and a zero Hessian.  Broadcasting then evaluates each subexpression
-    over the axes it depends on, with the bits it gets at each point of
-    the lattice."""
+    along batch axis i only, shape (1, ..., k_i, ..., 1), and a gradient
+    e_i and a zero Hessian that vary along no axis, shapes (1, ..., 1, m)
+    and (1, ..., 1, m, m).  Broadcasting then evaluates each value and
+    each derivative over the axes it depends on, with the bits it gets at
+    each point of the lattice."""
     m = len(axes)
+    ones = (1,) * m
     out = []
     for i, ax in enumerate(axes):
-        batch = (1,) * i + (len(ax),) + (1,) * (m - 1 - i)
-        grad = np.zeros(batch + (m,))
+        grad = np.zeros(ones + (m,))
         grad[..., i] = 1.0
-        out.append(Jet2(np.array(ax, dtype=float).reshape(batch), grad,
-                        _zero_hess(batch, m, order)))
+        out.append(Jet2(np.array(ax, dtype=float).reshape(
+            ones[:i] + (len(ax),) + ones[i + 1:]), grad,
+            _zero_hess(ones, m, order)))
     return out
 
 

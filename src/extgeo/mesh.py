@@ -40,7 +40,8 @@ that starts past the largest r of a critical vertex, and returns an
 
 Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
 split that the invariants read).  Both lattices stream as boxes of
-``immersion.stream_lattice``, with chart jets seeded per axis.  The
+``immersion.stream_lattice``, with chart jets seeded per axis, so each
+box runs its metric algebra once per distinct Jacobian.  The
 refined lattice is a ``METRIC`` request, streamed in blocks of
 ``immersion.BLOCK_BYTES`` one parity class at a time (``_refined_pass``),
 and the vertex lattice is written box by box into the vertex geometry

@@ -356,13 +356,23 @@ x5 = 0;
 domain u1 in [-1, 1], u2 in [-1, 1], u3 in [-1, 1]
 """
 
+# a Jacobian that varies along the middle axis only
+MIDDLE_AXIS = """
+m = 3; n = 4; ambient = euclidean;
+x1 = u1; x2 = cos(u2); x3 = sin(u2); x4 = u3;
+domain u1 in [-1, 1], u2 in [-1, 1], u3 in [-1, 1]
+"""
+
+PARSED_CHARTS = {"every-rule": EVERY_RULE, "middle-axis": MIDDLE_AXIS}
+
 LATTICE_CHARTS = [(name, {}) for name in xg.catalog_names()] + [
-    ("rotation-hypersurface", {"n": 3}), ("flat-subspace", {"m": 3, "n": 4})]
+    ("rotation-hypersurface", {"n": 3}), ("flat-subspace", {"m": 3, "n": 4}),
+    ("middle-axis", {})]
 
 
 def lattice_chart(name, params):
-    if name == "every-rule":
-        return xg.parse_chart(EVERY_RULE)
+    if name in PARSED_CHARTS:
+        return xg.parse_chart(PARSED_CHARTS[name])
     return xg.catalog_build(name, **params)[0]
 
 
@@ -401,6 +411,34 @@ def test_lattice_boxes_equal_the_points_bit_for_bit(name, params, level,
         else:
             np.testing.assert_array_equal(getattr(got, field),
                                           getattr(want, field), err_msg=field)
+
+
+@pytest.mark.parametrize("level", [xg.METRIC, xg.BENDING, xg.FRAME],
+                         ids=["metric", "bending", "frame"])
+@pytest.mark.parametrize("lead", [6, 1])
+@pytest.mark.parametrize("name,params,distinct", [
+    # the constant coordinate x4 = 0 takes the lead axis's batch shape
+    ("flat-subspace", {"m": 3, "n": 4}, lambda shape: max(2, shape[0])),
+    ("cylinder", {}, lambda shape: shape[1]),
+    ("middle-axis", {}, lambda shape: shape[1]),
+    ("rotation-hypersurface", {"n": 3}, math.prod),
+    ("catenoid", {}, math.prod),
+], ids=["flat", "cylinder", "middle-axis", "rot3", "catenoid"])
+def test_a_box_factors_one_metric_per_distinct_jacobian(name, params,
+                                                        distinct, lead, level,
+                                                        monkeypatch):
+    chart = lattice_chart(name, params)
+    axes = lattice_axes(chart, [lead, 5, 4][:chart.m])
+    box = xg.immersion.Box(tuple(axes))
+    factored, cholesky = [], np.linalg.cholesky
+
+    def spy(g):
+        factored.append(math.prod(g.shape[:-2]))
+        return cholesky(g)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    xg.immersion._geometry_block(chart, xg.ambient_of(chart), box, level)
+    assert factored == [distinct(box.shape)]
 
 
 @pytest.mark.parametrize("count", [1, 3, 7])
@@ -507,6 +545,48 @@ def test_overflowing_metric_is_an_evaluation_error(level):
     if level == xg.FRAME:
         with pytest.raises(EvaluationError, match=message):
             xg.point_geometry(chart, pts[0])
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+@pytest.mark.parametrize("level", [xg.METRIC, xg.BENDING, xg.FRAME],
+                         ids=["metric", "bending", "frame"])
+def test_an_overflowing_box_names_its_first_point(level, count,
+                                                  block_points):
+    # an affine chart: one Jacobian for the whole box
+    chart = xg.parse_chart("m = 2; n = 3; ambient = euclidean; x1 = u1; "
+                           "x2 = 1e200 * u1; x3 = u2; "
+                           "domain u1 in [-1, 1], u2 in [-1, 1]")
+    amb = xg.ambient_of(chart)
+    axes = [np.array([0.0, 0.25, 0.5]), np.array([0.5, -0.5, 0.0])]
+    block_points(chart, level, count)
+    with pytest.raises(EvaluationError) as want:
+        xg.grid_geometry(chart, lattice_points(axes), level=level)
+    with pytest.raises(EvaluationError) as got:
+        lattice_geometry(chart, axes, level, amb)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("metric: non-finite result near [0.  0.5]")
+
+
+@pytest.mark.parametrize("u1,near", [
+    ([0.5, 1e-6, 0.6, 0.0], "rank-deficient near [1.e-06 1.e-01]"),
+    ([0.5, 0.0, 1e-6, 0.6], "not an immersion near [0.  0.1]"),
+], ids=["rank-deficient", "singular"])
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_a_rank_error_from_a_box_names_the_first_failing_point(
+        u1, near, count, block_points):
+    # the Jacobian varies along u1 only: a box factors one metric per u1
+    chart = xg.parse_chart("m = 2; n = 3; ambient = euclidean; x1 = u1^3; "
+                           "x2 = u2; x3 = 0; "
+                           "domain u1 in [-1, 1], u2 in [-1, 1]")
+    amb = xg.ambient_of(chart)
+    axes = [np.array(u1), np.array([0.1, 0.0, 0.2])]
+    for level in (xg.METRIC, xg.BENDING, xg.FRAME):
+        block_points(chart, level, count)
+        with pytest.raises(GeometryError) as want:
+            xg.grid_geometry(chart, lattice_points(axes), level=level)
+        with pytest.raises(GeometryError) as got:
+            lattice_geometry(chart, axes, level, amb)
+        assert str(got.value) == str(want.value) == f"chart 'chart' is {near}"
 
 
 def test_unknown_level_is_rejected():
