@@ -351,10 +351,13 @@ def _curvature_rows(chart, pts, amb):
     """``(ok, columns)``: the mask of the candidates with a distance sphere
     and, for those, r, exact, lower, upper, valid and cond(g) (None if
     there are none).  A block whose geometry fails is split in halves
-    until each failure is one point."""
-    try:
-        geom = grid_geometry(chart, pts, level=FRAME, amb=amb)
-    except ExtGeoError:
+    until each failure is one point, and its warnings are dropped."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            geom = grid_geometry(chart, pts, level=FRAME, amb=amb)
+        except ExtGeoError:
+            geom = None
+    if geom is None:
         if len(pts) == 1:
             return np.zeros(1, dtype=bool), None
         parts = [_curvature_rows(chart, half, amb)
@@ -362,6 +365,8 @@ def _curvature_rows(chart, pts, amb):
         cols = [c for _, c in parts if c is not None]
         return (np.concatenate([ok for ok, _ in parts]),
                 [np.concatenate(c) for c in zip(*cols)] if cols else None)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     exact, bad = extrinsic_sphere_curvature(geom, mode="exact")
     lower, upper, valid, bad_bounds = extrinsic_sphere_curvature(
         geom, mode="bounds")
@@ -501,8 +506,8 @@ def _run(args) -> dict:
     """One analysis command, from the command line to its payload and,
     with ``--out``, its report files."""
     cfg = _config_from_args(args)
-    # warnings go into the payload, not to stderr with a source line; the
-    # filters stay as they are, so a repeated warning is recorded once
+    # warnings go into the payload once each, not to stderr; the filters
+    # stay as they are (a nested record makes them forget what they showed)
     with warnings.catch_warnings(record=True) as caught:
         chart, gt, desc = _build_immersion(cfg)
         if args.command != "curvature":
@@ -522,8 +527,8 @@ def _run(args) -> dict:
             header = _mesh_header(subject, desc)
         sections, files = _COMMANDS[args.command](cfg, subject, gt)
     payload = {**header, **sections, "warnings": [
-        {"category": w.category.__name__, "message": str(w.message)}
-        for w in caught]}
+        {"category": c, "message": text} for c, text in dict.fromkeys(
+            (w.category.__name__, str(w.message)) for w in caught)]}
     if args.out is not None:
         try:
             os.makedirs(args.out, exist_ok=True)

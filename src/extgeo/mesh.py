@@ -40,23 +40,23 @@ that starts past the largest r of a critical vertex, and returns an
 
 Only the vertices carry the ``BENDING`` geometry (|alpha|^2 and the radial
 split that the invariants read).  Both lattices stream as boxes of
-``immersion.stream_lattice``, with chart jets seeded per axis, so each
-box runs its metric algebra once per distinct Jacobian.  The
-refined lattice is a ``METRIC`` request, streamed in blocks of
-``immersion.BLOCK_BYTES`` one parity class at a time (``_refined_pass``),
-and the vertex lattice is written box by box into the vertex geometry
+``immersion.stream_lattice``, with chart jets seeded per axis, so each box
+runs its metric algebra once per distinct Jacobian.  The refined lattice
+is a ``METRIC`` request, streamed in blocks of ``immersion.BLOCK_BYTES``
+one parity class at a time (``_refined_pass``), and the vertex lattice is
+written box by box into the vertex geometry
 (``immersion.collect_geometry``).  Each block of a class writes r in
-place, and the cell centres their sqrt det g.  A class holds the
-midpoints of the edges along the offsets with its odd axes, so its metric
-gives their midpoint speeds, written straight into the forward slots of
-the length table, and is dropped; no refined metric is stored.
-``_neighbour_table`` then turns those speeds into Simpson lengths in
-place.  A mesh holds per vertex its
-``BENDING`` fields, the lengths of its 3^m - 1 edges, and rho, and per
-refined node r and a volume weight.  ``mesh_bytes`` estimates
-that and the peak of the build and rho solve from the shape alone, and
-``build_mesh`` (and the CLI, before the pole) refuses a mesh over
-``MEMORY_BUDGET``, or a chart of more than ``MAX_MESH_M`` dimensions,
+place, and the cell centres their sqrt det g.  A class holds the midpoints
+of the edges along the offsets with its odd axes, so each block turns its
+metric into their speeds (``_speed``, whose bits do not depend on the
+block) and drops it; no refined metric is stored.  The pieces of
+``_edge_slabs`` put the speeds into the forward slots of the length table,
+and ``_neighbour_table`` makes them Simpson lengths in place.  A mesh
+holds per vertex its ``BENDING`` fields, the lengths of its 3^m - 1 edges,
+and rho, and per refined node r and a volume weight.  ``mesh_bytes``
+estimates that and the peak of the build and rho solve from the shape
+alone, and ``build_mesh`` (and the CLI, before the pole) refuses a mesh
+over ``MEMORY_BUDGET``, or a chart of more than ``MAX_MESH_M`` dimensions,
 with a ``ConfigError``.
 
 The refined lattice is also what the volume integrators consume: each of
@@ -324,11 +324,13 @@ def _axis_layout(chart: ChartBase, resolution):
 
 
 def _speed(metric, d) -> np.ndarray:
-    """Speed |d|_g of the offset d under each (m, m) metric of a stack.
-    Its bits follow the stack's length and each entry's position in it
-    (rolling the stack by one can move an entry's last bit), so every
-    caller contracts one slot's whole stack, in the order it reads it."""
-    q = np.einsum("...ij,i,j->...", metric, d, d, optimize=True)
+    """Speed |d|_g of the offset d under each (m, m) metric of a stack: the
+    sum of d_i d_j g_ij over the axes d moves along, entry by entry, the
+    upper triangle row by row and doubled off the diagonal, so each speed
+    has the bits it would have alone, wherever its metric sits."""
+    q = 0.0
+    for i, j in itertools.combinations_with_replacement(np.flatnonzero(d), 2):
+        q = q + (1.0 if i == j else 2.0) * d[i] * d[j] * metric[..., i, j]
     return np.sqrt(np.maximum(q, 0.0))
 
 
@@ -360,7 +362,7 @@ def _neighbour_table(shape, periodic, spacing, metric, lengths):
     piece of ``_edge_slabs``.
 
     The arc length of each edge weighs the speed at both endpoints, from
-    the vertex metric (one contraction over every vertex per slot), and
+    the vertex metric (``_speed`` over every vertex, once per slot), and
     at the midpoint.
     """
     st = stencil(len(shape))
@@ -427,10 +429,10 @@ def mesh_bytes(shape, periodic) -> tuple:
     # writes the midpoint speeds into them) and, per refined node, r and
     # the volume weight
     held = n * (8 * (m * m + m + 7) + 1 + 8 * slots) + 16 * n_refined
-    # the build: one parity class's metric with its rolled copy and the
-    # contraction's own, the vertex points and the Simpson temporaries of
-    # one slot, and one geometry block
-    build = 8 * n * (3 * m * m + 3 * m + 8) + BLOCK_BYTES
+    # the build: a geometry block and the larger of a parity class's r,
+    # cell-centre density and slot speeds (2^(m-1) at most) and the Simpson
+    # step's density, vertex speeds and three temporaries of their size
+    build = 8 * n * max(2 ** (m - 1) + 2, 5) + BLOCK_BYTES
     # the rho solve: the factoring fields, the values, the boundary codes,
     # the least face cosine and two int32 round stamps, and one block of
     # rows, which computes its own neighbours, stretches and facet margins
@@ -464,47 +466,40 @@ def _refined_pass(chart, amb, shape, spacing, refined_axes):
 
     It runs one parity class at a time.  The nodes with odd indices on the
     axes that a slot's offset moves along are the midpoints of its edges,
-    so a class holds every midpoint of its slots, and each slot gets one
-    contraction over all of them (see ``_speed``).  Only the current
-    class's metric is kept.
+    so each box of a class writes the speeds of its slots (``_speed``), a
+    buffer per slot, and keeps no metric.  The pieces of ``_edge_slabs``
+    place them: a midpoint's class index is the piece's start slice, or
+    its end slice on an axis the offset steps back on.
     """
-    m, periodic = chart.m, chart.periodic
-    st = stencil(m)
-    forward = np.flatnonzero(st.forward)
+    st = stencil(chart.m)
+    slabs = dict(_edge_slabs(shape, chart.periodic))
     refined_r = np.empty([len(ax) for ax in refined_axes])
     lengths = np.full((math.prod(shape), len(st.offsets)), np.inf)
     table = lengths.reshape(*shape, -1)
-    for parity in itertools.product((0, 1), repeat=m):
+    for parity in itertools.product((0, 1), repeat=chart.m):
         axes = [ax[p::2] for ax, p in zip(refined_axes, parity)]
         lattice = [len(ax) for ax in axes]
-        slots = [(fwd, st.offsets[fwd]) for fwd in forward
-                 if np.array_equal(st.offsets[fwd] != 0, parity)]
+        speeds = {fwd: np.empty(lattice) for fwd in slabs
+                  if np.array_equal(st.offsets[fwd] != 0, parity)}
         r = np.empty(lattice)
-        metric = np.empty(lattice + [m, m]) if slots else None
         density = np.empty(lattice) if all(parity) else None
 
         for lo, geom in stream_lattice(chart, amb, axes, METRIC):
             hi = lo + len(geom.r)
             r.reshape(-1)[lo:hi] = geom.r
-            if metric is not None:
-                metric.reshape(-1, m, m)[lo:hi] = geom.metric
+            for fwd, speed in speeds.items():
+                speed.reshape(-1)[lo:hi] = _speed(geom.metric,
+                                                  st.offsets[fwd] * spacing)
             if density is not None:
                 density.reshape(-1)[lo:hi] = geom.sqrt_det_g
         refined_r[tuple(slice(p, None, 2) for p in parity)] = r
         if density is not None:
             centre_density = density
-        for fwd, delta in slots:
-            # in edge order: a periodic axis stepped back starts its edges
-            # at the midpoint that closes the seam.  The metric is rolled,
-            # not the speeds, because the contraction's bits follow each
-            # entry's position in the stack (``_speed``)
-            back = [a for a, (d, p) in enumerate(zip(delta, periodic))
-                    if p and d < 0]
-            g = np.roll(metric, 1, axis=back) if back else metric
-            here = tuple(slice(0, k) if p else slice(max(0, -d), k - max(0, d))
-                         for d, k, p in zip(delta, shape, periodic))
-            table[..., fwd][here] = _speed(
-                g.reshape(-1, m, m), delta * spacing).reshape(lattice)
+        for fwd, speed in speeds.items():
+            for here, there in slabs[fwd]:
+                mid = tuple(end if d < 0 else start for start, end, d
+                            in zip(here, there, st.offsets[fwd]))
+                table[..., fwd][here] = speed[mid]
     return refined_r, centre_density, lengths
 
 

@@ -255,7 +255,8 @@ def lattice_neighbours(shape, periodic):
 def full_lattice_table(shape, periodic, spacing, metric, refined_metric):
     """(N, S) neighbour indices (``lattice_neighbours``) and Simpson edge
     lengths over the slots of ``stencil(m)``, the midpoint speeds gathered
-    edge by edge from the metric of the whole refined lattice."""
+    edge by edge from the metric of the whole refined lattice.  Each speed
+    sums d'g d in the fixed order of ``mesh._speed``, spelled out here."""
     st = stencil(len(shape))
     neighbours = lattice_neighbours(shape, periodic)
     n = len(neighbours)
@@ -272,7 +273,14 @@ def full_lattice_table(shape, periodic, spacing, metric, refined_metric):
         d = delta * spacing
 
         def speed(gblock):
-            q = np.einsum("...ij,i,j->...", gblock, d, d, optimize=True)
+            # d'g d term by term: the upper triangle row by row, the
+            # off-diagonal terms doubled
+            q = 0.0
+            for i in range(len(d)):
+                for j in range(i, len(d)):
+                    if d[i] and d[j]:
+                        w = (2.0 if j > i else 1.0) * d[i] * d[j]
+                        q = q + w * gblock[..., i, j]
             return np.sqrt(np.maximum(q, 0.0))
 
         # endpoint speeds at every vertex, midpoint speeds per edge

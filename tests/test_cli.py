@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -492,6 +493,47 @@ def test_curvature_skips_points_without_geometry(tmp_path, monkeypatch):
     assert (pay["samples"], pay["skipped"]) == (len(want), skipped)
     got = curvature_csv(out_dir / "curvature.csv")
     assert [row[:4] for row in got] == [ref[:4] for ref in want]
+
+
+# x1 = exp(u1) overflows over most of u1 in [0, 400]: 153 of the 160
+# candidates fail with an EvaluationError, after numpy warned of it
+OVERFLOWING = """
+m = 3; n = 4; ambient = euclidean;
+x1 = exp(u1); x2 = u2; x3 = u3; x4 = u1;
+domain u1 in [0, 400], u2 in [0, 1], u3 in [0, 1]
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_curvature_drops_the_warnings_of_failed_candidates(tmp_path, seed):
+    cfg = write_config(tmp_path, {"immersion": {"source": OVERFLOWING},
+                                  "resolution": 9, "samples": 8,
+                                  "seed": seed})
+    pay = payload_of(["curvature", "--config", cfg])
+    assert (pay["samples"], pay["skipped"]) == (7, 153)
+    assert pay["warnings"] == []
+
+
+def test_curvature_keeps_the_warnings_of_blocks_that_hold(tmp_path,
+                                                          monkeypatch):
+    chart, _ = xg.catalog_build(ROT3["catalog"], **ROT3["params"])
+    middle = 0.5 * (chart.domain[0][0] + chart.domain[0][1])
+    grid = extgeo.cli.grid_geometry
+
+    def geometry(chart, points, **kwargs):
+        if np.any(np.asarray(points)[..., 0] > middle):
+            warnings.warn("from a block that fails")
+            raise GeometryError("not an immersion here")
+        warnings.warn("from a block that holds")
+        return grid(chart, points, **kwargs)
+
+    monkeypatch.setattr(extgeo.cli, "grid_geometry", geometry)
+    cfg = write_config(tmp_path, {"immersion": ROT3, "resolution": 9,
+                                  "samples": 60, "seed": 5})
+    pay = payload_of(["curvature", "--config", cfg])
+    assert pay["skipped"] > 0
+    assert pay["warnings"] == [{"category": "UserWarning",
+                                "message": "from a block that holds"}]
 
 
 def test_volume_warning_goes_to_the_payload():

@@ -137,6 +137,34 @@ def test_mesh_equals_the_full_order_lattice(name, params, res):
     assert mesh.fd_step == ref.fd_step
 
 
+@pytest.mark.parametrize("name,params,res", [
+    ("rotation-hypersurface", {"n": 3}, [9, 24, 101]),
+    ("catenoid", {}, [33, 32]),
+], ids=["rotation-hypersurface", "catenoid"])
+def test_a_speed_has_the_same_bits_wherever_its_metric_sits(name, params,
+                                                            res):
+    """The refined pass takes each midpoint speed from the box that holds
+    its metric, so a speed may not depend on the rest of the stack."""
+    chart, _ = xg.catalog_build(name, **params)
+    mesh = xg.build_mesh(chart, res)
+    g = mesh.vertices.metric
+    st = eikonal.stencil(mesh.m)
+    for fwd in np.flatnonzero(st.forward):
+        d = st.offsets[fwd] * mesh.spacing
+        whole = xg.mesh._speed(g, d)
+        variants = {
+            "rolled": np.roll(xg.mesh._speed(np.roll(g, 1, axis=0), d), -1),
+            "thirds": np.concatenate([xg.mesh._speed(g[k::3], d)
+                                      for k in range(3)]),
+            "single": np.array([xg.mesh._speed(gk, d) for gk in g]),
+        }
+        want = {"rolled": whole, "single": whole,
+                "thirds": np.concatenate([whole[k::3] for k in range(3)])}
+        for variant, got in variants.items():
+            np.testing.assert_array_equal(got, want[variant],
+                                          err_msg=f"{fwd} {variant}")
+
+
 def test_second_order_geometry_only_at_the_vertices(monkeypatch):
     block = extgeo.immersion._geometry_block
     counted = {xg.METRIC: 0, xg.BENDING: 0}
