@@ -80,8 +80,8 @@ import numpy as np
 from .eikonal import ROW_BLOCK_BYTES, stencil, upwind_distances
 from .errors import ConfigError, DomainError, GeometryError
 from .exprchart import ChartBase
-from .immersion import (BENDING, BLOCK_BYTES, METRIC, PointGeometry,
-                        ambient_of, collect_geometry, stream_lattice)
+from .immersion import (BENDING, METRIC, PointGeometry, ambient_of,
+                        collect_geometry, stream_lattice)
 from .reporting import CSV_CHUNK, write_csv
 from .spaceform import Ambient
 
@@ -429,15 +429,15 @@ def mesh_bytes(shape, periodic) -> tuple:
     # writes the midpoint speeds into them) and, per refined node, r and
     # the volume weight
     held = n * (8 * (m * m + m + 7) + 1 + 8 * slots) + 16 * n_refined
-    # the build: a geometry block and the larger of a parity class's r,
-    # cell-centre density and slot speeds (2^(m-1) at most) and the Simpson
-    # step's density, vertex speeds and three temporaries of their size
-    build = 8 * n * max(2 ** (m - 1) + 2, 5) + BLOCK_BYTES
-    # the rho solve: the factoring fields, the values, the boundary codes,
-    # the least face cosine and two int32 round stamps, and one block of
-    # rows, which computes its own neighbours, stretches and facet margins
-    solve = n * (8 * (2 * m + 10) + 1) + ROW_BLOCK_BYTES
-    return held, held + max(build, solve)
+    # on top of that the rho solve holds the factoring fields, the values,
+    # the boundary codes, the least face cosine and two int32 round stamps,
+    # and one block of rows, which computes its own neighbours, stretches
+    # and facet margins.  The build holds less: a geometry block and, per
+    # vertex, at most 8 max(2^(m-1) + 2, 5) bytes (a parity class's r,
+    # cell-centre density and slot speeds, or the Simpson step's density,
+    # vertex speeds and three temporaries), under the solve's 8(2m + 10) + 1
+    # for every m <= MAX_MESH_M, so the solve sets the peak
+    return held, held + n * (8 * (2 * m + 10) + 1) + ROW_BLOCK_BYTES
 
 
 def check_budget(chart: ChartBase, resolution) -> None:
